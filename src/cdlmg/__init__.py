@@ -48,7 +48,6 @@ from .dynamics import (
     parse_protocol,
 )
 from .errors import (
-    AlignmentError,
     ConvergenceError,
     CriticalWindowError,
     DecompositionError,
@@ -57,15 +56,7 @@ from .errors import (
 )
 from .figures import FIGURES, run_figure
 from .ramps import RampSchedule
-from .spectrum import (
-    GapTable,
-    GroundTrack,
-    SpectrumSnapshot,
-    diagonalize,
-    gap_series,
-    gauge_align,
-    track_ground,
-)
+from .spectrum import GapTable, GroundTrack, gap_series, track_ground
 from .spin_algebra import (
     DickeSector,
     ModelParams,
@@ -82,8 +73,7 @@ __all__ = [
     "DickeSector", "ModelParams", "OperatorMatrix", "SpinOperators",
     "build_spin_ops", "build_h0", "parity_projectors",
     # spectrum
-    "SpectrumSnapshot", "GroundTrack", "GapTable",
-    "diagonalize", "gauge_align", "track_ground", "gap_series",
+    "GroundTrack", "GapTable", "track_ground", "gap_series",
     # counterdiabatic
     "DrivingTerm", "BandTable", "exact_cd", "band_table", "truncate",
     "hp_correction", "hp_coefficient", "analytic_cd",
@@ -101,5 +91,5 @@ __all__ = [
     "FIGURES", "run_figure",
     # errors
     "ValidationError", "CriticalWindowError", "StructureError",
-    "AlignmentError", "ConvergenceError", "DecompositionError",
+    "ConvergenceError", "DecompositionError",
 ]

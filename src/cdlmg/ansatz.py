@@ -20,11 +20,19 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
+from . import output
 from .counterdiabatic import HP_SWITCH_TOL, hp_coefficient
-from .dynamics import AnsatzDrive, SectorFrame, Trajectory, evolve
+from .dynamics import AnsatzDrive, Trajectory, evolve, propagate_steps
 from .errors import ValidationError
 from .ramps import RampSchedule
-from .spin_algebra import DickeSector, ModelParams, OperatorMatrix
+from .spectrum import sector_ground_series
+from .spin_algebra import (
+    DickeSector,
+    ModelParams,
+    OperatorMatrix,
+    SectorFrame,
+    place_band,
+)
 
 __all__ = [
     "BandCoefficients",
@@ -94,12 +102,8 @@ class BandCoefficients:
         return BandCoefficients(self.boundaries, values)
 
     def to_csv(self, path) -> None:
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["t"] + [f"x_{b}" for b in range(1, self.num_bands + 1)])
-            for t, row in zip(self.midpoints, self.values):
-                writer.writerow([f"{t:.15g}"] + [f"{x:.15g}" for x in row])
+        output.write_csv(path, ["t"] + [f"x_{b}" for b in range(1, self.num_bands + 1)],
+                         ((t, *row) for t, row in zip(self.midpoints, self.values)))
 
     def to_json_dict(self) -> dict:
         return {"boundaries": self.boundaries.tolist(),
@@ -117,9 +121,7 @@ def ansatz_matrix(sector: DickeSector, values) -> OperatorMatrix:
     dim = sector.dim
     mat = np.zeros((dim, dim), dtype=complex)
     for b, x in enumerate(values, start=1):
-        rows = np.arange(dim - 2 * b)
-        mat[rows, rows + 2 * b] = 1j * x
-        mat[rows + 2 * b, rows] = -1j * x
+        place_band(mat, 2 * b, 1j * x, -1j * x)
     return OperatorMatrix(sector, mat)
 
 
@@ -129,21 +131,6 @@ class OptimizeResult:
     trajectory: Trajectory
     nfev: int
     warnings: tuple = ()
-
-
-def _segment_propagator_factory(h0_mid: np.ndarray, patterns: np.ndarray,
-                                dt: float):
-    """Return f(psi, x) propagating psi across the segment with coefficients x."""
-    def run(psi, x):
-        h = h0_mid.astype(complex)
-        if x is not None:
-            h = h + np.tensordot(x, patterns, axes=(0, 0))
-        energies, vectors = np.linalg.eigh(h)
-        phases = np.exp(-1j * energies * dt)
-        for j in range(len(h)):
-            psi = vectors[j] @ (phases[j] * (vectors[j].conj().T @ psi))
-        return psi
-    return run
 
 
 def _hp_start(frame: SectorFrame, ground_start: np.ndarray, h: float,
@@ -184,7 +171,7 @@ def optimize(params: ModelParams, ramp: Optional[RampSchedule] = None,
         raise ValidationError(f"need at least {MIN_SEGMENTS} segments, got {segments}")
     if k < 1:
         raise ValidationError(f"band count must be >= 1, got {k}")
-    frame = SectorFrame(params)
+    frame = SectorFrame.tracked(params)
     patterns = frame.band_patterns(k)
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
@@ -200,7 +187,7 @@ def optimize(params: ModelParams, ramp: Optional[RampSchedule] = None,
     dt = times[1] - times[0]
     t_mid = 0.5 * (times[:-1] + times[1:])
     h0_mid = frame.h0_blocks(ramp.h(t_mid))
-    grounds, _ = frame.ground_series(ramp.h(times))
+    grounds, _ = sector_ground_series(frame, ramp.h(times))
     rng = np.random.default_rng(seed)
 
     psi = grounds[0].astype(complex)
@@ -210,11 +197,16 @@ def optimize(params: ModelParams, ramp: Optional[RampSchedule] = None,
     prev = np.zeros(k)
     for s in range(segments):
         lo, hi = s * opt_steps_per_segment, (s + 1) * opt_steps_per_segment
-        run = _segment_propagator_factory(h0_mid[lo:hi], patterns, dt)
+        h0_segment = h0_mid[lo:hi]
         target = grounds[hi]
 
+        def advance(x):
+            """psi carried across the segment with coefficients x."""
+            return propagate_steps(
+                h0_segment + np.tensordot(x, patterns, axes=(0, 0)), dt, psi)
+
         def objective(x):
-            return 1.0 - abs(np.vdot(target, run(psi, x))) ** 2
+            return 1.0 - abs(np.vdot(target, advance(x))) ** 2
 
         seeds = [prev, np.zeros(k),
                  _hp_start(frame, grounds[lo], float(ramp.h(0.5 * (times[lo] + times[hi]))),
@@ -247,7 +239,7 @@ def optimize(params: ModelParams, ramp: Optional[RampSchedule] = None,
                 f"segment {s}: no improvement over zero drive (F={1 - baseline:.6f})")
         schedule[s] = best_x
         prev = best_x.copy()
-        psi = run(psi, best_x)
+        psi = advance(best_x)
 
     coefficients = BandCoefficients(times[::opt_steps_per_segment], schedule)
     trajectory = evolve(params, AnsatzDrive(coefficients), eval_steps, ramp=ramp)

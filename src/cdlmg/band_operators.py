@@ -19,7 +19,7 @@ from typing import List
 import numpy as np
 
 from .errors import DecompositionError, ValidationError
-from .spin_algebra import DickeSector, OperatorMatrix, build_spin_ops
+from .spin_algebra import DickeSector, OperatorMatrix, build_spin_ops, place_band
 
 __all__ = [
     "DecompositionTerm",
@@ -72,7 +72,7 @@ def build_Bj(sector: DickeSector, j: int) -> OperatorMatrix:
     sx, sy, sz = ops.sx.mat, ops.sy.mat, ops.sz.mat
     if j % 2 == 0:
         zp = _matrix_power(sz, j // 2)
-        mat = zp @ (sx @ sy + sy @ sx) @ zp
+        mat = zp @ ops.sxsy_plus_sysx() @ zp
     else:
         zlo = _matrix_power(sz, (j - 1) // 2)
         zhi = _matrix_power(sz, (j + 1) // 2)
@@ -192,10 +192,7 @@ def decompose_band(target, b: int,
     if not 1 <= b <= sector.n // 2:
         raise ValidationError(f"band index b={b} outside [1, {sector.n // 2}]")
     mat = op.mat
-    mask = np.zeros_like(mat, dtype=bool)
-    rows = np.arange(sector.dim - 2 * b)
-    mask[rows, rows + 2 * b] = True
-    mask[rows + 2 * b, rows] = True
+    mask = place_band(np.zeros_like(mat, dtype=bool), 2 * b, True, True)
     stray = float(np.max(np.abs(np.where(mask, 0.0, mat)))) if mat.size else 0.0
     if stray > reconstruction_tol:
         raise ValidationError(

@@ -3,17 +3,16 @@
 Every run writes CSV data files plus a JSON manifest echoing the full
 configuration, so a run can be replayed exactly.  Files are written
 atomically (temp file + rename).  Exit codes: 0 success, 1 invalid
-configuration, 2 numerical failure.
+configuration, 2 numerical failure (one of NUMERICAL_FAILURES); any other
+exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -21,18 +20,27 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, output
 from .ansatz import evaluate_fit, fit_harmonics, optimize
 from .band_operators import decompose_band, solve_first_band_beta
 from .counterdiabatic import band_table, exact_cd
 from .dynamics import evolve, parse_protocol
-from .errors import ValidationError
+from .errors import (
+    ConvergenceError,
+    DecompositionError,
+    StructureError,
+    ValidationError,
+)
 from .figures import FIGURES, run_figure
 from .ramps import RampSchedule
 from .spectrum import gap_series
-from .spin_algebra import DickeSector, ModelParams
+from .spin_algebra import ModelParams
 
 __all__ = ["main", "RunConfig"]
+
+# Failures of a valid run (exit code 2).
+NUMERICAL_FAILURES = (ConvergenceError, DecompositionError, StructureError,
+                      np.linalg.LinAlgError)
 
 
 @dataclass
@@ -65,41 +73,6 @@ class RunConfig:
         return ModelParams(self.n, self.gamma, ramp)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_export(path: Path, exporter) -> None:
-    """Run an object's to_csv-style exporter against a temp file, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    os.close(fd)
-    try:
-        exporter(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{v:.15g}" if isinstance(v, float) else str(v)
-                              for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _code_version() -> str:
     try:
         described = subprocess.run(
@@ -111,6 +84,10 @@ def _code_version() -> str:
     return f"cdlmg {__version__}" + (f" ({described})" if described else "")
 
 
+def _write_json(path: Path, payload) -> None:
+    output.atomic_write(path, json.dumps(payload, indent=2) + "\n")
+
+
 def _write_manifest(outdir: Path, config: RunConfig, extra: dict,
                     wall_time: float) -> None:
     manifest = {
@@ -119,7 +96,7 @@ def _write_manifest(outdir: Path, config: RunConfig, extra: dict,
         "wall_time_s": wall_time,
         **extra,
     }
-    _atomic_write(outdir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_json(outdir / "manifest.json", manifest)
 
 
 # --------------------------------------------------------------------------
@@ -146,9 +123,7 @@ def _cmd_evolve(config: RunConfig) -> int:
     for label, traj in trajectories.items():
         safe = label.replace("(", "_").replace(")", "").replace("=", "")
         path = outdir / f"trajectory_{safe}.csv"
-        rows = zip(traj.times, traj.h_values, traj.fidelity)
-        _write_csv(path, ["t", "h", "fidelity"],
-                   ((float(t), float(h), float(f)) for t, h, f in rows))
+        traj.to_csv(path)
         files.append(path.name)
         finals[label] = traj.final_fidelity
         print(f"{label}: final fidelity {traj.final_fidelity:.6f} "
@@ -171,7 +146,7 @@ def _cmd_spectrum(config: RunConfig) -> int:
     grid = np.linspace(config.h_min, config.h_max, config.h_points)
     table = gap_series(params, grid)
     path = outdir / "gaps.csv"
-    _atomic_export(path, table.to_csv)
+    table.to_csv(path)
     for pair in table.pairs:
         print(f"gap{pair[0]}{pair[1]}: min {table.gap(pair).min():.3e} "
               f"max {table.gap(pair).max():.3e}")
@@ -183,13 +158,13 @@ def _cmd_spectrum(config: RunConfig) -> int:
 def _cmd_optimize(config: RunConfig) -> int:
     outdir = Path(config.out)
     t0 = time.perf_counter()
-    if config.bands is None or config.bands < 1:
-        raise ValidationError("--bands must be a positive integer")
     files, summary = [], {}
     if config.figure:
         trajectories = run_figure(config.figure, steps=config.steps,
                                   segments=config.segments, seed=config.seed)
     else:
+        if config.bands is None or config.bands < 1:
+            raise ValidationError("--bands must be a positive integer")
         params = config.model()
         if params.ramp is None:
             raise ValidationError("--ramp is required without --figure")
@@ -203,13 +178,13 @@ def _cmd_optimize(config: RunConfig) -> int:
         coeffs = traj.info.get("coefficients")
         if coeffs is not None:
             cpath = outdir / f"schedule_{safe}.csv"
-            _atomic_export(cpath, coeffs.to_csv)
+            coeffs.to_csv(cpath)
             files.append(cpath.name)
             jpath = outdir / f"schedule_{safe}.json"
-            _atomic_write(jpath, json.dumps(coeffs.to_json_dict(), indent=2) + "\n")
+            _write_json(jpath, coeffs.to_json_dict())
             files.append(jpath.name)
         tpath = outdir / f"trajectory_{safe}.csv"
-        _atomic_export(tpath, traj.to_csv)
+        traj.to_csv(tpath)
         files.append(tpath.name)
         summary[label] = {"min_fidelity": traj.min_fidelity,
                           "final_fidelity": traj.final_fidelity,
@@ -238,10 +213,10 @@ def _cmd_fit(config: RunConfig) -> int:
                               eval_steps=config.steps)
     files = []
     spath = outdir / "schedule_optimized.csv"
-    _atomic_export(spath, result.coefficients.to_csv)
+    result.coefficients.to_csv(spath)
     files.append(spath.name)
     fpath = outdir / "harmonic_fit.json"
-    _atomic_write(fpath, json.dumps(fit.to_json_dict(), indent=2) + "\n")
+    _write_json(fpath, fit.to_json_dict())
     files.append(fpath.name)
     report = {
         "n": params.n, "harmonics": c,
@@ -251,7 +226,7 @@ def _cmd_fit(config: RunConfig) -> int:
         "fitted_min_fidelity": evaluation.trajectory.min_fidelity,
     }
     rpath = outdir / "fit_report.json"
-    _atomic_write(rpath, json.dumps(report, indent=2) + "\n")
+    _write_json(rpath, report)
     files.append(rpath.name)
     print(f"harmonics={c}: max fidelity discrepancy "
           f"{evaluation.discrepancy:.6f} (fit rms {fit.residual:.4g})")
@@ -276,7 +251,7 @@ def _cmd_decompose(config: RunConfig) -> int:
         bands = [b for b in bands if b <= config.bands]
     payload = {"n": params.n, "gamma": params.gamma, "h": h, "hdot": hdot,
                "bands": {}}
-    beta, residuals = solve_first_band_beta(DickeSector(params.n))
+    beta, residuals = solve_first_band_beta(params.sector)
     payload["first_band_beta"] = beta.tolist()
     payload["first_band_beta_residual"] = float(residuals.max())
     for b in bands:
@@ -287,7 +262,7 @@ def _cmd_decompose(config: RunConfig) -> int:
         }
         print(f"band {b}: {len(dec.terms)} operators, residual {dec.residual:.2e}")
     path = outdir / "decomposition.json"
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    _write_json(path, payload)
     _write_manifest(outdir, config, {"files": [path.name]},
                     time.perf_counter() - t0)
     return 0
@@ -370,7 +345,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # numerical failures and unexpected errors
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

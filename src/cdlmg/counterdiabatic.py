@@ -28,9 +28,9 @@ from .spin_algebra import (
     DickeSector,
     ModelParams,
     OperatorMatrix,
+    SectorFrame,
     build_spin_ops,
-    interaction_matrix,
-    parity_indices,
+    place_band,
 )
 
 __all__ = [
@@ -80,9 +80,7 @@ class BandTable:
         dim = self.sector.dim
         mat = np.zeros((dim, dim), dtype=complex)
         if i in self.bands:
-            rows = np.arange(dim - 2 * i)
-            mat[rows, rows + 2 * i] = 1j * self.bands[i]
-            mat[rows + 2 * i, rows] = -1j * self.bands[i]
+            place_band(mat, 2 * i, 1j * self.bands[i], -1j * self.bands[i])
         return OperatorMatrix(self.sector, mat)
 
     def reconstruct(self) -> OperatorMatrix:
@@ -111,23 +109,28 @@ def sector_cd_block(h0_block: np.ndarray, sz_diag: np.ndarray, hdot: float,
     return out
 
 
+def _from_parity_blocks(params: ModelParams, block) -> OperatorMatrix:
+    """Full-basis matrix holding block(frame) in each parity block of two or
+    more states; the one-state block stays zero."""
+    dim = params.sector.dim
+    mat = np.zeros((dim, dim), dtype=complex)
+    for parity in (0, 1):
+        frame = SectorFrame(params, parity)
+        if frame.dim >= 2:
+            mat[frame.ix] = block(frame)
+    return OperatorMatrix(params.sector, mat)
+
+
 def exact_cd(params: ModelParams, h: float, hdot: float,
              degeneracy_tol_factor: float = DEGENERACY_TOL_FACTOR) -> DrivingTerm:
     """Exact transitionless driving term at field h with ramp rate hdot."""
-    sector = params.sector
-    dim = sector.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    if hdot != 0.0:
-        base = interaction_matrix(sector, params.gamma)
-        m_all = sector.m_values
-        for parity in (0, 1):
-            idx = parity_indices(sector, parity)
-            if len(idx) < 2:
-                continue
-            block = base[np.ix_(idx, idx)] - 2.0 * h * np.diag(m_all[idx])
-            mat[np.ix_(idx, idx)] = sector_cd_block(
-                block, m_all[idx], hdot, degeneracy_tol_factor)
-    return DrivingTerm(OperatorMatrix(sector, mat), "exact", h, hdot)
+    if hdot == 0.0:
+        dim = params.sector.dim
+        matrix = OperatorMatrix(params.sector, np.zeros((dim, dim), dtype=complex))
+    else:
+        matrix = _from_parity_blocks(params, lambda frame: sector_cd_block(
+            frame.h0_blocks(h)[0], frame.m_diag, hdot, degeneracy_tol_factor))
+    return DrivingTerm(matrix, "exact", h, hdot)
 
 
 def band_table(term) -> BandTable:
@@ -170,12 +173,9 @@ def truncate(term: DrivingTerm, k: int) -> DrivingTerm:
     if k < 1:
         raise ValidationError(f"band count must be >= 1, got {k}")
     mat = term.mat
-    dim = mat.shape[0]
     out = np.zeros_like(mat)
-    for i in range(1, min(k, dim // 2) + 1):
-        rows = np.arange(dim - 2 * i)
-        out[rows, rows + 2 * i] = mat[rows, rows + 2 * i]
-        out[rows + 2 * i, rows] = mat[rows + 2 * i, rows]
+    for i in range(1, min(k, mat.shape[0] // 2) + 1):
+        place_band(out, 2 * i, np.diagonal(mat, 2 * i), np.diagonal(mat, -2 * i))
     return DrivingTerm(OperatorMatrix(term.matrix.sector, out),
                        f"truncated({k})", term.h, term.hdot)
 
@@ -210,8 +210,7 @@ def hp_correction(params: ModelParams, h: float, hdot: float,
                   switch_tol: float = HP_SWITCH_TOL) -> DrivingTerm:
     """Harmonic-limit driving term c(h,gamma,hdot) * (SxSy + SySx)."""
     c = hp_coefficient(params.n, params.gamma, h, hdot, switch_tol)
-    ops = build_spin_ops(params.sector)
-    b0 = ops.sx.mat @ ops.sy.mat + ops.sy.mat @ ops.sx.mat
+    b0 = build_spin_ops(params.sector).sxsy_plus_sysx()
     return DrivingTerm(OperatorMatrix(params.sector, c * b0), "hp", h, hdot)
 
 
@@ -240,18 +239,9 @@ def analytic_cd(params: ModelParams, h: float, hdot: float) -> DrivingTerm:
     n = params.n
     if n not in (2, 3):
         raise ValidationError(f"analytic driving term implemented for N=2,3 only, got {n}")
-    sector = params.sector
-    base = interaction_matrix(sector, params.gamma)
-    m_all = sector.m_values
-    dim = sector.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    for parity in (0, 1):
-        idx = parity_indices(sector, parity)
-        if len(idx) != 2:
-            continue
-        block = base[np.ix_(idx, idx)] - 2.0 * h * np.diag(m_all[idx])
-        rate = _two_level_angle_rate(block) * hdot
-        lo, hi = idx
-        mat[lo, hi] = 1j * rate
-        mat[hi, lo] = -1j * rate
-    return DrivingTerm(OperatorMatrix(sector, mat), f"analytic_n{n}", h, hdot)
+
+    def rotation(frame):
+        rate = _two_level_angle_rate(frame.h0_blocks(h)[0]) * hdot
+        return np.array([[0.0, 1j * rate], [-1j * rate, 0.0]])
+
+    return DrivingTerm(_from_parity_blocks(params, rotation), f"analytic_n{n}", h, hdot)

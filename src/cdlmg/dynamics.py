@@ -12,7 +12,6 @@ reduction, not an approximation.
 
 from __future__ import annotations
 
-import csv
 import time as _time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -20,6 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import band_operators as bandops
+from . import output
 from .counterdiabatic import (
     HP_SWITCH_TOL,
     band_table,
@@ -27,15 +27,9 @@ from .counterdiabatic import (
     hp_coefficient,
     sector_cd_block,
 )
-from .errors import ConvergenceError, CriticalWindowError, ValidationError
-from .ramps import RampSchedule
+from .errors import ConvergenceError, ValidationError
 from .spectrum import sector_ground_series
-from .spin_algebra import (
-    ModelParams,
-    build_spin_ops,
-    interaction_matrix,
-    parity_indices,
-)
+from .spin_algebra import ModelParams, SectorFrame
 
 __all__ = [
     "Bare",
@@ -139,92 +133,56 @@ def parse_protocol(spec) -> Protocol:
 
 
 # --------------------------------------------------------------------------
-# sector workspace
+# drive assembly and the step kernel
 
-class SectorFrame:
-    """Cached matrices for propagation inside one parity block."""
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-        sector = params.sector
-        self.parity = params.n % 2
-        self.idx = parity_indices(sector, self.parity)
-        self.dim = len(self.idx)
-        ix = np.ix_(self.idx, self.idx)
-        self.base = interaction_matrix(sector, params.gamma)[ix]
-        self.m_diag = sector.m_values[self.idx]
-        ops = build_spin_ops(sector)
-        self.b0_block = (ops.sx.mat @ ops.sy.mat + ops.sy.mat @ ops.sx.mat)[ix]
-
-    def h0_blocks(self, h_values: np.ndarray) -> np.ndarray:
-        h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-        return (self.base[None, :, :]
-                - 2.0 * h_values[:, None, None] * np.diag(self.m_diag)[None, :, :])
-
-    def ground_series(self, h_values: np.ndarray):
-        return sector_ground_series(self.params.sector, self.params.gamma,
-                                    h_values, self.parity)
-
-    def band_patterns(self, k: int) -> np.ndarray:
-        """Constant-coefficient band matrices in sector coordinates: full-basis
-        offset 2b is sector offset b."""
-        if k > self.params.n // 2:
-            raise ValidationError(
-                f"{k} bands exceed floor(N/2) = {self.params.n // 2}")
-        pats = np.zeros((k, self.dim, self.dim), dtype=complex)
-        for b in range(1, k + 1):
-            rows = np.arange(self.dim - b)
-            pats[b - 1, rows, rows + b] = 1j
-            pats[b - 1, rows + b, rows] = -1j
-        return pats
-
-    def truncation_mask(self, k: int) -> np.ndarray:
-        keep = np.zeros((self.dim, self.dim), dtype=bool)
-        for b in range(1, min(k, self.dim - 1) + 1):
-            rows = np.arange(self.dim - b)
-            keep[rows, rows + b] = True
-            keep[rows + b, rows] = True
-        return keep
-
-    def embed(self, sector_vecs: np.ndarray) -> np.ndarray:
-        """Lift (..., dim_sector) vectors to the full basis."""
-        out = np.zeros(sector_vecs.shape[:-1] + (self.params.sector.dim,),
-                       dtype=sector_vecs.dtype)
-        out[..., self.idx] = sector_vecs
-        return out
-
-
-def _driving_block(frame: SectorFrame, protocol: Protocol, t_mid: float,
-                   h: float, hdot: float, h0_block: np.ndarray):
-    """Sector block of the driving term for one midpoint; None means no drive."""
+def _drive(frame: SectorFrame, protocol: Protocol):
+    """Set a protocol up for one run.  Returns drive(t_mid, h, hdot, h0_block),
+    the block of the driving term at one midpoint, or None for no drive."""
     if isinstance(protocol, Bare):
-        return None
+        return lambda t, h, hdot, h0: None
     if isinstance(protocol, ExactCD):
-        return sector_cd_block(h0_block, frame.m_diag, hdot)
+        return lambda t, h, hdot, h0: sector_cd_block(h0, frame.m_diag, hdot)
     if isinstance(protocol, Truncated):
-        cd = sector_cd_block(h0_block, frame.m_diag, hdot)
-        return np.where(frame.truncation_mask(protocol.bands), cd, 0.0)
+        keep = frame.truncation_mask(protocol.bands)
+        return lambda t, h, hdot, h0: np.where(
+            keep, sector_cd_block(h0, frame.m_diag, hdot), 0.0)
     if isinstance(protocol, HPCorrection):
-        if abs(h - 1.0) < protocol.switch_tol:
-            return None  # correction switched off inside its undefined window
-        c = hp_coefficient(frame.params.n, frame.params.gamma, h, hdot,
-                           protocol.switch_tol)
-        return c * frame.b0_block
+        def hp(t, h, hdot, h0):
+            if abs(h - 1.0) < protocol.switch_tol:
+                return None  # correction switched off inside its undefined window
+            return hp_coefficient(frame.params.n, frame.params.gamma, h, hdot,
+                                  protocol.switch_tol) * frame.b0_block
+        return hp
     if isinstance(protocol, AnsatzDrive):
-        x = protocol.coefficients.values_at(t_mid)
-        pats = frame.band_patterns(len(x))
-        return np.tensordot(x, pats, axes=(0, 0))
+        coefficients = protocol.coefficients
+        patterns = frame.band_patterns(coefficients.num_bands)
+        return lambda t, h, hdot, h0: np.tensordot(
+            coefficients.values_at(t), patterns, axes=(0, 0))
     if isinstance(protocol, DecomposedDrive):
-        term = exact_cd(frame.params, h, hdot)
-        table = band_table(term)
-        total = np.zeros((frame.params.sector.dim,) * 2, dtype=complex)
-        for b in range(1, protocol.bands + 1):
-            if table.max_abs(b) == 0.0:
-                continue
-            dec = bandops.decompose_band(table.band_matrix(b), b)
-            total += dec.reconstruct().mat
-        return total[np.ix_(frame.idx, frame.idx)]
+        def decomposed(t, h, hdot, h0):
+            table = band_table(exact_cd(frame.params, h, hdot))
+            total = np.zeros((frame.params.sector.dim,) * 2, dtype=complex)
+            for b in range(1, protocol.bands + 1):
+                if table.max_abs(b) == 0.0:
+                    continue
+                dec = bandops.decompose_band(table.band_matrix(b), b)
+                total += dec.reconstruct().mat
+            return total[frame.ix]
+        return decomposed
     raise ValidationError(f"unsupported protocol {protocol!r}")
+
+
+def propagate_steps(hamiltonians: np.ndarray, dt, psi: np.ndarray) -> np.ndarray:
+    """Apply exp(-i H_j dt_j) to psi for each H_j of the stack, in order.
+
+    `dt` is one step size or one per Hamiltonian.  The stack is solved in one
+    batched call, in its own dtype: a real stack stays real.
+    """
+    energies, vectors = np.linalg.eigh(hamiltonians)
+    phases = np.exp(-1j * energies * np.reshape(dt, (-1, 1)))
+    for v, phase in zip(vectors, phases):
+        psi = v @ (phase * (v.conj().T @ psi))
+    return psi
 
 
 # --------------------------------------------------------------------------
@@ -251,15 +209,9 @@ class Trajectory:
     def min_fidelity(self) -> float:
         return float(self.fidelity.min())
 
-    def fidelity_at(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.fidelity))
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "h", "fidelity"])
-            for t, h, f in zip(self.times, self.h_values, self.fidelity):
-                writer.writerow([f"{t:.15g}", f"{h:.15g}", f"{f:.15g}"])
+        output.write_csv(path, ["t", "h", "fidelity"],
+                         zip(self.times, self.h_values, self.fidelity))
 
 
 def fidelity(state: np.ndarray, ground: np.ndarray) -> float:
@@ -285,9 +237,10 @@ def _resolve_grid(params: ModelParams, ramp, grid):
 def _propagate(params: ModelParams, protocol: Protocol, ramp, times,
                store_states: bool) -> Trajectory:
     t0 = _time.perf_counter()
-    frame = SectorFrame(params)
+    frame = SectorFrame.tracked(params)
+    drive = _drive(frame, protocol)
     h_grid = ramp.h(times)
-    grounds, _ = frame.ground_series(h_grid)
+    grounds, _ = sector_ground_series(frame, h_grid)
     t_mid = 0.5 * (times[:-1] + times[1:])
     dts = np.diff(times)
     h_mid = np.atleast_1d(ramp.h(t_mid))
@@ -302,11 +255,9 @@ def _propagate(params: ModelParams, protocol: Protocol, ramp, times,
         states[0] = psi
     norm_err = 0.0
     for k in range(len(t_mid)):
-        drive = _driving_block(frame, protocol, t_mid[k], h_mid[k], hd_mid[k],
-                               h0_mid[k])
-        h_tot = h0_mid[k] if drive is None else h0_mid[k] + drive
-        energies, vectors = np.linalg.eigh(h_tot)
-        psi = vectors @ (np.exp(-1j * energies * dts[k]) * (vectors.conj().T @ psi))
+        block = drive(t_mid[k], h_mid[k], hd_mid[k], h0_mid[k])
+        h_tot = h0_mid[k] if block is None else h0_mid[k] + block
+        psi = propagate_steps(h_tot[None], dts[k:k + 1], psi)
         fid[k + 1] = fidelity(psi, grounds[k + 1])
         norm_err = max(norm_err, abs(np.linalg.norm(psi) - 1.0))
         if store_states:

@@ -24,10 +24,6 @@ class StructureError(RuntimeError):
     """
 
 
-class AlignmentError(RuntimeError):
-    """Eigenvector continuity could not be established between snapshots."""
-
-
 class ConvergenceError(RuntimeError):
     """Step-size refinement failed to converge the integrator."""
 

@@ -1,7 +1,8 @@
 """Time-dependent field schedules h(t) with analytic derivatives.
 
 Every schedule provides both h(t) and hdot(t) in closed form; nothing in the
-package differentiates a schedule numerically.
+package differentiates a schedule numerically except the construction-time
+check of hdot against central differences of h.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = ["RampSchedule"]
+
+# Largest accepted gap between hdot and central differences of h on the
+# 1001-point validation grid, relative to max |hdot|.  Smooth ramps are far
+# inside it (tanh:0.75,0.5,5 differs by 1e-5 relative); a wrong derivative
+# is off by order one.
+DERIVATIVE_RTOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,11 @@ class RampSchedule:
             raise ValidationError(
                 f"{self.kind} ramp reaches h <= 0 inside [{self.t_start}, {self.t_end}]"
             )
+        hdots = self.hdot(ts[1:-1])
+        mismatch = np.max(np.abs((hs[2:] - hs[:-2]) / (ts[2:] - ts[:-2]) - hdots))
+        if not mismatch <= DERIVATIVE_RTOL * np.max(np.abs(hdots)):
+            raise ValidationError(
+                f"{self.kind} ramp: hdot differs from the slope of h by {mismatch:.3g}")
 
     def h(self, t):
         t = np.asarray(t, dtype=float)
@@ -93,7 +105,8 @@ class RampSchedule:
 
     @classmethod
     def custom(cls, h_func, hdot_func, t_start: float = 0.0, t_end: float = 1.0):
-        """Arbitrary schedule; `hdot_func` must be the analytic derivative."""
+        """Arbitrary smooth schedule; `hdot_func` must be the analytic
+        derivative of `h_func`, which construction checks."""
         return cls("custom", h_func, hdot_func, (), t_start, t_end)
 
     @classmethod

@@ -1,120 +1,24 @@
-"""Instantaneous spectra: gauge-fixed diagonalization, continuity alignment,
-ground-state tracking through the degenerate phase, and energy-gap tables.
+"""Instantaneous spectra: ground-state tracking through the degenerate phase
+and energy-gap tables.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ValidationError
-from .spin_algebra import (
-    DickeSector,
-    ModelParams,
-    OperatorMatrix,
-    interaction_matrix,
-    parity_indices,
-)
+from . import output
+from .errors import ValidationError
+from .spin_algebra import ModelParams, SectorFrame
 
 __all__ = [
-    "SpectrumSnapshot",
     "GroundTrack",
     "GapTable",
-    "diagonalize",
-    "gauge_align",
     "track_ground",
     "gap_series",
 ]
-
-DEGENERACY_TOL_FACTOR = 1e-8  # relative to the spectral radius
-MIN_ALIGN_OVERLAP = 0.1
-
-
-@dataclass(frozen=True)
-class SpectrumSnapshot:
-    """Eigendecomposition at one field value: ascending energies, gauge-fixed
-    orthonormal eigenvector columns."""
-
-    energies: np.ndarray
-    vectors: np.ndarray = field(repr=False)
-    h: Optional[float] = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.energies)
-
-    def ground(self) -> np.ndarray:
-        return self.vectors[:, 0]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.energies) @ self.vectors.conj().T
-
-    def degenerate_clusters(self, tol: Optional[float] = None) -> list[np.ndarray]:
-        """Indices of levels grouped by |E_a - E_b| < tol (consecutive)."""
-        if tol is None:
-            tol = DEGENERACY_TOL_FACTOR * max(np.max(np.abs(self.energies)), 1.0)
-        splits = np.where(np.diff(self.energies) > tol)[0] + 1
-        return np.split(np.arange(self.dim), splits)
-
-
-def _gauge_fix_columns(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column's phase so its largest-magnitude entry is real positive."""
-    v = vectors.copy()
-    idx = np.argmax(np.abs(v), axis=0)
-    lead = v[idx, np.arange(v.shape[1])]
-    phases = lead / np.abs(lead)
-    return v / phases[None, :]
-
-
-def diagonalize(op, h: Optional[float] = None,
-                hermiticity_tol: float = 1e-10) -> SpectrumSnapshot:
-    """Full eigendecomposition of a Hermitian operator with phase gauge fixing."""
-    mat = op.mat if isinstance(op, OperatorMatrix) else np.asarray(op)
-    scale = max(np.max(np.abs(mat)), 1.0)
-    if np.max(np.abs(mat - mat.conj().T)) > hermiticity_tol * scale:
-        raise ValidationError("diagonalize requires a Hermitian matrix")
-    energies, vectors = np.linalg.eigh(mat)
-    return SpectrumSnapshot(energies, _gauge_fix_columns(vectors), h=h)
-
-
-def gauge_align(prev: SpectrumSnapshot, cur: SpectrumSnapshot,
-                degeneracy_tol: Optional[float] = None,
-                min_overlap: float = MIN_ALIGN_OVERLAP) -> SpectrumSnapshot:
-    """Rotate `cur`'s eigenvectors for continuity with `prev`.
-
-    Non-degenerate levels get a pure phase making <prev_n|cur_n> real
-    positive.  Within a numerically degenerate cluster the whole subspace is
-    rotated by the unitary polar factor of the overlap block, so the cluster
-    basis follows `prev` continuously (discrete parallel transport).
-
-    Raises AlignmentError when some overlap falls below `min_overlap`, which
-    signals a too-coarse grid between the two snapshots.
-    """
-    if prev.dim != cur.dim:
-        raise ValidationError("snapshots have different dimensions")
-    new_vectors = cur.vectors.copy()
-    for cluster in cur.degenerate_clusters(degeneracy_tol):
-        block_prev = prev.vectors[:, cluster]
-        block_cur = cur.vectors[:, cluster]
-        overlap = block_cur.conj().T @ block_prev
-        if len(cluster) == 1:
-            z = overlap[0, 0]
-            if abs(z) < min_overlap:
-                raise AlignmentError(
-                    f"level {cluster[0]} overlap {abs(z):.3f} < {min_overlap}; "
-                    "refine the h grid")
-            new_vectors[:, cluster[0]] = block_cur[:, 0] * (z / abs(z))
-        else:
-            u, s, vh = np.linalg.svd(overlap)
-            if s.min() < min_overlap:
-                raise AlignmentError(
-                    f"degenerate cluster {cluster.tolist()} overlap "
-                    f"{s.min():.3f} < {min_overlap}; refine the h grid")
-            new_vectors[:, cluster] = block_cur @ (u @ vh)
-    return SpectrumSnapshot(cur.energies.copy(), new_vectors, h=cur.h)
 
 
 @dataclass(frozen=True)
@@ -132,26 +36,17 @@ class GroundTrack:
     vectors: np.ndarray = field(repr=False)  # (len(times), dim), full basis
     energies: np.ndarray = field(repr=False)
 
-    def vector_at(self, index: int) -> np.ndarray:
-        return self.vectors[index]
 
-
-def sector_ground_series(sector: DickeSector, gamma: float,
-                         h_values: np.ndarray, parity: int):
-    """Lowest eigenvector of the given parity block at each field value,
+def sector_ground_series(frame: SectorFrame, h_values: np.ndarray):
+    """Lowest eigenvector of the frame's block at each field value,
     sign-aligned along the sequence.  Returns (vectors, energies) with
-    vectors in sector coordinates."""
-    idx = parity_indices(sector, parity)
-    base = interaction_matrix(sector, gamma)[np.ix_(idx, idx)]
-    mdiag = sector.m_values[idx]
-    h_values = np.asarray(h_values, dtype=float)
-    blocks = base[None, :, :] - 2.0 * h_values[:, None, None] * np.diag(mdiag)[None, :, :]
-    energies_all, vectors_all = np.linalg.eigh(blocks)
+    vectors in block coordinates."""
+    energies_all, vectors_all = np.linalg.eigh(frame.h0_blocks(h_values))
     grounds = vectors_all[:, :, 0]
     lead = np.argmax(np.abs(grounds[0]))
     if grounds[0, lead] < 0:
         grounds[0] = -grounds[0]
-    for j in range(1, len(h_values)):
+    for j in range(1, len(grounds)):
         if grounds[j - 1] @ grounds[j] < 0:
             grounds[j] = -grounds[j]
     return grounds, energies_all[:, 0]
@@ -165,12 +60,9 @@ def track_ground(params: ModelParams, times: np.ndarray,
         raise ValidationError("track_ground needs a ramp (params.ramp or argument)")
     times = np.asarray(times, dtype=float)
     h_values = ramp.h(times)
-    sector = params.sector
-    parity = params.n % 2
-    grounds, energies = sector_ground_series(sector, params.gamma, h_values, parity)
-    full = np.zeros((len(times), sector.dim))
-    full[:, parity_indices(sector, parity)] = grounds
-    return GroundTrack(times, np.atleast_1d(h_values), full, energies)
+    frame = SectorFrame.tracked(params)
+    grounds, energies = sector_ground_series(frame, h_values)
+    return GroundTrack(times, np.atleast_1d(h_values), frame.embed(grounds), energies)
 
 
 @dataclass(frozen=True)
@@ -185,12 +77,8 @@ class GapTable:
         return self.gaps[:, self.pairs.index(tuple(pair))]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["h"] + [f"gap{i}{j}" for i, j in self.pairs])
-            for row in range(len(self.h_values)):
-                writer.writerow([f"{self.h_values[row]:.15g}"]
-                                + [f"{g:.15g}" for g in self.gaps[row]])
+        output.write_csv(path, ["h"] + [f"gap{i}{j}" for i, j in self.pairs],
+                         ((h, *gaps) for h, gaps in zip(self.h_values, self.gaps)))
 
 
 DEFAULT_GAP_PAIRS = ((0, 1), (2, 3), (4, 5))
@@ -198,19 +86,23 @@ DEFAULT_GAP_PAIRS = ((0, 1), (2, 3), (4, 5))
 
 def gap_series(params: ModelParams, h_grid: Sequence[float],
                level_pairs: Sequence[tuple] = DEFAULT_GAP_PAIRS) -> GapTable:
-    """Eigenvalue differences for the requested level pairs on a sorted h grid."""
+    """Eigenvalue differences for the requested level pairs on a sorted h grid.
+
+    The spectrum at each field value is the merged spectra of the two parity
+    blocks, which H0 does not couple.
+    """
     h_grid = np.asarray(h_grid, dtype=float)
     if h_grid.size == 0:
         raise ValidationError("h grid is empty")
     if np.any(np.diff(h_grid) < 0):
         raise ValidationError("h grid must be sorted ascending")
-    sector = params.sector
-    base = interaction_matrix(sector, params.gamma)
-    mats = base[None, :, :] - 2.0 * h_grid[:, None, None] * np.diag(sector.m_values)[None, :, :]
-    energies = np.linalg.eigvalsh(mats)
+    dim = params.sector.dim
     pairs = tuple(tuple(p) for p in level_pairs)
     for i, j in pairs:
-        if not (0 <= i < sector.dim and 0 <= j < sector.dim):
-            raise ValidationError(f"level pair ({i},{j}) outside spectrum of dim {sector.dim}")
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValidationError(f"level pair ({i},{j}) outside spectrum of dim {dim}")
+    energies = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(SectorFrame(params, parity).h0_blocks(h_grid))
+         for parity in (0, 1)], axis=1), axis=1)
     gaps = np.stack([energies[:, j] - energies[:, i] for i, j in pairs], axis=1)
     return GapTable(h_grid, pairs, gaps)

@@ -9,11 +9,15 @@ conventions used throughout the package:
 * S_+|k> = sqrt(S(S+1) - m(m+1)) |k+1> with S = N/2.
 * The excitation-number parity of |k> is the parity of k; the even/odd
   projectors are diagonal 0/1 matrices on those index sets.
+
+Every Hamiltonian and driving term of the package preserves that parity, so
+the other modules work inside one parity block through `SectorFrame`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -30,6 +34,8 @@ __all__ = [
     "build_h0",
     "parity_projectors",
     "parity_indices",
+    "place_band",
+    "SectorFrame",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -74,42 +80,12 @@ class OperatorMatrix:
                 f"matrix shape {mat.shape} does not match sector dim {self.sector.dim}")
         object.__setattr__(self, "mat", mat)
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.sector, self.mat.conj().T)
-
     def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
         return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
 
     def commutes_with(self, other: "OperatorMatrix", tol: float = 1e-10) -> bool:
         c = self.mat @ other.mat - other.mat @ self.mat
         return bool(np.max(np.abs(c)) <= tol)
-
-    def _coerce(self, other):
-        if isinstance(other, OperatorMatrix):
-            if other.sector != self.sector:
-                raise ValidationError("operators act on different sectors")
-            return other.mat
-        return other
-
-    def __add__(self, other):
-        return OperatorMatrix(self.sector, self.mat + self._coerce(other))
-
-    def __sub__(self, other):
-        return OperatorMatrix(self.sector, self.mat - self._coerce(other))
-
-    def __neg__(self):
-        return OperatorMatrix(self.sector, -self.mat)
-
-    def __mul__(self, scalar):
-        return OperatorMatrix(self.sector, self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return OperatorMatrix(self.sector, self.mat @ self._coerce(other))
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.mat, dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -122,6 +98,12 @@ class SpinOperators:
     sz: OperatorMatrix
     splus: OperatorMatrix
     sminus: OperatorMatrix
+
+    def sxsy_plus_sysx(self) -> np.ndarray:
+        """(SxSy + SySx): the first-band operator B_0 and the harmonic-limit
+        driving term."""
+        sx, sy = self.sx.mat, self.sy.mat
+        return sx @ sy + sy @ sx
 
 
 @dataclass(frozen=True)
@@ -196,3 +178,71 @@ def parity_projectors(sector: DickeSector) -> tuple[OperatorMatrix, OperatorMatr
     pi_e = OperatorMatrix(sector, np.diag(diag_even))
     pi_o = OperatorMatrix(sector, np.diag(1.0 - diag_even))
     return pi_e, pi_o
+
+
+def place_band(out: np.ndarray, offset: int, upper, lower) -> np.ndarray:
+    """Write `upper` on the offset superdiagonal and `lower` on the offset
+    subdiagonal of the last two axes of `out`; returns `out`."""
+    rows = np.arange(out.shape[-1] - offset)
+    out[..., rows, rows + offset] = upper
+    out[..., rows + offset, rows] = lower
+    return out
+
+
+class SectorFrame:
+    """One excitation-parity block of the Dicke sector.
+
+    The only code that knows the block layout: its basis indices, how block
+    vectors and matrices sit in the full basis (``embed``, ``ix``), H0 and
+    (SxSy+SySx) restricted to the block, and bands in block coordinates,
+    where full-basis offset 2b is block offset b.
+    """
+
+    def __init__(self, params: ModelParams, parity: int):
+        sector = params.sector
+        self.params = params
+        self.idx = parity_indices(sector, parity)
+        self.dim = len(self.idx)
+        self.ix = np.ix_(self.idx, self.idx)
+        self.base = interaction_matrix(sector, params.gamma)[self.ix]
+        self.m_diag = sector.m_values[self.idx]
+
+    @classmethod
+    def tracked(cls, params: ModelParams) -> "SectorFrame":
+        """Block of the tracked ground state: parity N mod 2, the one connected
+        continuously to the unique large-field ground state |N>."""
+        return cls(params, params.n % 2)
+
+    @cached_property
+    def b0_block(self) -> np.ndarray:
+        return build_spin_ops(self.params.sector).sxsy_plus_sysx()[self.ix]
+
+    def h0_blocks(self, h_values) -> np.ndarray:
+        """H0 restricted to the block at each field value, (len(h), dim, dim)."""
+        h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
+        return (self.base[None, :, :]
+                - 2.0 * h_values[:, None, None] * np.diag(self.m_diag)[None, :, :])
+
+    def band_patterns(self, k: int) -> np.ndarray:
+        """Unit-coefficient matrices of bands 1..k, (k, dim, dim)."""
+        if k > self.params.n // 2:
+            raise ValidationError(
+                f"{k} bands exceed floor(N/2) = {self.params.n // 2}")
+        pats = np.zeros((k, self.dim, self.dim), dtype=complex)
+        for b in range(1, k + 1):
+            place_band(pats[b - 1], b, 1j, -1j)
+        return pats
+
+    def truncation_mask(self, k: int) -> np.ndarray:
+        """Entries of bands 1..k."""
+        keep = np.zeros((self.dim, self.dim), dtype=bool)
+        for b in range(1, min(k, self.dim - 1) + 1):
+            place_band(keep, b, True, True)
+        return keep
+
+    def embed(self, sector_vecs: np.ndarray) -> np.ndarray:
+        """Lift (..., dim) block vectors to the full basis."""
+        out = np.zeros(sector_vecs.shape[:-1] + (self.params.sector.dim,),
+                       dtype=sector_vecs.dtype)
+        out[..., self.idx] = sector_vecs
+        return out

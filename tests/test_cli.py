@@ -130,3 +130,57 @@ def test_decompose_command(tmp_path):
         assert all({"label", "coefficient"} == set(t) for t in band["terms"])
     beta = np.array(payload["first_band_beta"])
     assert beta.shape == (5, 5)
+
+
+def _stub_figure(monkeypatch):
+    """Replace the preset runner with one fast bare trajectory."""
+    import cdlmg.cli
+    from cdlmg import ModelParams, RampSchedule, evolve
+
+    ramp = RampSchedule.linear(0.75, 0.5)
+    traj = evolve(ModelParams(6, 0.0, ramp), "bare", 50)
+    calls = []
+
+    def fake_run_figure(figure_id, **kwargs):
+        calls.append(figure_id)
+        return {"bare": traj}
+
+    monkeypatch.setattr(cdlmg.cli, "run_figure", fake_run_figure)
+    return calls
+
+
+def test_optimize_figure_needs_no_bands(tmp_path, monkeypatch):
+    calls = _stub_figure(monkeypatch)
+    assert run_cli(["optimize", "--figure", "fig3a", "--out", tmp_path]) == 0
+    assert calls == ["fig3a"]
+    assert (tmp_path / "trajectory_bare.csv").is_file()
+
+
+def test_commands_write_identical_trajectory_csv(tmp_path, monkeypatch):
+    _stub_figure(monkeypatch)
+    assert run_cli(["evolve", "--figure", "fig2", "--out", tmp_path / "e"]) == 0
+    assert run_cli(["optimize", "--figure", "fig2", "--out", tmp_path / "o"]) == 0
+    written = (tmp_path / "e" / "trajectory_bare.csv").read_bytes()
+    assert written == (tmp_path / "o" / "trajectory_bare.csv").read_bytes()
+    assert b"\r" not in written
+    assert written.startswith(b"t,h,fidelity\n")
+
+
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # the first band at N=30 leaves a decomposition residual of about 2e-5
+    code = run_cli(["decompose", "--n", 30, "--ramp", "linear:0.75,0.5",
+                    "--bands", 1, "--out", tmp_path])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_bug_propagates(tmp_path, monkeypatch):
+    import cdlmg.cli
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(cdlmg.cli, "evolve", broken)
+    with pytest.raises(TypeError, match="injected"):
+        run_cli(["evolve", "--n", 4, "--protocol", "bare",
+                 "--ramp", "linear:0.75,0.5", "--out", tmp_path])

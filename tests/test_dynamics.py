@@ -22,6 +22,7 @@ from cdlmg import (
     track_ground,
     truncate,
 )
+from cdlmg.dynamics import propagate_steps
 
 
 # --------------------------------------------------------------------------
@@ -42,6 +43,16 @@ def test_ramp_values_and_derivatives():
     assert const.hdot(0.7) == 0.0
     ts = lin.grid(4)
     assert np.allclose(ts, [0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_ramp_derivative_check():
+    for spec in ("linear:0.75,0.5", "linear:1.25,-0.5", "quadratic:0.75,0.5",
+                 "tanh:0.75,0.5,5", "constant:1.3"):
+        RampSchedule.parse(spec)
+    ok = RampSchedule.custom(lambda t: 0.75 + 0.5 * t * t, lambda t: 1.0 * t)
+    assert ok.hdot(0.5) == pytest.approx(0.5)
+    with pytest.raises(ValidationError):
+        RampSchedule.custom(lambda t: 0.75 + 0.5 * t * t, lambda t: 2.0 * t)
 
 
 def test_ramp_validation():
@@ -82,6 +93,24 @@ def test_fidelity_basic_cases():
 
 # --------------------------------------------------------------------------
 # propagation
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_propagate_steps_batch_equals_single_steps(dtype):
+    # evolve steps one Hamiltonian at a time, optimize a segment at a time:
+    # both must do the same arithmetic
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(4, 9, 9))
+    if dtype is complex:
+        raw = raw + 1j * rng.normal(size=(4, 9, 9))
+    stack = raw + raw.conj().transpose(0, 2, 1)
+    dts = np.array([0.01, 0.02, -0.01, 0.03])
+    psi0 = rng.normal(size=9) + 1j * rng.normal(size=9)
+    psi = psi0
+    for k in range(4):
+        psi = propagate_steps(stack[k][None], dts[k:k + 1], psi)
+    assert np.array_equal(propagate_steps(stack, dts, psi0), psi)
+    assert np.linalg.norm(psi) == pytest.approx(np.linalg.norm(psi0), abs=1e-12)
+
 
 def test_constant_ramp_bare_is_stationary():
     ramp = RampSchedule.constant(0.9)

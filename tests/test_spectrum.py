@@ -2,94 +2,47 @@ import numpy as np
 import pytest
 
 from cdlmg import (
-    AlignmentError,
     ModelParams,
     RampSchedule,
     ValidationError,
     build_h0,
-    diagonalize,
     gap_series,
-    gauge_align,
     track_ground,
 )
-
-
-def test_diagonalize_sorts_and_gauges():
-    snap = diagonalize(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(snap.energies, [1.0, 2.0, 3.0])
-    # permuted identity columns with positive leading entries
-    assert np.allclose(np.abs(snap.vectors), np.eye(3)[:, [1, 2, 0]])
-    assert np.all(snap.vectors[np.argmax(np.abs(snap.vectors), axis=0),
-                               np.arange(3)].real > 0)
+from cdlmg.spin_algebra import SectorFrame
 
 
 def test_diagonalize_h0_degenerate_pair():
-    snap = diagonalize(build_h0(ModelParams(2, 0.0), 0.0))
-    assert np.allclose(snap.energies, [-1.0, -1.0, 0.0], atol=1e-12)
+    # N=2, gamma=0, h=0: the degenerate pair {-1, -1} of H0 = -Sx^2 lies
+    # in different parity blocks
+    params = ModelParams(2, 0.0)
+    even, odd = (np.linalg.eigvalsh(SectorFrame(params, p).h0_blocks(0.0)[0])
+                 for p in (0, 1))
+    assert np.allclose(even, [-1.0, 0.0], atol=1e-12)
+    assert np.allclose(odd, [-1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("n,h", [(6, 0.4), (11, 1.3)])
 def test_reconstruction(n, h):
-    mat = build_h0(ModelParams(n, 0.2), h).mat
-    snap = diagonalize(mat)
-    assert np.max(np.abs(snap.reconstruct() - mat)) < 1e-9
-    residual = mat @ snap.vectors - snap.vectors * snap.energies
-    assert np.max(np.linalg.norm(residual, axis=0)) < 1e-9
-
-
-def test_diagonalize_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_gauge_align_identity():
-    snap = diagonalize(build_h0(ModelParams(8, 0.0), 0.9), h=0.9)
-    aligned = gauge_align(snap, snap)
-    assert np.max(np.abs(aligned.vectors - snap.vectors)) < 1e-12
-    assert np.array_equal(aligned.energies, snap.energies)
-
-
-def test_gauge_align_removes_phase():
-    snap = diagonalize(build_h0(ModelParams(8, 0.0), 1.4), h=1.4)
-    rotated_vectors = snap.vectors.astype(complex).copy()
-    rotated_vectors[:, 2] *= np.exp(1.7j)
-    rotated = type(snap)(snap.energies.copy(), rotated_vectors, h=snap.h)
-    aligned = gauge_align(snap, rotated)
-    assert np.max(np.abs(aligned.vectors - snap.vectors)) < 1e-12
-
-
-def test_gauge_align_preserves_energies_and_orthonormality():
-    params = ModelParams(30, 0.0)
-    prev = diagonalize(build_h0(params, 0.80), h=0.80)
-    cur = diagonalize(build_h0(params, 0.801), h=0.801)
-    aligned = gauge_align(prev, cur)
-    assert np.max(np.abs(aligned.energies - cur.energies)) < 1e-14
-    gram = aligned.vectors.conj().T @ aligned.vectors
-    assert np.max(np.abs(gram - np.eye(31))) < 1e-10
-
-
-def test_gauge_align_rejects_coarse_grid():
-    params = ModelParams(30, 0.0)
-    prev = diagonalize(build_h0(params, 0.6), h=0.6)
-    far = diagonalize(build_h0(params, 1.8), h=1.8)
-    with pytest.raises(AlignmentError):
-        gauge_align(prev, far)
+    # the two parity blocks of the frame, put back in the full basis, are H0
+    params = ModelParams(n, 0.2)
+    full = build_h0(params, h).mat
+    rebuilt = np.zeros_like(full)
+    for parity in (0, 1):
+        frame = SectorFrame(params, parity)
+        rebuilt[frame.ix] = frame.h0_blocks(h)[0]
+    assert np.array_equal(rebuilt, full)
 
 
 def test_ground_continuity_across_transition():
-    # sequential alignment over the transition keeps every ground-state step
-    # overlap near one; halving the grid leaves the endpoint unchanged
-    params = ModelParams(100, 0.0)
+    # the tracked ground state moves continuously through the transition;
+    # halving the grid leaves the endpoint unchanged
+    ramp = RampSchedule.linear(0.75, 0.5)
+    params = ModelParams(100, 0.0, ramp)
 
     def tracked_ground(points):
-        hs = np.linspace(0.75, 1.25, points)
-        snap = diagonalize(build_h0(params, hs[0]), h=hs[0])
-        worst = 1.0
-        for h in hs[1:]:
-            nxt = gauge_align(snap, diagonalize(build_h0(params, h), h=h))
-            worst = min(worst, abs(np.vdot(snap.ground(), nxt.ground())))
-            snap = nxt
-        return snap.ground(), worst
+        vectors = track_ground(params, np.linspace(0.0, 1.0, points)).vectors
+        return vectors[-1], np.einsum("ij,ij->i", vectors[:-1], vectors[1:]).min()
 
     ground_fine, worst_fine = tracked_ground(2000)
     assert worst_fine > 0.999
@@ -101,8 +54,8 @@ def test_track_ground_matches_unique_ground_at_large_field():
     ramp = RampSchedule.linear(1.25, 0.5)  # h in [1.25, 1.75], no degeneracy
     params = ModelParams(60, 0.0, ramp)
     track = track_ground(params, ramp.grid(50))
-    snap = diagonalize(build_h0(params, ramp.h(ramp.t_end)), h=ramp.h(ramp.t_end))
-    overlap = abs(np.vdot(track.vectors[-1], snap.ground()))
+    _, vectors = np.linalg.eigh(build_h0(params, ramp.h(ramp.t_end)).mat)
+    overlap = abs(np.vdot(track.vectors[-1], vectors[:, 0]))
     assert overlap > 1 - 1e-8
 
 
@@ -128,3 +81,16 @@ def test_gap_series_validation_and_export(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "h,gap01,gap23,gap45"
     assert len(lines) == 12
+
+
+@pytest.mark.parametrize("n,gamma", [(2, 0.0), (41, 0.0), (40, 0.3)])
+def test_gap_series_matches_full_spectrum(n, gamma):
+    # merged parity-block spectra against the full-basis H0
+    params = ModelParams(n, gamma)
+    h_grid = np.linspace(0.5, 1.5, 7)
+    pairs = ((0, 1), (1, 2)) if n == 2 else ((0, 1), (2, 3), (4, 5), (0, 7))
+    table = gap_series(params, h_grid, pairs)
+    for row, h in enumerate(h_grid):
+        energies = np.linalg.eigvalsh(build_h0(params, h).mat)
+        expected = [energies[j] - energies[i] for i, j in pairs]
+        assert np.allclose(table.gaps[row], expected, rtol=0, atol=1e-10)

@@ -8,10 +8,12 @@ from cdlmg import (
     ModelParams,
     OperatorMatrix,
     ValidationError,
+    ansatz_matrix,
     build_h0,
     build_spin_ops,
     parity_projectors,
 )
+from cdlmg.spin_algebra import SectorFrame
 
 
 def test_sector_basics():
@@ -44,7 +46,7 @@ def test_angular_momentum_algebra(n):
     sx, sy, sz = ops.sx.mat, ops.sy.mat, ops.sz.mat
     comm = sx @ sy - sy @ sx - 1j * sz
     assert np.max(np.abs(comm)) < 1e-12
-    assert ops.splus.dagger().mat == pytest.approx(ops.sminus.mat)
+    assert ops.splus.mat.conj().T == pytest.approx(ops.sminus.mat)
     for op in (ops.sx, ops.sy, ops.sz):
         assert op.is_hermitian()
 
@@ -103,12 +105,7 @@ def test_operator_matrix_checks():
     sector = DickeSector(2)
     with pytest.raises(ValidationError):
         OperatorMatrix(sector, np.eye(2))
-    a = OperatorMatrix(sector, np.eye(3))
-    b = OperatorMatrix(DickeSector(3), np.eye(4))
-    with pytest.raises(ValidationError):
-        _ = a + b
-    assert np.allclose((2.0 * a).mat, 2 * np.eye(3))
-    assert np.allclose((a @ a).mat, np.eye(3))
+    assert OperatorMatrix(sector, np.eye(3)).is_hermitian()
 
 
 def test_model_params_validation():
@@ -116,3 +113,26 @@ def test_model_params_validation():
         ModelParams(1, 0.0)
     with pytest.raises(ValidationError):
         ModelParams(4, -0.1)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_sector_frame_band_layout(n):
+    # full-basis band b (offset 2b) is block band b (offset b) in each
+    # parity block; the truncation mask covers exactly bands 1..k, and
+    # (SxSy+SySx) fills exactly band 1
+    params = ModelParams(n, 0.0)
+    k = 3
+    for parity in (0, 1):
+        frame = SectorFrame(params, parity)
+        patterns = frame.band_patterns(k)
+        for b in range(1, k + 1):
+            unit = np.eye(k)[b - 1]
+            full = ansatz_matrix(params.sector, unit).mat
+            assert np.array_equal(full[frame.ix], patterns[b - 1])
+        assert np.array_equal(frame.truncation_mask(k),
+                              np.any(patterns != 0, axis=0))
+        band1 = frame.truncation_mask(1)
+        assert np.all(frame.b0_block[~band1] == 0)
+        assert np.all(frame.b0_block[band1] != 0)
+    with pytest.raises(ValidationError):
+        SectorFrame(params, 0).band_patterns(n // 2 + 1)
