@@ -153,7 +153,6 @@ def optimize(params: ModelParams, ramp: Optional[RampSchedule] = None,
              k: int = 1, segments: int = DEFAULT_SEGMENTS, *,
              opt_steps_per_segment: int = OPT_STEPS_PER_SEGMENT,
              eval_steps: int = EVAL_STEPS,
-             maxfev_per_band: int = NM_MAXFEV_PER_BAND,
              warm_start: Optional[np.ndarray] = None,
              seed: int = 0) -> OptimizeResult:
     """Greedy per-segment optimization of the banded ansatz coefficients.
@@ -230,7 +229,7 @@ def optimize(params: ModelParams, ramp: Optional[RampSchedule] = None,
             simplex = np.vstack([x0] + [x0 + scale * e for e in np.eye(k)])
             result = minimize(objective, x0, method="Nelder-Mead",
                               options=dict(initial_simplex=simplex, fatol=1e-7,
-                                           xatol=1e-4, maxfev=maxfev_per_band * k))
+                                           xatol=1e-4, maxfev=NM_MAXFEV_PER_BAND * k))
             nfev += result.nfev
             if result.fun < best_fun:
                 best_fun, best_x = result.fun, result.x

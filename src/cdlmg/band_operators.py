@@ -9,6 +9,9 @@ S_z powers.  For the first band the dressing family reduces to
 
 and the coefficients expressing each elementary band pattern in this family
 follow from a small linear solve.
+
+``_band_family`` builds band b's dressing family for ``decompose_band``,
+``solve_first_band_beta`` and ``decomposition_gate``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "build_band_generator",
     "solve_first_band_beta",
     "decompose_band",
+    "decomposition_gate",
 ]
 
 RECONSTRUCTION_TOL = 1e-10
@@ -64,6 +68,16 @@ def _matrix_power(mat: np.ndarray, p: int) -> np.ndarray:
     return np.linalg.matrix_power(mat, p) if p else np.eye(len(mat))
 
 
+def _dressed(zmat: np.ndarray, core: np.ndarray, j: int) -> np.ndarray:
+    """Sz^{j/2} core Sz^{j/2} (j even), Sz^lo core Sz^hi + Sz^hi core Sz^lo
+    with lo, hi = (j-1)/2, (j+1)/2 (j odd)."""
+    if j % 2 == 0:
+        zp = _matrix_power(zmat, j // 2)
+        return zp @ core @ zp
+    zlo, zhi = _matrix_power(zmat, j // 2), _matrix_power(zmat, j // 2 + 1)
+    return zlo @ core @ zhi + zhi @ core @ zlo
+
+
 def build_Bj(sector: DickeSector, j: int) -> OperatorMatrix:
     """First-band dressing operator B_j."""
     if not 0 <= j <= sector.n - 2:
@@ -71,13 +85,9 @@ def build_Bj(sector: DickeSector, j: int) -> OperatorMatrix:
     ops = build_spin_ops(sector)
     sx, sy, sz = ops.sx.mat, ops.sy.mat, ops.sz.mat
     if j % 2 == 0:
-        zp = _matrix_power(sz, j // 2)
-        mat = zp @ ops.sxsy_plus_sysx() @ zp
-    else:
-        zlo = _matrix_power(sz, (j - 1) // 2)
-        zhi = _matrix_power(sz, (j + 1) // 2)
-        mat = zlo @ sx @ sy @ zhi + zhi @ sy @ sx @ zlo
-    return OperatorMatrix(sector, mat)
+        return OperatorMatrix(sector, _dressed(sz, ops.sxsy_plus_sysx(), j))
+    zlo, zhi = _matrix_power(sz, j // 2), _matrix_power(sz, j // 2 + 1)
+    return OperatorMatrix(sector, zlo @ sx @ sy @ zhi + zhi @ sy @ sx @ zlo)
 
 
 def build_band_generator(sector: DickeSector, b: int) -> OperatorMatrix:
@@ -96,11 +106,29 @@ def _band_upper_imag(mat: np.ndarray, b: int) -> np.ndarray:
     return np.diagonal(mat, 2 * b).imag.copy()
 
 
-def _first_band_design_matrix(sector: DickeSector) -> tuple[np.ndarray, list]:
-    n = sector.n
-    ops = [build_Bj(sector, j) for j in range(n - 1)]
-    design = np.column_stack([_band_upper_imag(op.mat, 1) for op in ops])
-    return design, ops
+def _sz(p: int) -> str:
+    return "" if p == 0 else "Sz" if p == 1 else f"Sz^{p}"
+
+
+def _band_family(sector: DickeSector, b: int):
+    """Band b's dressing operators, their labels, and the design matrix whose
+    column j is operator j's offset-2b band (imaginary parts).  For b=1 the
+    dressings of G_1 coincide with the B_j up to normalization; the B_j are
+    used, under their first-band labels."""
+    if b == 1:
+        ops = [build_Bj(sector, j) for j in range(sector.n - 1)]
+        even, odd = "{0}(SxSy+SySx){0}", "{0}SxSy{1}+{1}SySx{0}"
+    else:
+        gen = build_band_generator(sector, b).mat
+        zmat = build_spin_ops(sector).sz.mat
+        ops = [OperatorMatrix(sector, _dressed(zmat, gen, j))
+               for j in range(sector.n - 2 * b + 1)]
+        g = f"i(S-^{2*b}-S+^{2*b})"
+        even, odd = "{0}" + g + "{0}", "{0}" + g + "{1}+sym"
+    labels = [(odd if j % 2 else even).format(_sz(j // 2), _sz(j // 2 + 1))
+              for j in range(len(ops))]
+    design = np.column_stack([_band_upper_imag(op.mat, b) for op in ops])
+    return ops, labels, design
 
 
 def _scaled_lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -125,7 +153,7 @@ def solve_first_band_beta(sector: DickeSector):
     """
     if sector.n < 2:
         raise ValidationError("first-band solve needs N >= 2")
-    design, _ = _first_band_design_matrix(sector)
+    design = _band_family(sector, 1)[2]
     rows = design.shape[0]
     beta, residuals = np.zeros((rows, design.shape[1])), np.zeros(rows)
     for i in range(rows):
@@ -141,49 +169,24 @@ def solve_first_band_beta(sector: DickeSector):
     return beta, residuals
 
 
-def _dressing_basis(sector: DickeSector, b: int):
-    """Symmetrized S_z dressings of G_b spanning band b; for b=1 the family
-    coincides with the B_j operators up to normalization, so those are used
-    directly to keep labels in the first-band form."""
-    n = sector.n
-    if b == 1:
-        labels_even = "Sz^{p}(SxSy+SySx)Sz^{p}"
-        ops, labels = [], []
-        for j in range(n - 1):
-            ops.append(build_Bj(sector, j))
-            if j % 2 == 0:
-                labels.append(labels_even.format(p=j // 2).replace("Sz^0", "").replace("Sz^1", "Sz"))
-            else:
-                lo, hi = (j - 1) // 2, (j + 1) // 2
-                labels.append(
-                    f"Sz^{lo}SxSySz^{hi}+Sz^{hi}SySxSz^{lo}".replace("Sz^0", "").replace("Sz^1", "Sz"))
-        return ops, labels
-    gen = build_band_generator(sector, b)
-    zmat = build_spin_ops(sector).sz.mat
-    gname = f"i(S-^{2*b}-S+^{2*b})"
-    ops, labels = [], []
-    for j in range(n - 2 * b + 1):
-        if j % 2 == 0:
-            zp = _matrix_power(zmat, j // 2)
-            mat = zp @ gen.mat @ zp
-            label = f"Sz^{j//2}{gname}Sz^{j//2}"
-        else:
-            zlo = _matrix_power(zmat, (j - 1) // 2)
-            zhi = _matrix_power(zmat, (j + 1) // 2)
-            mat = zlo @ gen.mat @ zhi + zhi @ gen.mat @ zlo
-            label = f"Sz^{(j-1)//2}{gname}Sz^{(j+1)//2}+sym"
-        ops.append(OperatorMatrix(sector, mat))
-        labels.append(label.replace("Sz^0", "").replace("Sz^1", "Sz"))
-    return ops, labels
+def _fit_band(design: np.ndarray, target: np.ndarray, b: int, n: int):
+    """Family coefficients fitting `target` and their residual, which must
+    not exceed RECONSTRUCTION_TOL (else DecompositionError)."""
+    coeffs = _scaled_lstsq(design, target)
+    residual = float(np.linalg.norm(design @ coeffs - target))
+    if residual > RECONSTRUCTION_TOL:
+        raise DecompositionError(
+            f"band-{b} decomposition residual {residual:.3e} > "
+            f"{RECONSTRUCTION_TOL:.0e} over {design.shape[1]} dressed operators at N={n}")
+    return coeffs, residual
 
 
-def decompose_band(target, b: int,
-                   reconstruction_tol: float = RECONSTRUCTION_TOL) -> OperatorDecomposition:
+def decompose_band(target, b: int) -> OperatorDecomposition:
     """Express a single-band matrix as a sum of S_z-dressed generators.
 
     The target must populate only the offset-2b diagonals.  Raises
     DecompositionError when the dressing family cannot reproduce it to
-    tolerance (the residual and basis size are reported in the message).
+    RECONSTRUCTION_TOL (the residual and family size are in the message).
     """
     op = target.matrix if hasattr(target, "matrix") else target
     if not isinstance(op, OperatorMatrix):
@@ -194,20 +197,28 @@ def decompose_band(target, b: int,
     mat = op.mat
     mask = place_band(np.zeros_like(mat, dtype=bool), 2 * b, True, True)
     stray = float(np.max(np.abs(np.where(mask, 0.0, mat)))) if mat.size else 0.0
-    if stray > reconstruction_tol:
+    if stray > RECONSTRUCTION_TOL:
         raise ValidationError(
             f"target has weight {stray:.3e} outside the offset-{2*b} diagonals")
     target_vec = _band_upper_imag(mat, b)
-    if np.max(np.abs(target_vec)) <= reconstruction_tol and stray <= reconstruction_tol:
+    if np.max(np.abs(target_vec)) <= RECONSTRUCTION_TOL:
         return OperatorDecomposition(sector, b, [], 0.0)
-    ops, labels = _dressing_basis(sector, b)
-    design = np.column_stack([_band_upper_imag(o.mat, b) for o in ops])
-    coeffs = _scaled_lstsq(design, target_vec)
-    residual = float(np.linalg.norm(design @ coeffs - target_vec))
-    if residual > reconstruction_tol:
-        raise DecompositionError(
-            f"band-{b} decomposition residual {residual:.3e} > "
-            f"{reconstruction_tol:.0e} over {len(ops)} dressed operators at N={sector.n}")
+    ops, labels, design = _band_family(sector, b)
+    coeffs, residual = _fit_band(design, target_vec, b, sector.n)
     terms = [DecompositionTerm(float(c), o, lab)
              for c, o, lab in zip(coeffs, ops, labels)]
     return OperatorDecomposition(sector, b, terms, residual)
+
+
+def decomposition_gate(sector: DickeSector, k: int):
+    """Build the design matrices of bands 1..k once; returns check(table),
+    which raises DecompositionError, as decompose_band would, when a band of
+    the BandTable is not rebuilt by its dressing family."""
+    designs = {b: _band_family(sector, b)[2] for b in range(1, min(k, sector.n // 2) + 1)}
+
+    def check(table) -> None:
+        for b, design in designs.items():
+            vec = table.bands.get(b)
+            if vec is not None and np.max(np.abs(vec)) > RECONSTRUCTION_TOL:
+                _fit_band(design, vec, b, sector.n)
+    return check

@@ -99,6 +99,21 @@ def _write_manifest(outdir: Path, config: RunConfig, extra: dict,
     _write_json(outdir / "manifest.json", manifest)
 
 
+def _run_preset(config: RunConfig) -> dict:
+    """Run the --figure preset.  A preset fixes its own model, so an option
+    it would ignore is rejected rather than echoed into the manifest."""
+    given = {"--n": config.n is not None,
+             "--gamma": config.gamma != FIGURES[config.figure].gamma,
+             "--ramp": config.ramp is not None, "--bands": config.bands is not None,
+             "--protocol": bool(config.protocols)}
+    ignored = [opt for opt, is_given in given.items() if is_given]
+    if ignored:
+        raise ValidationError(
+            f"--figure {config.figure} fixes its own model; drop {', '.join(ignored)}")
+    return run_figure(config.figure, steps=config.steps,
+                      segments=config.segments, seed=config.seed)
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -107,8 +122,7 @@ def _cmd_evolve(config: RunConfig) -> int:
     t0 = time.perf_counter()
     finals = {}
     if config.figure:
-        trajectories = run_figure(config.figure, steps=config.steps,
-                                  segments=config.segments, seed=config.seed)
+        trajectories = _run_preset(config)
     else:
         params = config.model()
         if params.ramp is None:
@@ -160,8 +174,7 @@ def _cmd_optimize(config: RunConfig) -> int:
     t0 = time.perf_counter()
     files, summary = [], {}
     if config.figure:
-        trajectories = run_figure(config.figure, steps=config.steps,
-                                  segments=config.segments, seed=config.seed)
+        trajectories = _run_preset(config)
     else:
         if config.bands is None or config.bands < 1:
             raise ValidationError("--bands must be a positive integer")

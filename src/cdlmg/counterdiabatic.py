@@ -90,17 +90,13 @@ class BandTable:
             mat += self.band_matrix(i).mat
         return OperatorMatrix(self.sector, mat)
 
-    def max_abs(self, i: int) -> float:
-        return float(np.max(np.abs(self.bands[i]))) if i in self.bands else 0.0
 
-
-def sector_cd_block(h0_block: np.ndarray, sz_diag: np.ndarray, hdot: float,
-                    tol_factor: float = DEGENERACY_TOL_FACTOR) -> np.ndarray:
+def sector_cd_block(h0_block: np.ndarray, sz_diag: np.ndarray, hdot: float) -> np.ndarray:
     """Driving-term block for one parity sector, in that sector's basis."""
     energies, vectors = np.linalg.eigh(h0_block)
     m = vectors.T @ (sz_diag[:, None] * vectors) * (-2.0 * hdot)
     de = energies[None, :] - energies[:, None]
-    tol = tol_factor * max(np.max(np.abs(energies)), 1.0)
+    tol = DEGENERACY_TOL_FACTOR * max(np.max(np.abs(energies)), 1.0)
     safe = np.abs(de) > tol
     w = np.where(safe, m / np.where(safe, de, 1.0), 0.0)
     np.fill_diagonal(w, 0.0)
@@ -121,15 +117,14 @@ def _from_parity_blocks(params: ModelParams, block) -> OperatorMatrix:
     return OperatorMatrix(params.sector, mat)
 
 
-def exact_cd(params: ModelParams, h: float, hdot: float,
-             degeneracy_tol_factor: float = DEGENERACY_TOL_FACTOR) -> DrivingTerm:
+def exact_cd(params: ModelParams, h: float, hdot: float) -> DrivingTerm:
     """Exact transitionless driving term at field h with ramp rate hdot."""
     if hdot == 0.0:
         dim = params.sector.dim
         matrix = OperatorMatrix(params.sector, np.zeros((dim, dim), dtype=complex))
     else:
         matrix = _from_parity_blocks(params, lambda frame: sector_cd_block(
-            frame.h0_blocks(h)[0], frame.m_diag, hdot, degeneracy_tol_factor))
+            frame.h0_blocks(h)[0], frame.m_diag, hdot))
     return DrivingTerm(matrix, "exact", h, hdot)
 
 
@@ -180,8 +175,7 @@ def truncate(term: DrivingTerm, k: int) -> DrivingTerm:
                        f"truncated({k})", term.h, term.hdot)
 
 
-def hp_coefficient(n: int, gamma: float, h: float, hdot: float,
-                   switch_tol: float = HP_SWITCH_TOL) -> float:
+def hp_coefficient(n: int, gamma: float, h: float, hdot: float) -> float:
     """Scalar multiplying (SxSy + SySx) in the harmonic-limit correction.
 
     Above the transition the coefficient follows the frequency chain rule
@@ -195,9 +189,9 @@ def hp_coefficient(n: int, gamma: float, h: float, hdot: float,
         raise ValidationError(f"harmonic correction needs h > 0, got {h}")
     if gamma >= 1:
         raise ValidationError(f"harmonic correction needs gamma < 1, got {gamma}")
-    if abs(h - 1.0) < switch_tol:
+    if abs(h - 1.0) < HP_SWITCH_TOL:
         raise CriticalWindowError(
-            f"harmonic correction undefined for |h-1| < {switch_tol} (h={h}); "
+            f"harmonic correction undefined for |h-1| < {HP_SWITCH_TOL} (h={h}); "
             "treat as switched off")
     if h > 1:
         # wdot/w = hdot*(2h-1-gamma) / (2(h-1)(h-gamma))
@@ -206,10 +200,9 @@ def hp_coefficient(n: int, gamma: float, h: float, hdot: float,
     return -abs(hdot) * h / (2 * n * (1 - h * h))
 
 
-def hp_correction(params: ModelParams, h: float, hdot: float,
-                  switch_tol: float = HP_SWITCH_TOL) -> DrivingTerm:
+def hp_correction(params: ModelParams, h: float, hdot: float) -> DrivingTerm:
     """Harmonic-limit driving term c(h,gamma,hdot) * (SxSy + SySx)."""
-    c = hp_coefficient(params.n, params.gamma, h, hdot, switch_tol)
+    c = hp_coefficient(params.n, params.gamma, h, hdot)
     b0 = build_spin_ops(params.sector).sxsy_plus_sysx()
     return DrivingTerm(OperatorMatrix(params.sector, c * b0), "hp", h, hdot)
 

@@ -18,8 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import band_operators as bandops
 from . import output
+from .band_operators import decomposition_gate
 from .counterdiabatic import (
     HP_SWITCH_TOL,
     band_table,
@@ -77,7 +77,6 @@ class Truncated:
 
 @dataclass(frozen=True)
 class HPCorrection:
-    switch_tol: float = HP_SWITCH_TOL
     label: str = "hp"
 
 
@@ -91,14 +90,10 @@ class AnsatzDrive:
 
 
 @dataclass(frozen=True)
-class DecomposedDrive:
-    """Drive rebuilt from per-band operator decompositions of the exact term."""
-
-    bands: int
-
-    def __post_init__(self):
-        if self.bands < 1:
-            raise ValidationError(f"band count must be >= 1, got {self.bands}")
+class DecomposedDrive(Truncated):
+    """The truncated(k) drive, gated at every midpoint by the operator
+    decomposition: bands 1..k of the full exact term must be rebuilt by their
+    dressing families to RECONSTRUCTION_TOL, else DecompositionError."""
 
     @property
     def label(self) -> str:
@@ -144,31 +139,25 @@ def _drive(frame: SectorFrame, protocol: Protocol):
         return lambda t, h, hdot, h0: sector_cd_block(h0, frame.m_diag, hdot)
     if isinstance(protocol, Truncated):
         keep = frame.truncation_mask(protocol.bands)
-        return lambda t, h, hdot, h0: np.where(
-            keep, sector_cd_block(h0, frame.m_diag, hdot), 0.0)
+        gate = (decomposition_gate(frame.params.sector, protocol.bands)
+                if isinstance(protocol, DecomposedDrive) else None)
+
+        def truncated(t, h, hdot, h0):
+            if gate is not None:
+                gate(band_table(exact_cd(frame.params, h, hdot)))
+            return np.where(keep, sector_cd_block(h0, frame.m_diag, hdot), 0.0)
+        return truncated
     if isinstance(protocol, HPCorrection):
         def hp(t, h, hdot, h0):
-            if abs(h - 1.0) < protocol.switch_tol:
+            if abs(h - 1.0) < HP_SWITCH_TOL:
                 return None  # correction switched off inside its undefined window
-            return hp_coefficient(frame.params.n, frame.params.gamma, h, hdot,
-                                  protocol.switch_tol) * frame.b0_block
+            return hp_coefficient(frame.params.n, frame.params.gamma, h, hdot) * frame.b0_block
         return hp
     if isinstance(protocol, AnsatzDrive):
         coefficients = protocol.coefficients
         patterns = frame.band_patterns(coefficients.num_bands)
         return lambda t, h, hdot, h0: np.tensordot(
             coefficients.values_at(t), patterns, axes=(0, 0))
-    if isinstance(protocol, DecomposedDrive):
-        def decomposed(t, h, hdot, h0):
-            table = band_table(exact_cd(frame.params, h, hdot))
-            total = np.zeros((frame.params.sector.dim,) * 2, dtype=complex)
-            for b in range(1, protocol.bands + 1):
-                if table.max_abs(b) == 0.0:
-                    continue
-                dec = bandops.decompose_band(table.band_matrix(b), b)
-                total += dec.reconstruct().mat
-            return total[frame.ix]
-        return decomposed
     raise ValidationError(f"unsupported protocol {protocol!r}")
 
 
@@ -283,13 +272,12 @@ def _propagate(params: ModelParams, protocol: Protocol, ramp, times,
 
 def evolve(params: ModelParams, protocol, grid=None, *, ramp=None,
            store_states: bool = True, converge: bool = False,
-           convergence_tol: float = CONVERGENCE_TOL,
            max_refinements: int = MAX_REFINEMENTS) -> Trajectory:
     """Propagate the tracked ground state of H0(h(t_start)) along the ramp.
 
     `grid` is a step count (uniform grid) or an explicit time array.  With
     ``converge=True`` the step count is doubled until the final fidelity
-    changes by less than `convergence_tol`, and the converged run is
+    changes by less than CONVERGENCE_TOL, and the converged run is
     returned; failure to converge raises ConvergenceError with a suggested
     step size.
     """
@@ -306,7 +294,7 @@ def evolve(params: ModelParams, protocol, grid=None, *, ramp=None,
     for _ in range(max_refinements):
         finer = _propagate(params, protocol, ramp, ramp.grid(2 * steps), store_states)
         delta = abs(finer.final_fidelity - traj.final_fidelity)
-        if delta < convergence_tol:
+        if delta < CONVERGENCE_TOL:
             finer.info["converged"] = True
             finer.info["convergence_delta"] = delta
             return finer

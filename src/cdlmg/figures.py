@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 from .ansatz import OptimizeResult, optimize
 from .dynamics import Bare, ExactCD, HPCorrection, Trajectory, Truncated, evolve
@@ -65,9 +65,8 @@ def max_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def run_figure(figure_id: str, *, n: Optional[int] = None, steps: int = 4000,
-               segments: int = 40, seed: int = 0,
-               sizes: Optional[Sequence[int]] = None) -> Dict[str, Trajectory]:
+def run_figure(figure_id: str, *, steps: int = 4000, segments: int = 40,
+               seed: int = 0) -> Dict[str, Trajectory]:
     """Execute all curves of one preset; returns trajectories keyed by label.
 
     For the optimizer presets the returned trajectories carry the optimized
@@ -79,7 +78,7 @@ def run_figure(figure_id: str, *, n: Optional[int] = None, steps: int = 4000,
     spec = FIGURES[figure_id]
 
     if spec.kind == "protocols":
-        params = ModelParams(n or spec.n, spec.gamma, spec.ramp)
+        params = ModelParams(spec.n, spec.gamma, spec.ramp)
         def one(protocol):
             return protocol.label, evolve(params, protocol, steps)
         with ThreadPoolExecutor(max_workers=max_workers()) as pool:
@@ -87,7 +86,7 @@ def run_figure(figure_id: str, *, n: Optional[int] = None, steps: int = 4000,
         return dict(pairs)
 
     if spec.kind == "band_sweep":
-        params = ModelParams(n or spec.n, spec.gamma, spec.ramp)
+        params = ModelParams(spec.n, spec.gamma, spec.ramp)
         out: Dict[str, Trajectory] = {}
         warm = None
         for k in spec.band_counts:
@@ -101,7 +100,7 @@ def run_figure(figure_id: str, *, n: Optional[int] = None, steps: int = 4000,
 
     # size sweep, single band
     out = {}
-    for size in (sizes or spec.sizes):
+    for size in spec.sizes:
         params = ModelParams(size, spec.gamma, spec.ramp)
         result = optimize(params, spec.ramp, k=1, segments=segments,
                           eval_steps=steps, seed=seed)

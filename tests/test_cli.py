@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from cdlmg.cli import main
+from cdlmg.output import write_csv
 
 
 def run_cli(args):
@@ -166,6 +168,43 @@ def test_commands_write_identical_trajectory_csv(tmp_path, monkeypatch):
     assert written.startswith(b"t,h,fidelity\n")
 
 
+def test_figure_rejects_options_it_would_ignore(tmp_path, monkeypatch, capsys):
+    calls = _stub_figure(monkeypatch)
+    assert run_cli(["evolve", "--figure", "fig1a", "--n", 20, "--out", tmp_path]) == 1
+    assert "--n" in capsys.readouterr().err
+    assert run_cli(["optimize", "--figure", "fig2", "--bands", 3, "--out", tmp_path]) == 1
+    assert "--bands" in capsys.readouterr().err
+    assert run_cli(["evolve", "--figure", "fig1a", "--gamma", 0.3, "--out", tmp_path]) == 1
+    assert "--gamma" in capsys.readouterr().err
+    assert run_cli(["evolve", "--figure", "s1b", "--protocol", "bare",
+                    "--ramp", "linear:0.75,0.5", "--out", tmp_path]) == 1
+    assert "--ramp, --protocol" in capsys.readouterr().err
+    assert calls == []
+    assert run_cli(["evolve", "--figure", "fig1a", "--gamma", 0.0, "--out", tmp_path]) == 0
+    assert calls == ["fig1a"]
+
+
+def test_output_files_follow_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_csv(tmp_path / "table.csv", ["x"], [(1.0,)])
+    finally:
+        os.umask(old)
+    assert (tmp_path / "table.csv").stat().st_mode & 0o777 == 0o644
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+
+def test_preset_csv_independent_of_thread_count(tmp_path, monkeypatch):
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CDLMG_THREADS", threads)
+        out = tmp_path / threads
+        assert run_cli(["evolve", "--figure", "fig1a", "--steps", 50, "--out", out]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.glob("trajectory_*.csv"))})
+    assert len(written[0]) == 4
+    assert written[0] == written[1]
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # the first band at N=30 leaves a decomposition residual of about 2e-5
     code = run_cli(["decompose", "--n", 30, "--ramp", "linear:0.75,0.5",
@@ -184,3 +223,11 @@ def test_bug_propagates(tmp_path, monkeypatch):
     with pytest.raises(TypeError, match="injected"):
         run_cli(["evolve", "--n", 4, "--protocol", "bare",
                  "--ramp", "linear:0.75,0.5", "--out", tmp_path])
+
+
+def test_decomposition_gate_failure_exit_code(tmp_path, capsys):
+    # the per-midpoint gate of decomposed:1 fails at midpoint 84 of this run
+    code = run_cli(["evolve", "--n", 26, "--ramp", "linear:1.25,-0.5",
+                    "--protocol", "decomposed:1", "--steps", 100, "--out", tmp_path])
+    assert code == 2
+    assert "band-1 decomposition residual" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from cdlmg import (
     Bare,
     ConvergenceError,
     DecomposedDrive,
+    DecompositionError,
     ExactCD,
     HPCorrection,
     ModelParams,
@@ -176,7 +177,16 @@ def test_decomposed_matches_truncated():
     params = ModelParams(6, 0.0, ramp)
     trunc = evolve(params, Truncated(2), 300)
     decomp = evolve(params, DecomposedDrive(2), 300)
-    assert np.max(np.abs(trunc.fidelity - decomp.fidelity)) < 1e-8
+    assert np.array_equal(trunc.fidelity, decomp.fidelity)
+    assert np.array_equal(trunc.states, decomp.states)
+
+
+def test_decomposition_gate_checks_every_midpoint():
+    # on the reversed ramp at N=26 the band-1 residual is 2.8e-15 at the first
+    # midpoint and first exceeds RECONSTRUCTION_TOL at midpoint 84 of 100
+    params = ModelParams(26, 0.0, RampSchedule.linear(1.25, -0.5))
+    with pytest.raises(DecompositionError, match="band-1"):
+        evolve(params, "decomposed:1", 100)
 
 
 def test_time_reversal_round_trip():
