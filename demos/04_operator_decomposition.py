@@ -28,14 +28,16 @@ print(f"   reference values: 1/(2*sqrt(3)) = {1/(2*np.sqrt(3)):.10f}, "
       f"1/sqrt(3) = {1/np.sqrt(3):.10f}")
 print(f"   solve residual: {residuals.max():.2e}\n")
 
-# decompose both bands of the exact term for a six-particle ramp instant
+# decompose both bands of the exact term for a six-particle ramp instant;
+# the table holds each band as the vector of its superdiagonal entries
 params = ModelParams(6, gamma=0.0)
 term = exact_cd(params, h=0.9, hdot=0.5)
 table = band_table(term)
 
-payload = {}
+payload, decompositions = {}, []
 for b in sorted(table.bands):
-    dec = decompose_band(table.band_matrix(b), b)
+    dec = decompose_band(table, b)
+    decompositions.append(dec)
     payload[f"band{b}"] = dec.to_json_list()
     print(f"band {b} ({len(dec.terms)} operators, residual {dec.residual:.1e}):")
     for termk in dec.terms:
@@ -46,8 +48,6 @@ with open("decomposition_n6.json", "w") as fh:
 print("\nwrote decomposition_n6.json")
 
 # the operator sum rebuilds the exact term
-rebuilt = sum(dec_term.coefficient * dec_term.operator.mat
-              for b in sorted(table.bands)
-              for dec_term in decompose_band(table.band_matrix(b), b).terms)
+rebuilt = sum(dec.reconstruct() for dec in decompositions)
 print(f"reconstruction error vs exact term: "
-      f"{np.max(np.abs(rebuilt - term.mat)):.2e}")
+      f"{np.max(np.abs(rebuilt - term)):.2e}")

@@ -13,7 +13,6 @@ from .ansatz import (
     FitEvaluation,
     HarmonicFit,
     OptimizeResult,
-    ansatz_matrix,
     evaluate_fit,
     fit_harmonics,
     optimize,
@@ -27,13 +26,10 @@ from .band_operators import (
 )
 from .counterdiabatic import (
     BandTable,
-    DrivingTerm,
     analytic_cd,
     band_table,
     exact_cd,
     hp_coefficient,
-    hp_correction,
-    truncate,
 )
 from .dynamics import (
     AnsatzDrive,
@@ -51,6 +47,7 @@ from .errors import (
     ConvergenceError,
     CriticalWindowError,
     DecompositionError,
+    NormError,
     StructureError,
     ValidationError,
 )
@@ -60,23 +57,19 @@ from .spectrum import GapTable, GroundTrack, gap_series, track_ground
 from .spin_algebra import (
     DickeSector,
     ModelParams,
-    OperatorMatrix,
     SpinOperators,
     build_h0,
     build_spin_ops,
-    parity_projectors,
 )
 
 __all__ = [
     "__version__",
     # spin algebra
-    "DickeSector", "ModelParams", "OperatorMatrix", "SpinOperators",
-    "build_spin_ops", "build_h0", "parity_projectors",
+    "DickeSector", "ModelParams", "SpinOperators", "build_spin_ops", "build_h0",
     # spectrum
     "GroundTrack", "GapTable", "track_ground", "gap_series",
     # counterdiabatic
-    "DrivingTerm", "BandTable", "exact_cd", "band_table", "truncate",
-    "hp_correction", "hp_coefficient", "analytic_cd",
+    "BandTable", "exact_cd", "band_table", "hp_coefficient", "analytic_cd",
     # band operators
     "OperatorDecomposition", "build_Bj", "build_band_generator",
     "solve_first_band_beta", "decompose_band",
@@ -86,10 +79,10 @@ __all__ = [
     "DecomposedDrive",
     # ansatz
     "BandCoefficients", "OptimizeResult", "HarmonicFit", "FitEvaluation",
-    "ansatz_matrix", "optimize", "fit_harmonics", "evaluate_fit",
+    "optimize", "fit_harmonics", "evaluate_fit",
     # figures
     "FIGURES", "run_figure",
     # errors
     "ValidationError", "CriticalWindowError", "StructureError",
-    "ConvergenceError", "DecompositionError",
+    "ConvergenceError", "DecompositionError", "NormError",
 ]

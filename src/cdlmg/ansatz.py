@@ -26,20 +26,13 @@ from .dynamics import AnsatzDrive, Trajectory, evolve, propagate_steps
 from .errors import ValidationError
 from .ramps import RampSchedule
 from .spectrum import sector_ground_series
-from .spin_algebra import (
-    DickeSector,
-    ModelParams,
-    OperatorMatrix,
-    SectorFrame,
-    place_band,
-)
+from .spin_algebra import ModelParams, SectorFrame
 
 __all__ = [
     "BandCoefficients",
     "OptimizeResult",
     "HarmonicFit",
     "FitEvaluation",
-    "ansatz_matrix",
     "optimize",
     "fit_harmonics",
     "evaluate_fit",
@@ -108,21 +101,6 @@ class BandCoefficients:
     def to_json_dict(self) -> dict:
         return {"boundaries": self.boundaries.tolist(),
                 "values": self.values.tolist()}
-
-
-def ansatz_matrix(sector: DickeSector, values) -> OperatorMatrix:
-    """Banded driving matrix with constant coefficient x_b along band b."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValidationError("expected a 1-D coefficient vector")
-    if len(values) > sector.n // 2:
-        raise ValidationError(
-            f"{len(values)} bands exceed floor(N/2) = {sector.n // 2}")
-    dim = sector.dim
-    mat = np.zeros((dim, dim), dtype=complex)
-    for b, x in enumerate(values, start=1):
-        place_band(mat, 2 * b, 1j * x, -1j * x)
-    return OperatorMatrix(sector, mat)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ S_z powers.  For the first band the dressing family reduces to
 and the coefficients expressing each elementary band pattern in this family
 follow from a small linear solve.
 
-``_band_family`` builds band b's dressing family for ``decompose_band``,
-``solve_first_band_beta`` and ``decomposition_gate``.
+``_band_family`` builds band b's dressing family, from one set of spin
+matrices, for ``decompose_band``, ``solve_first_band_beta`` and
+``decomposition_gate``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import List
 import numpy as np
 
 from .errors import DecompositionError, ValidationError
-from .spin_algebra import DickeSector, OperatorMatrix, build_spin_ops, place_band
+from .spin_algebra import DickeSector, SpinOperators, build_spin_ops
 
 __all__ = [
     "DecompositionTerm",
@@ -41,7 +42,7 @@ BETA_RESIDUAL_TOL = 1e-8
 @dataclass(frozen=True)
 class DecompositionTerm:
     coefficient: float
-    operator: OperatorMatrix
+    operator: np.ndarray
     label: str
 
 
@@ -54,11 +55,11 @@ class OperatorDecomposition:
     terms: List[DecompositionTerm] = field(repr=False)
     residual: float = 0.0
 
-    def reconstruct(self) -> OperatorMatrix:
+    def reconstruct(self) -> np.ndarray:
         mat = np.zeros((self.sector.dim, self.sector.dim), dtype=complex)
         for term in self.terms:
-            mat += term.coefficient * term.operator.mat
-        return OperatorMatrix(self.sector, mat)
+            mat += term.coefficient * term.operator
+        return mat
 
     def to_json_list(self) -> list[dict]:
         return [{"label": t.label, "coefficient": t.coefficient} for t in self.terms]
@@ -78,32 +79,30 @@ def _dressed(zmat: np.ndarray, core: np.ndarray, j: int) -> np.ndarray:
     return zlo @ core @ zhi + zhi @ core @ zlo
 
 
-def build_Bj(sector: DickeSector, j: int) -> OperatorMatrix:
+def _bj(ops: SpinOperators, j: int) -> np.ndarray:
+    if j % 2 == 0:
+        return _dressed(ops.sz, ops.sxsy_plus_sysx(), j)
+    zlo, zhi = _matrix_power(ops.sz, j // 2), _matrix_power(ops.sz, j // 2 + 1)
+    return zlo @ ops.sx @ ops.sy @ zhi + zhi @ ops.sy @ ops.sx @ zlo
+
+
+def _generator(ops: SpinOperators, b: int) -> np.ndarray:
+    return 1j * (_matrix_power(ops.sminus, 2 * b) - _matrix_power(ops.splus, 2 * b))
+
+
+def build_Bj(sector: DickeSector, j: int) -> np.ndarray:
     """First-band dressing operator B_j."""
     if not 0 <= j <= sector.n - 2:
         raise ValidationError(f"dressing index j={j} outside [0, {sector.n - 2}]")
-    ops = build_spin_ops(sector)
-    sx, sy, sz = ops.sx.mat, ops.sy.mat, ops.sz.mat
-    if j % 2 == 0:
-        return OperatorMatrix(sector, _dressed(sz, ops.sxsy_plus_sysx(), j))
-    zlo, zhi = _matrix_power(sz, j // 2), _matrix_power(sz, j // 2 + 1)
-    return OperatorMatrix(sector, zlo @ sx @ sy @ zhi + zhi @ sy @ sx @ zlo)
+    return _bj(build_spin_ops(sector), j)
 
 
-def build_band_generator(sector: DickeSector, b: int) -> OperatorMatrix:
+def build_band_generator(sector: DickeSector, b: int) -> np.ndarray:
     """Hermitian generator i(S_-^{2b} - S_+^{2b}) populating only offset-2b
     diagonals."""
     if not 1 <= b <= sector.n // 2:
         raise ValidationError(f"band index b={b} outside [1, {sector.n // 2}]")
-    ops = build_spin_ops(sector)
-    sm2b = _matrix_power(ops.sminus.mat, 2 * b)
-    sp2b = _matrix_power(ops.splus.mat, 2 * b)
-    return OperatorMatrix(sector, 1j * (sm2b - sp2b))
-
-
-def _band_upper_imag(mat: np.ndarray, b: int) -> np.ndarray:
-    """Imaginary parts of the offset-2b superdiagonal."""
-    return np.diagonal(mat, 2 * b).imag.copy()
+    return _generator(build_spin_ops(sector), b)
 
 
 def _sz(p: int) -> str:
@@ -115,19 +114,18 @@ def _band_family(sector: DickeSector, b: int):
     column j is operator j's offset-2b band (imaginary parts).  For b=1 the
     dressings of G_1 coincide with the B_j up to normalization; the B_j are
     used, under their first-band labels."""
+    spin = build_spin_ops(sector)
     if b == 1:
-        ops = [build_Bj(sector, j) for j in range(sector.n - 1)]
+        ops = [_bj(spin, j) for j in range(sector.n - 1)]
         even, odd = "{0}(SxSy+SySx){0}", "{0}SxSy{1}+{1}SySx{0}"
     else:
-        gen = build_band_generator(sector, b).mat
-        zmat = build_spin_ops(sector).sz.mat
-        ops = [OperatorMatrix(sector, _dressed(zmat, gen, j))
-               for j in range(sector.n - 2 * b + 1)]
+        gen = _generator(spin, b)
+        ops = [_dressed(spin.sz, gen, j) for j in range(sector.n - 2 * b + 1)]
         g = f"i(S-^{2*b}-S+^{2*b})"
         even, odd = "{0}" + g + "{0}", "{0}" + g + "{1}+sym"
     labels = [(odd if j % 2 else even).format(_sz(j // 2), _sz(j // 2 + 1))
               for j in range(len(ops))]
-    design = np.column_stack([_band_upper_imag(op.mat, b) for op in ops])
+    design = np.column_stack([np.diagonal(op, 2 * b).imag for op in ops])
     return ops, labels, design
 
 
@@ -181,26 +179,22 @@ def _fit_band(design: np.ndarray, target: np.ndarray, b: int, n: int):
     return coeffs, residual
 
 
-def decompose_band(target, b: int) -> OperatorDecomposition:
-    """Express a single-band matrix as a sum of S_z-dressed generators.
+def decompose_band(table, b: int) -> OperatorDecomposition:
+    """Express band b of a `BandTable` as a sum of S_z-dressed generators.
 
-    The target must populate only the offset-2b diagonals.  Raises
-    DecompositionError when the dressing family cannot reproduce it to
-    RECONSTRUCTION_TOL (the residual and family size are in the message).
+    A band the table lacks, or one within RECONSTRUCTION_TOL of zero, gives
+    an empty decomposition.  Raises ValidationError when the band vector is
+    not dim - 2b long, and DecompositionError when the dressing family
+    cannot reproduce it to RECONSTRUCTION_TOL (the residual and family size
+    are in the message).
     """
-    op = target.matrix if hasattr(target, "matrix") else target
-    if not isinstance(op, OperatorMatrix):
-        raise ValidationError("decompose_band expects an OperatorMatrix or DrivingTerm")
-    sector = op.sector
+    sector = table.sector
     if not 1 <= b <= sector.n // 2:
         raise ValidationError(f"band index b={b} outside [1, {sector.n // 2}]")
-    mat = op.mat
-    mask = place_band(np.zeros_like(mat, dtype=bool), 2 * b, True, True)
-    stray = float(np.max(np.abs(np.where(mask, 0.0, mat)))) if mat.size else 0.0
-    if stray > RECONSTRUCTION_TOL:
+    target_vec = table.bands.get(b, np.zeros(sector.dim - 2 * b))
+    if len(target_vec) != sector.dim - 2 * b:
         raise ValidationError(
-            f"target has weight {stray:.3e} outside the offset-{2*b} diagonals")
-    target_vec = _band_upper_imag(mat, b)
+            f"band {b} has {len(target_vec)} entries, expected {sector.dim - 2 * b}")
     if np.max(np.abs(target_vec)) <= RECONSTRUCTION_TOL:
         return OperatorDecomposition(sector, b, [], 0.0)
     ops, labels, design = _band_family(sector, b)

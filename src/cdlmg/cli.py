@@ -28,6 +28,7 @@ from .dynamics import evolve, parse_protocol
 from .errors import (
     ConvergenceError,
     DecompositionError,
+    NormError,
     StructureError,
     ValidationError,
 )
@@ -39,8 +40,8 @@ from .spin_algebra import ModelParams
 __all__ = ["main", "RunConfig"]
 
 # Failures of a valid run (exit code 2).
-NUMERICAL_FAILURES = (ConvergenceError, DecompositionError, StructureError,
-                      np.linalg.LinAlgError)
+NUMERICAL_FAILURES = (ConvergenceError, DecompositionError, NormError,
+                      StructureError, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -176,7 +177,7 @@ def _cmd_optimize(config: RunConfig) -> int:
     if config.figure:
         trajectories = _run_preset(config)
     else:
-        if config.bands is None or config.bands < 1:
+        if config.bands is None:
             raise ValidationError("--bands must be a positive integer")
         params = config.model()
         if params.ramp is None:
@@ -217,7 +218,7 @@ def _cmd_fit(config: RunConfig) -> int:
     c = config.harmonics
     if c is None or not 1 <= c <= 3:
         raise ValidationError("--harmonics must be 1, 2 or 3")
-    result = optimize(params, ramp, k=config.bands or 1,
+    result = optimize(params, ramp, k=config.bands,
                       segments=config.segments, eval_steps=config.steps,
                       seed=config.seed)
     times, series = result.coefficients.band_series(1)
@@ -260,7 +261,7 @@ def _cmd_decompose(config: RunConfig) -> int:
     term = exact_cd(params, h, hdot)
     table = band_table(term)
     bands = sorted(table.bands)
-    if config.bands:
+    if config.bands is not None:
         bands = [b for b in bands if b <= config.bands]
     payload = {"n": params.n, "gamma": params.gamma, "h": h, "hdot": hdot,
                "bands": {}}
@@ -268,7 +269,7 @@ def _cmd_decompose(config: RunConfig) -> int:
     payload["first_band_beta"] = beta.tolist()
     payload["first_band_beta_residual"] = float(residuals.max())
     for b in bands:
-        dec = decompose_band(table.band_matrix(b), b)
+        dec = decompose_band(table, b)
         payload["bands"][str(b)] = {
             "terms": dec.to_json_list(),
             "residual": dec.residual,
@@ -354,6 +355,8 @@ def main(argv=None) -> int:
               if hasattr(args, f)}
     config = RunConfig(**fields)
     try:
+        if config.bands is not None and config.bands < 1:
+            raise ValidationError("--bands must be a positive integer")
         return _HANDLERS[config.command](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

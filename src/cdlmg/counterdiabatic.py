@@ -24,22 +24,12 @@ from typing import Dict
 import numpy as np
 
 from .errors import CriticalWindowError, StructureError, ValidationError
-from .spin_algebra import (
-    DickeSector,
-    ModelParams,
-    OperatorMatrix,
-    SectorFrame,
-    build_spin_ops,
-    place_band,
-)
+from .spin_algebra import DickeSector, ModelParams, SectorFrame, place_band
 
 __all__ = [
-    "DrivingTerm",
     "BandTable",
     "exact_cd",
     "band_table",
-    "truncate",
-    "hp_correction",
     "hp_coefficient",
     "analytic_cd",
     "HP_SWITCH_TOL",
@@ -48,20 +38,6 @@ __all__ = [
 HP_SWITCH_TOL = 1e-3
 ODD_OFFSET_TOL = 1e-10
 DEGENERACY_TOL_FACTOR = 1e-8
-
-
-@dataclass(frozen=True)
-class DrivingTerm:
-    """A driving operator evaluated at one instant of the ramp."""
-
-    matrix: OperatorMatrix
-    mode: str
-    h: float
-    hdot: float
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.matrix.mat
 
 
 @dataclass(frozen=True)
@@ -75,20 +51,13 @@ class BandTable:
     sector: DickeSector
     bands: Dict[int, np.ndarray] = field(repr=False)
 
-    def band_matrix(self, i: int) -> OperatorMatrix:
-        """Matrix carrying only band i of the table."""
+    def reconstruct(self) -> np.ndarray:
+        """The driving term these bands describe."""
         dim = self.sector.dim
         mat = np.zeros((dim, dim), dtype=complex)
-        if i in self.bands:
-            place_band(mat, 2 * i, 1j * self.bands[i], -1j * self.bands[i])
-        return OperatorMatrix(self.sector, mat)
-
-    def reconstruct(self) -> OperatorMatrix:
-        dim = self.sector.dim
-        mat = np.zeros((dim, dim), dtype=complex)
-        for i in self.bands:
-            mat += self.band_matrix(i).mat
-        return OperatorMatrix(self.sector, mat)
+        for i, x in self.bands.items():
+            place_band(mat, 2 * i, 1j * x, -1j * x)
+        return mat
 
 
 def sector_cd_block(h0_block: np.ndarray, sz_diag: np.ndarray, hdot: float) -> np.ndarray:
@@ -105,7 +74,7 @@ def sector_cd_block(h0_block: np.ndarray, sz_diag: np.ndarray, hdot: float) -> n
     return out
 
 
-def _from_parity_blocks(params: ModelParams, block) -> OperatorMatrix:
+def _from_parity_blocks(params: ModelParams, block) -> np.ndarray:
     """Full-basis matrix holding block(frame) in each parity block of two or
     more states; the one-state block stays zero."""
     dim = params.sector.dim
@@ -114,35 +83,32 @@ def _from_parity_blocks(params: ModelParams, block) -> OperatorMatrix:
         frame = SectorFrame(params, parity)
         if frame.dim >= 2:
             mat[frame.ix] = block(frame)
-    return OperatorMatrix(params.sector, mat)
+    return mat
 
 
-def exact_cd(params: ModelParams, h: float, hdot: float) -> DrivingTerm:
+def exact_cd(params: ModelParams, h: float, hdot: float) -> np.ndarray:
     """Exact transitionless driving term at field h with ramp rate hdot."""
     if hdot == 0.0:
         dim = params.sector.dim
-        matrix = OperatorMatrix(params.sector, np.zeros((dim, dim), dtype=complex))
-    else:
-        matrix = _from_parity_blocks(params, lambda frame: sector_cd_block(
-            frame.h0_blocks(h)[0], frame.m_diag, hdot))
-    return DrivingTerm(matrix, "exact", h, hdot)
+        return np.zeros((dim, dim), dtype=complex)
+    return _from_parity_blocks(params, lambda frame: sector_cd_block(
+        frame.h0_blocks(h)[0], frame.m_diag, hdot))
 
 
-def band_table(term) -> BandTable:
-    """Read the even-offset band coefficients of a driving term.
+def band_table(mat: np.ndarray) -> BandTable:
+    """Read the even-offset band coefficients of a driving term on the
+    sector of dimension ``len(mat)``.
 
-    Raises StructureError if the diagonal or any odd-offset diagonal carries
+    Raises ValidationError unless `mat` is a square 2-D array, and
+    StructureError if the diagonal or any odd-offset diagonal carries
     weight above tolerance: that would falsify the banded form this
     extraction relies on, so it is reported rather than silently truncated.
     """
-    if isinstance(term, DrivingTerm):
-        op = term.matrix
-    elif isinstance(term, OperatorMatrix):
-        op = term
-    else:
-        raise ValidationError("band_table expects a DrivingTerm or OperatorMatrix")
-    mat = op.mat
-    dim = op.sector.dim
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValidationError(f"band_table expects a square matrix, got shape {mat.shape}")
+    dim = mat.shape[0]
+    sector = DickeSector(dim - 1)
     worst = float(np.max(np.abs(np.diagonal(mat))))
     for off in range(1, dim, 2):
         worst = max(worst, float(np.max(np.abs(np.diagonal(mat, off)))))
@@ -160,19 +126,7 @@ def band_table(term) -> BandTable:
                 f"band {i} has real part {np.max(np.abs(diag.real)):.3e}; "
                 "expected purely imaginary band entries")
         bands[i] = diag.imag.copy()
-    return BandTable(op.sector, bands)
-
-
-def truncate(term: DrivingTerm, k: int) -> DrivingTerm:
-    """Keep bands 1..k of a driving term, forcing all other elements to zero."""
-    if k < 1:
-        raise ValidationError(f"band count must be >= 1, got {k}")
-    mat = term.mat
-    out = np.zeros_like(mat)
-    for i in range(1, min(k, mat.shape[0] // 2) + 1):
-        place_band(out, 2 * i, np.diagonal(mat, 2 * i), np.diagonal(mat, -2 * i))
-    return DrivingTerm(OperatorMatrix(term.matrix.sector, out),
-                       f"truncated({k})", term.h, term.hdot)
+    return BandTable(sector, bands)
 
 
 def hp_coefficient(n: int, gamma: float, h: float, hdot: float) -> float:
@@ -200,13 +154,6 @@ def hp_coefficient(n: int, gamma: float, h: float, hdot: float) -> float:
     return -abs(hdot) * h / (2 * n * (1 - h * h))
 
 
-def hp_correction(params: ModelParams, h: float, hdot: float) -> DrivingTerm:
-    """Harmonic-limit driving term c(h,gamma,hdot) * (SxSy + SySx)."""
-    c = hp_coefficient(params.n, params.gamma, h, hdot)
-    b0 = build_spin_ops(params.sector).sxsy_plus_sysx()
-    return DrivingTerm(OperatorMatrix(params.sector, c * b0), "hp", h, hdot)
-
-
 def _two_level_angle_rate(block: np.ndarray) -> float:
     """d(alpha)/dh for a 2x2 real-symmetric block whose diagonal splitting
     grows as 2h per unit field (offset-2 S_z pair).
@@ -222,7 +169,7 @@ def _two_level_angle_rate(block: np.ndarray) -> float:
     return c * du / (u * u + c * c)
 
 
-def analytic_cd(params: ModelParams, h: float, hdot: float) -> DrivingTerm:
+def analytic_cd(params: ModelParams, h: float, hdot: float) -> np.ndarray:
     """Closed-form driving term for N=2 and N=3.
 
     For these sizes each parity sector is at most two-dimensional, so the
@@ -237,4 +184,4 @@ def analytic_cd(params: ModelParams, h: float, hdot: float) -> DrivingTerm:
         rate = _two_level_angle_rate(frame.h0_blocks(h)[0]) * hdot
         return np.array([[0.0, 1j * rate], [-1j * rate, 0.0]])
 
-    return DrivingTerm(_from_parity_blocks(params, rotation), f"analytic_n{n}", h, hdot)
+    return _from_parity_blocks(params, rotation)

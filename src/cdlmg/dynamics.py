@@ -27,7 +27,7 @@ from .counterdiabatic import (
     hp_coefficient,
     sector_cd_block,
 )
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
 from .spin_algebra import ModelParams, SectorFrame
 
@@ -47,6 +47,7 @@ __all__ = [
 DEFAULT_STEPS = 4000
 CONVERGENCE_TOL = 1e-6
 MAX_REFINEMENTS = 3
+NORM_TOL = 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -249,6 +250,9 @@ def _propagate(params: ModelParams, protocol: Protocol, ramp, times,
         psi = propagate_steps(h_tot[None], dts[k:k + 1], psi)
         fid[k + 1] = fidelity(psi, grounds[k + 1])
         norm_err = max(norm_err, abs(np.linalg.norm(psi) - 1.0))
+        if norm_err > NORM_TOL:
+            raise NormError(f"state norm drifted by {norm_err:.2e} > {NORM_TOL:.0e} "
+                            f"at step {k + 1} of {len(t_mid)}")
         if store_states:
             states[k + 1] = psi
 
@@ -271,27 +275,25 @@ def _propagate(params: ModelParams, protocol: Protocol, ramp, times,
 
 
 def evolve(params: ModelParams, protocol, grid=None, *, ramp=None,
-           store_states: bool = True, converge: bool = False,
-           max_refinements: int = MAX_REFINEMENTS) -> Trajectory:
+           store_states: bool = True, converge: bool = False) -> Trajectory:
     """Propagate the tracked ground state of H0(h(t_start)) along the ramp.
 
     `grid` is a step count (uniform grid) or an explicit time array.  With
     ``converge=True`` the step count is doubled until the final fidelity
-    changes by less than CONVERGENCE_TOL, and the converged run is
-    returned; failure to converge raises ConvergenceError with a suggested
-    step size.
+    changes by less than CONVERGENCE_TOL, at most MAX_REFINEMENTS times, and
+    the converged run is returned; failure to converge raises
+    ConvergenceError with a suggested step size.  A state norm drifting from
+    1 by more than NORM_TOL raises NormError.
     """
     protocol = parse_protocol(protocol)
     if converge and grid is not None and not np.isscalar(grid):
         raise ValidationError("converge=True requires an integer step count")
-    if converge and max_refinements < 1:
-        raise ValidationError("converge=True needs max_refinements >= 1")
     ramp, times = _resolve_grid(params, ramp, grid)
     traj = _propagate(params, protocol, ramp, times, store_states)
     if not converge:
         return traj
     steps = traj.info["steps"]
-    for _ in range(max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         finer = _propagate(params, protocol, ramp, ramp.grid(2 * steps), store_states)
         delta = abs(finer.final_fidelity - traj.final_fidelity)
         if delta < CONVERGENCE_TOL:

@@ -28,5 +28,9 @@ class ConvergenceError(RuntimeError):
     """Step-size refinement failed to converge the integrator."""
 
 
+class NormError(RuntimeError):
+    """The propagated state's norm drifted from 1 beyond tolerance."""
+
+
 class DecompositionError(RuntimeError):
     """An operator decomposition left a residual above tolerance."""

@@ -7,8 +7,8 @@ conventions used throughout the package:
 * |k> has S_z eigenvalue m = k - N/2, so |N> is the all-up state and is the
   ground state for a large positive field.
 * S_+|k> = sqrt(S(S+1) - m(m+1)) |k+1> with S = N/2.
-* The excitation-number parity of |k> is the parity of k; the even/odd
-  projectors are diagonal 0/1 matrices on those index sets.
+* The excitation-number parity of |k> is the parity of k; `parity_indices`
+  gives the basis indices of each parity.
 
 Every Hamiltonian and driving term of the package preserves that parity, so
 the other modules work inside one parity block through `SectorFrame`.
@@ -16,7 +16,7 @@ the other modules work inside one parity block through `SectorFrame`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -27,19 +27,14 @@ from .ramps import RampSchedule
 
 __all__ = [
     "DickeSector",
-    "OperatorMatrix",
     "SpinOperators",
     "ModelParams",
     "build_spin_ops",
     "build_h0",
-    "parity_projectors",
     "parity_indices",
     "place_band",
     "SectorFrame",
 ]
-
-HERMITICITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DickeSector:
@@ -67,43 +62,20 @@ class DickeSector:
 
 
 @dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator on a Dicke sector; carries the sector for shape checks."""
-
-    sector: DickeSector
-    mat: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat)
-        if mat.shape != (self.sector.dim, self.sector.dim):
-            raise ValidationError(
-                f"matrix shape {mat.shape} does not match sector dim {self.sector.dim}")
-        object.__setattr__(self, "mat", mat)
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
-
-    def commutes_with(self, other: "OperatorMatrix", tol: float = 1e-10) -> bool:
-        c = self.mat @ other.mat - other.mat @ self.mat
-        return bool(np.max(np.abs(c)) <= tol)
-
-
-@dataclass(frozen=True)
 class SpinOperators:
     """The five collective spin matrices for one sector."""
 
     sector: DickeSector
-    sx: OperatorMatrix
-    sy: OperatorMatrix
-    sz: OperatorMatrix
-    splus: OperatorMatrix
-    sminus: OperatorMatrix
+    sx: np.ndarray
+    sy: np.ndarray
+    sz: np.ndarray
+    splus: np.ndarray
+    sminus: np.ndarray
 
     def sxsy_plus_sysx(self) -> np.ndarray:
         """(SxSy + SySx): the first-band operator B_0 and the harmonic-limit
         driving term."""
-        sx, sy = self.sx.mat, self.sy.mat
-        return sx @ sy + sy @ sx
+        return self.sx @ self.sy + self.sy @ self.sx
 
 
 @dataclass(frozen=True)
@@ -140,18 +112,17 @@ def build_spin_ops(sector: DickeSector) -> SpinOperators:
     sx = (sp + sm) / 2
     sy = (sp - sm) / 2j
     sz = np.diag(sector.m_values)
-    wrap = lambda m: OperatorMatrix(sector, m)
-    return SpinOperators(sector, wrap(sx), wrap(sy), wrap(sz), wrap(sp), wrap(sm))
+    return SpinOperators(sector, sx, sy, sz, sp, sm)
 
 
 def interaction_matrix(sector: DickeSector, gamma: float) -> np.ndarray:
     """Field-independent part -(2/N)(Sx^2 + gamma*Sy^2), real symmetric."""
     ops = build_spin_ops(sector)
-    sx, sy = ops.sx.mat, ops.sy.mat
+    sx, sy = ops.sx, ops.sy
     return (-(2.0 / sector.n) * ((sx @ sx) + gamma * (sy @ sy))).real
 
 
-def build_h0(params: ModelParams, h: float, include_shift: bool = False) -> OperatorMatrix:
+def build_h0(params: ModelParams, h: float, include_shift: bool = False) -> np.ndarray:
     """LMG Hamiltonian -(2/N)(Sx^2 + gamma*Sy^2) - 2h*Sz.
 
     The constant shift (1+gamma)/2 relating this form to the pairwise spin
@@ -162,7 +133,7 @@ def build_h0(params: ModelParams, h: float, include_shift: bool = False) -> Oper
     mat = interaction_matrix(sector, params.gamma) - 2.0 * h * np.diag(sector.m_values)
     if include_shift:
         mat = mat + 0.5 * (1.0 + params.gamma) * np.eye(sector.dim)
-    return OperatorMatrix(sector, mat)
+    return mat
 
 
 def parity_indices(sector: DickeSector, parity: int) -> np.ndarray:
@@ -170,14 +141,6 @@ def parity_indices(sector: DickeSector, parity: int) -> np.ndarray:
     if parity not in (0, 1):
         raise ValidationError("parity must be 0 (even) or 1 (odd)")
     return np.arange(parity, sector.dim, 2)
-
-
-def parity_projectors(sector: DickeSector) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Diagonal projectors onto even / odd excitation-number subspaces."""
-    diag_even = (np.arange(sector.dim) % 2 == 0).astype(float)
-    pi_e = OperatorMatrix(sector, np.diag(diag_even))
-    pi_o = OperatorMatrix(sector, np.diag(1.0 - diag_even))
-    return pi_e, pi_o
 
 
 def place_band(out: np.ndarray, offset: int, upper, lower) -> np.ndarray:

@@ -10,7 +10,7 @@ from cdlmg.spin_algebra import parity_indices
 
 def two_by_two_block(params: ModelParams, h: float, idx) -> np.ndarray:
     """Extract a 2x2 parity block of H0 directly from the full matrix."""
-    mat = build_h0(params, h).mat.real
+    mat = build_h0(params, h).real
     return mat[np.ix_(idx, idx)]
 
 
@@ -32,6 +32,12 @@ def block_angle_rate_fd(params: ModelParams, h: float, hdot: float, idx,
     lo = block_mixing_angle(params, h - dh, idx)
     hi = block_mixing_angle(params, h + dh, idx)
     return (hi - lo) / (2 * dh) * hdot
+
+
+def even_projector(n: int) -> np.ndarray:
+    """Diagonal 0/1 projector onto the even excitation numbers k of the
+    N-particle sector."""
+    return np.diag((np.arange(n + 1) % 2 == 0).astype(float))
 
 
 def parity_blocks(n: int):

@@ -155,8 +155,8 @@ def test_criterion_7_analytic_equivalence():
     for n in (2, 3):
         params = ModelParams(n, 0.0)
         for h in (0.2, 0.8, 1.2, 2.0):
-            delta = np.max(np.abs(exact_cd(params, h, 0.5).mat
-                                  - analytic_cd(params, h, 0.5).mat))
+            delta = np.max(np.abs(exact_cd(params, h, 0.5)
+                                  - analytic_cd(params, h, 0.5)))
             worst = max(worst, float(delta))
     beta, _ = solve_first_band_beta(DickeSector(3))
     val0, val1 = 1 / (2 * np.sqrt(3)), 1 / np.sqrt(3)
@@ -174,9 +174,9 @@ def test_criterion_8_band_structure_sweep():
         params = ModelParams(n, 0.0)
         for h in (0.5, 0.9, 1.1, 1.5):
             term = exact_cd(params, h, 0.5)
-            stray = float(np.max(np.abs(np.diagonal(term.mat))))
+            stray = float(np.max(np.abs(np.diagonal(term))))
             for off in range(1, n + 1, 2):
-                stray = max(stray, float(np.max(np.abs(np.diagonal(term.mat, off)))))
+                stray = max(stray, float(np.max(np.abs(np.diagonal(term, off)))))
             worst = max(worst, stray)
             band_table(term)  # raises on structural violation
     ok = worst < 1e-10

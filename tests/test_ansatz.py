@@ -3,36 +3,25 @@ import pytest
 
 from cdlmg import (
     BandCoefficients,
-    DickeSector,
     ModelParams,
     RampSchedule,
     ValidationError,
-    ansatz_matrix,
-    build_spin_ops,
     evaluate_fit,
     fit_harmonics,
     optimize,
-    parity_projectors,
 )
-
-
-def test_ansatz_matrix_zero_and_single_band():
-    sector = DickeSector(6)
-    assert np.max(np.abs(ansatz_matrix(sector, np.zeros(3)).mat)) == 0.0
-    ops = build_spin_ops(DickeSector(2))
-    b0 = ops.sx.mat @ ops.sy.mat + ops.sy.mat @ ops.sx.mat
-    built = ansatz_matrix(DickeSector(2), [1.0])
-    assert np.max(np.abs(built.mat - b0)) < 1e-14
+from cdlmg.spin_algebra import SectorFrame
 
 
 def test_ansatz_matrix_structure():
-    sector = DickeSector(9)
-    mat = ansatz_matrix(sector, [0.3, -1.2, 0.7])
-    assert mat.is_hermitian(tol=1e-14)
-    pi_e, _ = parity_projectors(sector)
-    assert mat.commutes_with(pi_e, tol=1e-12)
+    # the ansatz drive of each parity block: one coefficient per band pattern
+    params = ModelParams(9, 0.0)
+    for parity in (0, 1):
+        frame = SectorFrame(params, parity)
+        mat = np.tensordot([0.3, -1.2, 0.7], frame.band_patterns(3), axes=(0, 0))
+        assert np.max(np.abs(mat - mat.conj().T)) <= 1e-14
     with pytest.raises(ValidationError):
-        ansatz_matrix(DickeSector(4), [1.0, 2.0, 3.0])
+        SectorFrame(ModelParams(4, 0.0), 0).band_patterns(3)
 
 
 def test_band_coefficients_container():

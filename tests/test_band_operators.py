@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cdlmg import (
+    BandTable,
     DickeSector,
     ModelParams,
-    OperatorMatrix,
     ValidationError,
     band_table,
     build_band_generator,
@@ -12,23 +12,22 @@ from cdlmg import (
     build_spin_ops,
     decompose_band,
     exact_cd,
-    parity_projectors,
     solve_first_band_beta,
 )
-from conftest import block_angle_rate_fd
+from conftest import block_angle_rate_fd, even_projector
 
 
 def spin_products(n):
     ops = build_spin_ops(DickeSector(n))
-    return ops.sx.mat, ops.sy.mat, ops.sz.mat
+    return ops.sx, ops.sy, ops.sz
 
 
 def test_bj_definitions():
     sx, sy, sz = spin_products(5)
     sector = DickeSector(5)
-    assert np.allclose(build_Bj(sector, 0).mat, sx @ sy + sy @ sx)
-    assert np.allclose(build_Bj(sector, 1).mat, sx @ sy @ sz + sz @ sy @ sx)
-    assert np.allclose(build_Bj(sector, 2).mat, sz @ (sx @ sy + sy @ sx) @ sz)
+    assert np.allclose(build_Bj(sector, 0), sx @ sy + sy @ sx)
+    assert np.allclose(build_Bj(sector, 1), sx @ sy @ sz + sz @ sy @ sx)
+    assert np.allclose(build_Bj(sector, 2), sz @ (sx @ sy + sy @ sx) @ sz)
     with pytest.raises(ValidationError):
         build_Bj(sector, 4)
     with pytest.raises(ValidationError):
@@ -38,11 +37,11 @@ def test_bj_definitions():
 @pytest.mark.parametrize("n", [3, 4, 6, 9])
 def test_bj_hermitian_single_band(n):
     sector = DickeSector(n)
-    pi_e, _ = parity_projectors(sector)
+    pi_e = even_projector(n)
     for j in range(n - 1):
         bj = build_Bj(sector, j)
-        assert bj.is_hermitian()
-        assert bj.commutes_with(pi_e, tol=1e-10)
+        assert np.max(np.abs(bj - bj.conj().T)) <= 1e-12
+        assert np.max(np.abs(bj @ pi_e - pi_e @ bj)) <= 1e-10
         table = band_table(bj)
         assert set(table.bands) <= {1}
 
@@ -51,11 +50,11 @@ def test_band_generator_small_cases():
     # b=1, N=2: i(S-^2 - S+^2) = 2 (SxSy + SySx)
     sx, sy, _ = spin_products(2)
     gen = build_band_generator(DickeSector(2), 1)
-    assert np.allclose(gen.mat, 2 * (sx @ sy + sy @ sx))
+    assert np.allclose(gen, 2 * (sx @ sy + sy @ sx))
     # b=2, N=4: single offset-4 entry of magnitude 24
     gen4 = build_band_generator(DickeSector(4), 2)
-    assert gen4.mat[0, 4] == pytest.approx(24j)
-    assert np.max(np.abs(gen4.mat / 24 - gen4.mat / 24)) == 0
+    assert gen4[0, 4] == pytest.approx(24j)
+    assert np.max(np.abs(gen4 / 24 - gen4 / 24)) == 0
     with pytest.raises(ValidationError):
         build_band_generator(DickeSector(4), 3)
 
@@ -63,10 +62,10 @@ def test_band_generator_small_cases():
 @pytest.mark.parametrize("n,b", [(4, 1), (4, 2), (7, 3), (10, 5)])
 def test_band_generator_structure(n, b):
     gen = build_band_generator(DickeSector(n), b)
-    assert gen.is_hermitian()
-    pi_e, _ = parity_projectors(DickeSector(n))
-    assert gen.commutes_with(pi_e, tol=1e-10)
-    mat = gen.mat.copy()
+    assert np.max(np.abs(gen - gen.conj().T)) <= 1e-12
+    pi_e = even_projector(n)
+    assert np.max(np.abs(gen @ pi_e - pi_e @ gen)) <= 1e-10
+    mat = gen.copy()
     rows = np.arange(n + 1 - 2 * b)
     mat[rows, rows + 2 * b] = 0
     mat[rows + 2 * b, rows] = 0
@@ -94,8 +93,8 @@ def test_first_band_beta_two_particles():
     params = ModelParams(2, 0.0)
     rate = block_angle_rate_fd(params, 0.8, 0.5, idx=[0, 2])
     term = exact_cd(params, 0.8, 0.5)
-    b0 = build_Bj(DickeSector(2), 0).mat
-    assert np.max(np.abs(term.mat - rate * beta[0, 0] * b0)) < 1e-6
+    b0 = build_Bj(DickeSector(2), 0)
+    assert np.max(np.abs(term - rate * beta[0, 0] * b0)) < 1e-6
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -105,17 +104,17 @@ def test_first_band_beta_residual_sweep(n):
 
 
 def test_decompose_zero_target():
-    dec = decompose_band(OperatorMatrix(DickeSector(6), np.zeros((7, 7))), 2)
-    assert dec.terms == []
-    assert dec.residual == 0.0
+    # an all-zero band and a band the table lacks
+    for bands in ({2: np.zeros(3)}, {}):
+        dec = decompose_band(BandTable(DickeSector(6), bands), 2)
+        assert dec.terms == []
+        assert dec.residual == 0.0
 
 
 def test_decompose_rejects_stray_weight():
-    mat = np.zeros((7, 7), dtype=complex)
-    mat[0, 2] = 1j
-    mat[2, 0] = -1j
+    # band 2 of the seven-state sector has 7 - 4 = 3 entries
     with pytest.raises(ValidationError):
-        decompose_band(OperatorMatrix(DickeSector(6), mat), 2)
+        decompose_band(BandTable(DickeSector(6), {2: np.ones(5)}), 2)
 
 
 def test_decompose_band_one_recovers_rotation_weights():
@@ -126,7 +125,7 @@ def test_decompose_band_one_recovers_rotation_weights():
     rate_even = block_angle_rate_fd(params, h, hdot, idx=[0, 2])
     rate_odd = block_angle_rate_fd(params, h, hdot, idx=[1, 3])
     term = exact_cd(params, h, hdot)
-    dec = decompose_band(band_table(term).band_matrix(1), 1)
+    dec = decompose_band(band_table(term), 1)
     coeffs = {t.label: t.coefficient for t in dec.terms}
     assert coeffs["(SxSy+SySx)"] == pytest.approx(
         (rate_even + rate_odd) / (2 * np.sqrt(3)), abs=1e-6)
@@ -142,26 +141,26 @@ def test_decompose_four_particles_matches_printed_form():
     for row, x in ((0, x11), (1, x12), (2, x13)):
         mat[row, row + 2] = 1j * x
         mat[row + 2, row] = -1j * x
-    dec = decompose_band(OperatorMatrix(sector, mat), 1)
+    dec = decompose_band(BandTable(sector, {1: np.array([x11, x12, x13])}), 1)
     coeffs = {t.label: t.coefficient for t in dec.terms}
     s6 = 2 * np.sqrt(6)
     assert coeffs["(SxSy+SySx)"] == pytest.approx((x11 + x13) / s6, abs=1e-12)
     assert coeffs["SxSySz+SzSySx"] == pytest.approx((x13 - x11) / s6, abs=1e-12)
     assert coeffs["Sz(SxSy+SySx)Sz"] == pytest.approx(
         (x11 + x13) / s6 - x12 / 3, abs=1e-12)
-    assert np.max(np.abs(dec.reconstruct().mat - mat)) < 1e-10
+    assert np.max(np.abs(dec.reconstruct() - mat)) < 1e-10
 
 
 def test_decompose_higher_band_self_consistency():
     term = exact_cd(ModelParams(6, 0.0), 0.9, 0.5)
     table = band_table(term)
-    target = table.band_matrix(2)
-    dec = decompose_band(target, 2)
+    target = BandTable(table.sector, {2: table.bands[2]}).reconstruct()
+    dec = decompose_band(table, 2)
     assert dec.residual < 1e-10
-    assert np.max(np.abs(dec.reconstruct().mat - target.mat)) < 1e-10
-    pi_e, _ = parity_projectors(DickeSector(6))
+    assert np.max(np.abs(dec.reconstruct() - target)) < 1e-10
+    pi_e = even_projector(6)
     for t in dec.terms:
-        assert t.operator.commutes_with(pi_e, tol=1e-10)
+        assert np.max(np.abs(t.operator @ pi_e - pi_e @ t.operator)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
@@ -170,12 +169,12 @@ def test_full_round_trip_over_all_bands(n):
     table = band_table(term)
     total = np.zeros((n + 1, n + 1), dtype=complex)
     for b in table.bands:
-        total += decompose_band(table.band_matrix(b), b).reconstruct().mat
-    assert np.max(np.abs(total - term.mat)) < 1e-9
+        total += decompose_band(table, b).reconstruct()
+    assert np.max(np.abs(total - term)) < 1e-9
 
 
 def test_decomposition_json_export():
     term = exact_cd(ModelParams(4, 0.0), 0.8, 0.5)
-    dec = decompose_band(band_table(term).band_matrix(1), 1)
+    dec = decompose_band(band_table(term), 1)
     payload = dec.to_json_list()
     assert all(set(entry) == {"label", "coefficient"} for entry in payload)

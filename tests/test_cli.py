@@ -101,8 +101,11 @@ def test_optimize_and_determinism(tmp_path):
 
 
 def test_optimize_validation(tmp_path):
-    assert run_cli(["optimize", "--n", 10, "--bands", 0,
-                    "--ramp", "linear:0.75,0.5", "--out", tmp_path]) == 1
+    # a band count below 1 is bad configuration for every command that takes one
+    for args in (["optimize", "--bands", 0], ["decompose", "--bands", 0],
+                 ["decompose", "--bands", -1], ["fit", "--bands", 0, "--harmonics", 1]):
+        assert run_cli(args + ["--n", 10, "--ramp", "linear:0.75,0.5",
+                               "--out", tmp_path]) == 1
 
 
 def test_fit_command(tmp_path):
@@ -205,12 +208,21 @@ def test_preset_csv_independent_of_thread_count(tmp_path, monkeypatch):
     assert written[0] == written[1]
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # the first band at N=30 leaves a decomposition residual of about 2e-5
     code = run_cli(["decompose", "--n", 30, "--ramp", "linear:0.75,0.5",
                     "--bands", 1, "--out", tmp_path])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+    # a state norm drifting beyond NORM_TOL
+    from cdlmg.dynamics import propagate_steps
+
+    monkeypatch.setattr("cdlmg.dynamics.propagate_steps",
+                        lambda h, dt, psi: propagate_steps(h, dt, psi) * (1 + 1e-6))
+    code = run_cli(["evolve", "--n", 6, "--protocol", "bare",
+                    "--ramp", "linear:0.75,0.5", "--steps", 20, "--out", tmp_path])
+    assert code == 2
+    assert "state norm drifted" in capsys.readouterr().err
 
 
 def test_bug_propagates(tmp_path, monkeypatch):

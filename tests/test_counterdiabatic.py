@@ -8,7 +8,6 @@ from cdlmg import (
     CriticalWindowError,
     DickeSector,
     ModelParams,
-    OperatorMatrix,
     StructureError,
     ValidationError,
     analytic_cd,
@@ -17,16 +16,14 @@ from cdlmg import (
     build_spin_ops,
     exact_cd,
     hp_coefficient,
-    hp_correction,
-    parity_projectors,
-    truncate,
 )
-from conftest import block_angle_rate_fd, parity_blocks
+from cdlmg.spin_algebra import SectorFrame
+from conftest import block_angle_rate_fd, even_projector
 
 
 def sxsy_plus_sysx(n: int) -> np.ndarray:
     ops = build_spin_ops(DickeSector(n))
-    return ops.sx.mat @ ops.sy.mat + ops.sy.mat @ ops.sx.mat
+    return ops.sx @ ops.sy + ops.sy @ ops.sx
 
 
 # --------------------------------------------------------------------------
@@ -37,12 +34,12 @@ def test_exact_cd_two_particles_is_single_rotation(h):
     params = ModelParams(2, 0.0)
     rate = block_angle_rate_fd(params, h, hdot=0.5, idx=[0, 2])
     term = exact_cd(params, h, 0.5)
-    assert np.max(np.abs(term.mat - rate * sxsy_plus_sysx(2))) < 1e-6
+    assert np.max(np.abs(term - rate * sxsy_plus_sysx(2))) < 1e-6
 
 
 def test_exact_cd_zero_rate_is_zero():
     term = exact_cd(ModelParams(7, 0.0), 0.9, 0.0)
-    assert np.max(np.abs(term.mat)) == 0.0
+    assert np.max(np.abs(term)) == 0.0
 
 
 def test_exact_cd_three_particles_two_rotations():
@@ -53,12 +50,12 @@ def test_exact_cd_three_particles_two_rotations():
     h, hdot = 0.7, 0.5
     rate_even = block_angle_rate_fd(params, h, hdot, idx=[0, 2])
     rate_odd = block_angle_rate_fd(params, h, hdot, idx=[1, 3])
-    b0 = build_Bj(DickeSector(3), 0).mat
-    b1 = build_Bj(DickeSector(3), 1).mat
+    b0 = build_Bj(DickeSector(3), 0)
+    b1 = build_Bj(DickeSector(3), 1)
     combo = ((rate_even + rate_odd) / (2 * np.sqrt(3)) * b0
              + (rate_odd - rate_even) / np.sqrt(3) * b1)
     term = exact_cd(params, h, hdot)
-    assert np.max(np.abs(term.mat - combo)) < 1e-6
+    assert np.max(np.abs(term - combo)) < 1e-6
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -67,8 +64,7 @@ def test_analytic_forms_match_exact(n, h):
     params = ModelParams(n, 0.0)
     exact = exact_cd(params, h, 0.5)
     closed = analytic_cd(params, h, 0.5)
-    assert closed.mode == f"analytic_n{n}"
-    assert np.max(np.abs(exact.mat - closed.mat)) < 1e-8
+    assert np.max(np.abs(exact - closed)) < 1e-8
 
 
 def test_analytic_only_small_sizes():
@@ -81,12 +77,11 @@ def test_analytic_only_small_sizes():
        hdot=st.floats(-1.0, 1.0))
 def test_exact_cd_structure_invariants(n, gamma, h, hdot):
     params = ModelParams(n, gamma)
-    term = exact_cd(params, h, hdot)
-    mat = term.mat
+    mat = exact_cd(params, h, hdot)
     assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
     assert np.max(np.abs(np.diagonal(mat))) < 1e-12
-    pi_e, _ = parity_projectors(params.sector)
-    assert np.max(np.abs(mat @ pi_e.mat - pi_e.mat @ mat)) < 1e-10
+    pi_e = even_projector(n)
+    assert np.max(np.abs(mat @ pi_e - pi_e @ mat)) < 1e-10
 
 
 def test_exact_cd_eigenbasis_round_trip():
@@ -107,12 +102,12 @@ def test_exact_cd_eigenbasis_round_trip():
         de = energies[None, :] - energies[:, None]
         expected = np.where(np.abs(de) > 1e-12, 1j * m / np.where(de == 0, 1, de), 0)
         np.fill_diagonal(expected, 0)
-        got = vectors.T @ term.mat[np.ix_(idx, idx)] @ vectors
+        got = vectors.T @ term[np.ix_(idx, idx)] @ vectors
         assert np.max(np.abs(got - expected)) < 1e-10
 
 
 # --------------------------------------------------------------------------
-# band table and truncation
+# band table
 
 def test_band_table_two_particles():
     params = ModelParams(2, 0.0)
@@ -125,9 +120,9 @@ def test_band_table_two_particles():
 
 
 def test_band_table_zero_matrix_is_empty():
-    table = band_table(OperatorMatrix(DickeSector(4), np.zeros((5, 5))))
+    table = band_table(np.zeros((5, 5)))
     assert table.bands == {}
-    assert np.max(np.abs(table.reconstruct().mat)) == 0.0
+    assert np.max(np.abs(table.reconstruct())) == 0.0
 
 
 def test_band_table_rejects_odd_offset_content():
@@ -135,7 +130,7 @@ def test_band_table_rejects_odd_offset_content():
     mat[0, 1] = 1j
     mat[1, 0] = -1j
     with pytest.raises(StructureError):
-        band_table(OperatorMatrix(DickeSector(4), mat))
+        band_table(mat)
 
 
 def test_first_band_dominates():
@@ -149,30 +144,14 @@ def test_first_band_dominates():
 def test_band_table_round_trip(n, h):
     term = exact_cd(ModelParams(n, 0.0), h, 0.5)
     rebuilt = band_table(term).reconstruct()
-    assert np.max(np.abs(rebuilt.mat - term.mat)) < 1e-12
-
-
-def test_truncate_keeps_requested_bands():
-    params = ModelParams(8, 0.0)
-    term = exact_cd(params, 0.9, 0.5)
-    assert np.max(np.abs(truncate(term, 4).mat - term.mat)) < 1e-15
-    one = truncate(term, 1)
-    table = band_table(one)
-    assert set(table.bands) == {1}
-    assert np.allclose(table.bands[1], band_table(term).bands[1])
-    # a two-particle term has a single band: truncation is the identity
-    term2 = exact_cd(ModelParams(2, 0.0), 0.8, 0.5)
-    assert np.max(np.abs(truncate(term2, 1).mat - term2.mat)) == 0.0
-    with pytest.raises(ValidationError):
-        truncate(term, 0)
+    assert np.max(np.abs(rebuilt - term)) < 1e-12
 
 
 # --------------------------------------------------------------------------
 # harmonic-limit correction
 
 def test_hp_zero_rate():
-    term = hp_correction(ModelParams(50, 0.0), 1.25, 0.0)
-    assert np.max(np.abs(term.mat)) == 0.0
+    assert hp_coefficient(50, 0.0, 1.25, 0.0) == 0.0
 
 
 def test_hp_coefficient_above_transition_chain_rule():
@@ -203,18 +182,20 @@ def test_hp_coefficient_below_transition():
 
 
 def test_hp_correction_matrix_shape():
+    # the hp drive is hp_coefficient times the frame's (SxSy+SySx) block
     params = ModelParams(40, 0.0)
-    term = hp_correction(params, 0.8, 0.5)
-    c = hp_coefficient(40, 0.0, 0.8, 0.5)
-    assert np.max(np.abs(term.mat - c * sxsy_plus_sysx(40))) < 1e-14
-    assert term.matrix.is_hermitian()
+    full = sxsy_plus_sysx(40)
+    for parity in (0, 1):
+        frame = SectorFrame(params, parity)
+        b0 = frame.b0_block
+        assert np.max(np.abs(b0 - full[frame.ix])) < 1e-14
+        assert np.max(np.abs(b0 - b0.conj().T)) <= 1e-12
 
 
 def test_hp_rejections():
-    params = ModelParams(40, 0.0)
     with pytest.raises(CriticalWindowError):
-        hp_correction(params, 1.0005, 0.5)
+        hp_coefficient(40, 0.0, 1.0005, 0.5)
     with pytest.raises(ValidationError):
-        hp_correction(ModelParams(40, 1.2), 0.8, 0.5)
+        hp_coefficient(40, 1.2, 0.8, 0.5)
     with pytest.raises(ValidationError):
-        hp_correction(params, -0.5, 0.5)
+        hp_coefficient(40, 0.0, -0.5, 0.5)

@@ -11,6 +11,7 @@ from cdlmg import (
     ExactCD,
     HPCorrection,
     ModelParams,
+    NormError,
     RampSchedule,
     Truncated,
     ValidationError,
@@ -18,10 +19,9 @@ from cdlmg import (
     evolve,
     exact_cd,
     fidelity,
-    hp_correction,
+    hp_coefficient,
     parse_protocol,
     track_ground,
-    truncate,
 )
 from cdlmg.dynamics import propagate_steps
 
@@ -142,8 +142,8 @@ def test_full_basis_reference():
     for k in range(steps):
         tm = 0.5 * (times[k] + times[k + 1])
         h, hd = float(ramp.h(tm)), float(ramp.hdot(tm))
-        hmat = build_h0(params, h).mat.astype(complex)
-        hmat += exact_cd(params, h, hd).mat
+        hmat = build_h0(params, h).astype(complex)
+        hmat += exact_cd(params, h, hd)
         energies, vectors = np.linalg.eigh(hmat)
         psi = vectors @ (np.exp(-1j * energies * (times[k + 1] - times[k]))
                          * (vectors.conj().T @ psi))
@@ -169,7 +169,7 @@ def test_hp_switch_off_window():
     traj = evolve(params, "hp", 300)
     assert np.all(np.isfinite(traj.fidelity))
     with pytest.raises(Exception):
-        hp_correction(params, 1.0, 0.5)
+        hp_coefficient(params.n, params.gamma, 1.0, 0.5)
 
 
 def test_decomposed_matches_truncated():
@@ -208,7 +208,7 @@ def test_step_halving_convergence_failure():
     ramp = RampSchedule.linear(0.75, 0.5)
     params = ModelParams(40, 0.0, ramp)
     with pytest.raises(ConvergenceError):
-        evolve(params, "bare", 2, converge=True, max_refinements=1)
+        evolve(params, "bare", 2, converge=True)
 
 
 def test_evolve_validation():
@@ -232,6 +232,14 @@ def test_trajectory_export(tmp_path):
     assert t == pytest.approx(1.0)
     assert h == pytest.approx(1.25)
     assert f == pytest.approx(traj.final_fidelity)
+
+
+def test_norm_drift_raises(monkeypatch):
+    monkeypatch.setattr("cdlmg.dynamics.propagate_steps",
+                        lambda h, dt, psi: propagate_steps(h, dt, psi) * (1 + 1e-6))
+    params = ModelParams(6, 0.0, RampSchedule.linear(0.75, 0.5))
+    with pytest.raises(NormError, match="at step 1 of 20"):
+        evolve(params, "bare", 20)
 
 
 def test_norm_preserved_over_full_ramp():

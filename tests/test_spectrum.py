@@ -26,7 +26,7 @@ def test_diagonalize_h0_degenerate_pair():
 def test_reconstruction(n, h):
     # the two parity blocks of the frame, put back in the full basis, are H0
     params = ModelParams(n, 0.2)
-    full = build_h0(params, h).mat
+    full = build_h0(params, h)
     rebuilt = np.zeros_like(full)
     for parity in (0, 1):
         frame = SectorFrame(params, parity)
@@ -54,7 +54,7 @@ def test_track_ground_matches_unique_ground_at_large_field():
     ramp = RampSchedule.linear(1.25, 0.5)  # h in [1.25, 1.75], no degeneracy
     params = ModelParams(60, 0.0, ramp)
     track = track_ground(params, ramp.grid(50))
-    _, vectors = np.linalg.eigh(build_h0(params, ramp.h(ramp.t_end)).mat)
+    _, vectors = np.linalg.eigh(build_h0(params, ramp.h(ramp.t_end)))
     overlap = abs(np.vdot(track.vectors[-1], vectors[:, 0]))
     assert overlap > 1 - 1e-8
 
@@ -91,6 +91,6 @@ def test_gap_series_matches_full_spectrum(n, gamma):
     pairs = ((0, 1), (1, 2)) if n == 2 else ((0, 1), (2, 3), (4, 5), (0, 7))
     table = gap_series(params, h_grid, pairs)
     for row, h in enumerate(h_grid):
-        energies = np.linalg.eigvalsh(build_h0(params, h).mat)
+        energies = np.linalg.eigvalsh(build_h0(params, h))
         expected = [energies[j] - energies[i] for i, j in pairs]
         assert np.allclose(table.gaps[row], expected, rtol=0, atol=1e-10)
