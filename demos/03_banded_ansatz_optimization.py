@@ -19,8 +19,7 @@ params = ModelParams(N, gamma=0.0, ramp=ramp)
 warm = None
 results = {}
 for k in (1, 2, 3):
-    result = optimize(params, ramp, k=k, segments=20, eval_steps=1500,
-                      warm_start=warm)
+    result = optimize(params, k=k, segments=20, eval_steps=1500, warm_start=warm)
     warm = result.coefficients.values
     results[k] = result
     result.coefficients.to_csv(f"schedule_k{k}.csv")

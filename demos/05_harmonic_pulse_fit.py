@@ -13,7 +13,7 @@ N = 12
 ramp = RampSchedule.linear(0.75, 0.5)
 params = ModelParams(N, gamma=0.0, ramp=ramp)
 
-result = optimize(params, ramp, k=1, segments=20, eval_steps=1500)
+result = optimize(params, k=1, segments=20, eval_steps=1500)
 times, series = result.coefficients.band_series(1)
 print(f"optimized single-band run at N={N}: "
       f"min F = {result.trajectory.min_fidelity:.4f}\n")
@@ -22,8 +22,7 @@ print("harmonics   fit rms      max fidelity loss")
 fits = {}
 for c in (1, 2, 3):
     fit = fit_harmonics(times, series, c)
-    evaluation = evaluate_fit(params, ramp, fit, result.coefficients,
-                              eval_steps=1500)
+    evaluation = evaluate_fit(fit, result.coefficients, result.trajectory)
     fits[c] = (fit, evaluation)
     print(f"    {c}       {fit.residual:.2e}     {evaluation.discrepancy:.2e}")
 

@@ -45,7 +45,6 @@ from .dynamics import (
 )
 from .errors import (
     ConvergenceError,
-    CriticalWindowError,
     DecompositionError,
     NormError,
     StructureError,
@@ -83,6 +82,6 @@ __all__ = [
     # figures
     "FIGURES", "run_figure",
     # errors
-    "ValidationError", "CriticalWindowError", "StructureError",
+    "ValidationError", "StructureError",
     "ConvergenceError", "DecompositionError", "NormError",
 ]

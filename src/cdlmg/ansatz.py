@@ -21,11 +21,9 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from . import output
-from .counterdiabatic import HP_SWITCH_TOL, hp_coefficient
-from .dynamics import AnsatzDrive, Trajectory, evolve, propagate_steps
+from .counterdiabatic import hp_coefficient
+from .dynamics import AnsatzDrive, Trajectory, _TrackedRun, evolve, propagate_steps
 from .errors import ValidationError
-from .ramps import RampSchedule
-from .spectrum import sector_ground_series
 from .spin_algebra import ModelParams, SectorFrame
 
 __all__ = [
@@ -116,8 +114,6 @@ def _hp_start(frame: SectorFrame, ground_start: np.ndarray, h: float,
     """First-band seed from the harmonic-limit coefficient, scaled by the
     band entry of (SxSy+SySx) at the most occupied row."""
     x = np.zeros(k)
-    if abs(h - 1.0) < HP_SWITCH_TOL:
-        return x
     try:
         c = hp_coefficient(frame.params.n, frame.params.gamma, h, hdot)
     except ValidationError:
@@ -127,29 +123,25 @@ def _hp_start(frame: SectorFrame, ground_start: np.ndarray, h: float,
     return x
 
 
-def optimize(params: ModelParams, ramp: Optional[RampSchedule] = None,
-             k: int = 1, segments: int = DEFAULT_SEGMENTS, *,
+def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, *,
              opt_steps_per_segment: int = OPT_STEPS_PER_SEGMENT,
              eval_steps: int = EVAL_STEPS,
              warm_start: Optional[np.ndarray] = None,
              seed: int = 0) -> OptimizeResult:
-    """Greedy per-segment optimization of the banded ansatz coefficients.
+    """Greedy per-segment optimization of the banded ansatz coefficients
+    along params.ramp.
 
     Each segment's (x_1..x_k) maximize the fidelity at the segment end via
     Nelder-Mead simplex search started from the previous segment's optimum,
     zeros, and the harmonic-limit seed (plus `warm_start` rows when given,
     e.g. the optimum of a run with fewer bands).  The schedule is then
-    re-propagated on the fine grid for the returned trajectory.
+    re-propagated on the fine grid for the returned trajectory, whose
+    ``info["coefficients"]`` holds it.
     """
-    ramp = ramp if ramp is not None else params.ramp
-    if ramp is None:
-        raise ValidationError("optimize needs a ramp (params.ramp or argument)")
     if segments < MIN_SEGMENTS:
         raise ValidationError(f"need at least {MIN_SEGMENTS} segments, got {segments}")
     if k < 1:
         raise ValidationError(f"band count must be >= 1, got {k}")
-    frame = SectorFrame.tracked(params)
-    patterns = frame.band_patterns(k)
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
         if warm_start.shape[0] != segments:
@@ -159,22 +151,21 @@ def optimize(params: ModelParams, ramp: Optional[RampSchedule] = None,
                 [warm_start, np.zeros((segments, k - warm_start.shape[1]))])
         warm_start = warm_start[:, :k]
 
-    steps = segments * opt_steps_per_segment
-    times = ramp.grid(steps)
+    run = _TrackedRun(params, segments * opt_steps_per_segment)
+    frame, times, grounds = run.frame, run.times, run.grounds
+    patterns = frame.band_patterns(k)
     dt = times[1] - times[0]
-    t_mid = 0.5 * (times[:-1] + times[1:])
-    h0_mid = frame.h0_blocks(ramp.h(t_mid))
-    grounds, _ = sector_ground_series(frame, ramp.h(times))
+    ramp = params.ramp
     rng = np.random.default_rng(seed)
 
-    psi = grounds[0].astype(complex)
+    psi = run.start_state
     schedule = np.zeros((segments, k))
     warnings: list[str] = []
     nfev = 0
     prev = np.zeros(k)
     for s in range(segments):
         lo, hi = s * opt_steps_per_segment, (s + 1) * opt_steps_per_segment
-        h0_segment = h0_mid[lo:hi]
+        h0_segment = run.h0_mid[lo:hi]
         target = grounds[hi]
 
         def advance(x):
@@ -219,9 +210,10 @@ def optimize(params: ModelParams, ramp: Optional[RampSchedule] = None,
         psi = advance(best_x)
 
     coefficients = BandCoefficients(times[::opt_steps_per_segment], schedule)
-    trajectory = evolve(params, AnsatzDrive(coefficients), eval_steps, ramp=ramp)
+    trajectory = evolve(params, AnsatzDrive(coefficients), eval_steps)
     trajectory.info["optimizer_warnings"] = list(warnings)
     trajectory.info["nfev"] = nfev
+    trajectory.info["coefficients"] = coefficients
     return OptimizeResult(coefficients, trajectory, nfev, tuple(warnings))
 
 
@@ -333,17 +325,17 @@ class FitEvaluation:
     discrepancy: float  # max_t (F_reference - F_fit)
 
 
-def evaluate_fit(params: ModelParams, ramp: RampSchedule, fit: HarmonicFit,
-                 schedule: BandCoefficients, *,
-                 eval_steps: int = EVAL_STEPS) -> FitEvaluation:
-    """Drive the evolution with the fitted band-1 pulse and compare.
+def evaluate_fit(fit: HarmonicFit, schedule: BandCoefficients,
+                 reference: Trajectory) -> FitEvaluation:
+    """Drive the evolution with the fitted band-1 pulse and compare it with
+    `reference`, the trajectory of `schedule` (e.g. ``optimize``'s).
 
     The fit replaces the band-1 values at the schedule's segment midpoints
-    (same time discretization as the optimized schedule), so a fit that
-    reproduces the series exactly yields an identical trajectory.
+    (same time discretization as the optimized schedule) and is propagated
+    on the reference's grid, so a fit that reproduces the series exactly
+    yields an identical trajectory.
     """
     fitted = schedule.with_band_values(fit.band, fit.evaluate(schedule.midpoints))
-    reference = evolve(params, AnsatzDrive(schedule), eval_steps, ramp=ramp)
-    fitted_traj = evolve(params, AnsatzDrive(fitted), eval_steps, ramp=ramp)
+    fitted_traj = evolve(reference.params, AnsatzDrive(fitted), reference.times)
     discrepancy = float(np.max(reference.fidelity - fitted_traj.fidelity))
     return FitEvaluation(fitted_traj, reference, discrepancy)

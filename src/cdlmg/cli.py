@@ -70,8 +70,11 @@ class RunConfig:
             raise ValidationError("--n is required for this command")
         if self.n < 2:
             raise ValidationError(f"--n must be >= 2, got {self.n}")
-        ramp = RampSchedule.parse(self.ramp) if self.ramp else None
-        return ModelParams(self.n, self.gamma, ramp)
+        if self.command == "spectrum":
+            return ModelParams(self.n, self.gamma)
+        if self.ramp is None:
+            raise ValidationError(f"--ramp is required for {self.command}")
+        return ModelParams(self.n, self.gamma, RampSchedule.parse(self.ramp))
 
 
 def _code_version() -> str:
@@ -126,8 +129,6 @@ def _cmd_evolve(config: RunConfig) -> int:
         trajectories = _run_preset(config)
     else:
         params = config.model()
-        if params.ramp is None:
-            raise ValidationError("--ramp is required without --figure")
         if not config.protocols:
             raise ValidationError("at least one --protocol is required")
         trajectories = {}
@@ -180,12 +181,8 @@ def _cmd_optimize(config: RunConfig) -> int:
         if config.bands is None:
             raise ValidationError("--bands must be a positive integer")
         params = config.model()
-        if params.ramp is None:
-            raise ValidationError("--ramp is required without --figure")
-        result = optimize(params, params.ramp, k=config.bands,
-                          segments=config.segments, eval_steps=config.steps,
-                          seed=config.seed)
-        result.trajectory.info["coefficients"] = result.coefficients
+        result = optimize(params, k=config.bands, segments=config.segments,
+                          eval_steps=config.steps, seed=config.seed)
         trajectories = {result.trajectory.protocol: result.trajectory}
     for label, traj in trajectories.items():
         safe = label.replace("(", "_").replace(")", "").replace("=", "")
@@ -213,18 +210,14 @@ def _cmd_fit(config: RunConfig) -> int:
     outdir = Path(config.out)
     t0 = time.perf_counter()
     params = config.model()
-    ramp = params.ramp or RampSchedule.linear(0.75, 0.5)
-    params = ModelParams(params.n, params.gamma, ramp)
     c = config.harmonics
     if c is None or not 1 <= c <= 3:
         raise ValidationError("--harmonics must be 1, 2 or 3")
-    result = optimize(params, ramp, k=config.bands,
-                      segments=config.segments, eval_steps=config.steps,
-                      seed=config.seed)
+    result = optimize(params, k=config.bands, segments=config.segments,
+                      eval_steps=config.steps, seed=config.seed)
     times, series = result.coefficients.band_series(1)
     fit = fit_harmonics(times, series, c)
-    evaluation = evaluate_fit(params, ramp, fit, result.coefficients,
-                              eval_steps=config.steps)
+    evaluation = evaluate_fit(fit, result.coefficients, result.trajectory)
     files = []
     spath = outdir / "schedule_optimized.csv"
     result.coefficients.to_csv(spath)
@@ -253,11 +246,13 @@ def _cmd_decompose(config: RunConfig) -> int:
     outdir = Path(config.out)
     t0 = time.perf_counter()
     params = config.model()
-    if params.ramp is None:
-        raise ValidationError("--ramp is required for decompose")
-    t_eval = config.t_eval if config.t_eval is not None else params.ramp.t_start
-    h = float(params.ramp.h(t_eval))
-    hdot = float(params.ramp.hdot(t_eval))
+    ramp = params.ramp
+    t_eval = config.t_eval if config.t_eval is not None else ramp.t_start
+    if not ramp.t_start <= t_eval <= ramp.t_end:
+        raise ValidationError(
+            f"--t {t_eval} outside the ramp's [{ramp.t_start}, {ramp.t_end}]")
+    h = float(ramp.h(t_eval))
+    hdot = float(ramp.hdot(t_eval))
     term = exact_cd(params, h, hdot)
     table = band_table(term)
     bands = sorted(table.bands)
@@ -294,15 +289,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ramp=True):
+    def common(p, ramp=True, steps=True):
         p.add_argument("--n", type=int, help="particle count")
         p.add_argument("--gamma", type=float, default=0.0, help="anisotropy")
         if ramp:
             p.add_argument("--ramp", help="field schedule, e.g. linear:0.75,0.5")
-        p.add_argument("--steps", type=int, default=4000,
-                       help="propagation steps (default 4000)")
-        p.add_argument("--segments", type=int, default=40,
-                       help="optimizer time segments (default 40)")
+        if steps:
+            p.add_argument("--steps", type=int, default=4000,
+                           help="propagation steps (default 4000)")
+            p.add_argument("--segments", type=int, default=40,
+                           help="optimizer time segments (default 40)")
         p.add_argument("--seed", type=int, default=0, help="optimizer seed")
         p.add_argument("--out", default=".", help="output directory")
 
@@ -315,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run a named preset instead of explicit parameters")
 
     p = sub.add_parser("spectrum", help="energy-gap table over a field grid")
-    common(p, ramp=False)
+    common(p, ramp=False, steps=False)
     p.add_argument("--h-min", type=float, dest="h_min")
     p.add_argument("--h-max", type=float, dest="h_max")
     p.add_argument("--h-points", type=int, dest="h_points", default=500)
@@ -333,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="physical-operator decomposition of "
                                          "the exact driving term")
-    common(p)
+    common(p, steps=False)
     p.add_argument("--bands", type=int, help="highest band to decompose")
     p.add_argument("--t", type=float, dest="t_eval",
                    help="ramp time at which to evaluate (default t_start)")
@@ -357,6 +353,8 @@ def main(argv=None) -> int:
     try:
         if config.bands is not None and config.bands < 1:
             raise ValidationError("--bands must be a positive integer")
+        if config.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {config.seed}")
         return _HANDLERS[config.command](config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import CriticalWindowError, StructureError, ValidationError
+from .errors import StructureError, ValidationError
 from .spin_algebra import DickeSector, ModelParams, SectorFrame, place_band
 
 __all__ = [
@@ -137,16 +137,16 @@ def hp_coefficient(n: int, gamma: float, h: float, hdot: float) -> float:
     bosonic frequency is w(h) = 2*sqrt((1-h^2)(1-gamma)) and the same chain
     magnitude is used with the fixed sign of the closed-form correction for
     that phase, which is what reproduces the benchmark ramp behaviour in
-    both ramp directions (see the forward/reversed ramp scenarios).
+    both ramp directions (see the forward/reversed ramp scenarios).  The
+    coefficient is undefined for |h-1| < HP_SWITCH_TOL, where the correction
+    is switched off: it is 0 there.
     """
     if h <= 0:
         raise ValidationError(f"harmonic correction needs h > 0, got {h}")
     if gamma >= 1:
         raise ValidationError(f"harmonic correction needs gamma < 1, got {gamma}")
     if abs(h - 1.0) < HP_SWITCH_TOL:
-        raise CriticalWindowError(
-            f"harmonic correction undefined for |h-1| < {HP_SWITCH_TOL} (h={h}); "
-            "treat as switched off")
+        return 0.0
     if h > 1:
         # wdot/w = hdot*(2h-1-gamma) / (2(h-1)(h-gamma))
         return -hdot * (2 * h - 1 - gamma) / (4 * n * (h - 1) * (h - gamma))

@@ -20,13 +20,7 @@ import numpy as np
 
 from . import output
 from .band_operators import decomposition_gate
-from .counterdiabatic import (
-    HP_SWITCH_TOL,
-    band_table,
-    exact_cd,
-    hp_coefficient,
-    sector_cd_block,
-)
+from .counterdiabatic import band_table, hp_coefficient, sector_cd_block
 from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
 from .spin_algebra import ModelParams, SectorFrame
@@ -140,19 +134,19 @@ def _drive(frame: SectorFrame, protocol: Protocol):
         return lambda t, h, hdot, h0: sector_cd_block(h0, frame.m_diag, hdot)
     if isinstance(protocol, Truncated):
         keep = frame.truncation_mask(protocol.bands)
-        gate = (decomposition_gate(frame.params.sector, protocol.bands)
+        gate = (_decomposition_gate(frame, protocol.bands)
                 if isinstance(protocol, DecomposedDrive) else None)
 
         def truncated(t, h, hdot, h0):
+            block = sector_cd_block(h0, frame.m_diag, hdot)
             if gate is not None:
-                gate(band_table(exact_cd(frame.params, h, hdot)))
-            return np.where(keep, sector_cd_block(h0, frame.m_diag, hdot), 0.0)
+                gate(h, hdot, block)
+            return np.where(keep, block, 0.0)
         return truncated
     if isinstance(protocol, HPCorrection):
         def hp(t, h, hdot, h0):
-            if abs(h - 1.0) < HP_SWITCH_TOL:
-                return None  # correction switched off inside its undefined window
-            return hp_coefficient(frame.params.n, frame.params.gamma, h, hdot) * frame.b0_block
+            c = hp_coefficient(frame.params.n, frame.params.gamma, h, hdot)
+            return None if c == 0.0 else c * frame.b0_block
         return hp
     if isinstance(protocol, AnsatzDrive):
         coefficients = protocol.coefficients
@@ -160,6 +154,22 @@ def _drive(frame: SectorFrame, protocol: Protocol):
         return lambda t, h, hdot, h0: np.tensordot(
             coefficients.values_at(t), patterns, axes=(0, 0))
     raise ValidationError(f"unsupported protocol {protocol!r}")
+
+
+def _decomposition_gate(frame: SectorFrame, k: int):
+    """Returns gate(h, hdot, block): assembles the full exact term from the
+    tracked block and the other parity's block at (h, hdot) and checks its
+    bands 1..k with `decomposition_gate` (DecompositionError on failure)."""
+    params = frame.params
+    check = decomposition_gate(params.sector, k)
+    other = SectorFrame(params, 1 - params.n % 2)
+
+    def gate(h, hdot, block):
+        full = np.zeros((params.sector.dim, params.sector.dim), dtype=complex)
+        full[frame.ix] = block
+        full[other.ix] = sector_cd_block(other.h0_blocks(h)[0], other.m_diag, hdot)
+        check(band_table(full))
+    return gate
 
 
 def propagate_steps(hamiltonians: np.ndarray, dt, psi: np.ndarray) -> np.ndarray:
@@ -180,12 +190,11 @@ def propagate_steps(hamiltonians: np.ndarray, dt, psi: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Result of one propagation: grid, fidelity series, tracked ground."""
+    """Result of one propagation: grid and fidelity series."""
 
     times: np.ndarray
     h_values: np.ndarray
     fidelity: np.ndarray
-    ground: np.ndarray = field(repr=False)
     states: Optional[np.ndarray] = field(default=None, repr=False)
     protocol: str = ""
     params: Optional[ModelParams] = None
@@ -209,92 +218,98 @@ def fidelity(state: np.ndarray, ground: np.ndarray) -> float:
     return float(abs(np.vdot(ground, state)) ** 2)
 
 
-def _resolve_grid(params: ModelParams, ramp, grid):
-    ramp = ramp if ramp is not None else params.ramp
-    if ramp is None:
-        raise ValidationError("evolve needs a ramp (params.ramp or argument)")
-    if grid is None:
-        grid = DEFAULT_STEPS
-    if np.isscalar(grid):
-        times = ramp.grid(int(grid))
-    else:
-        times = np.asarray(grid, dtype=float)
-        if times.ndim != 1 or len(times) < 2:
-            raise ValidationError("grid must be an int or a 1-D array of >= 2 times")
-    return ramp, times
+class _TrackedRun:
+    """What `evolve` and `ansatz.optimize` share for one run of params.ramp
+    on `grid`, a step count (uniform grid) or an explicit 1-D array of at
+    least two times: the tracked block, the field at the grid points, the
+    field, its rate and the H0 blocks at the step midpoints, and the
+    sign-aligned ground series with its first vector as the start state."""
+
+    def __init__(self, params: ModelParams, grid):
+        ramp = params.ramp
+        if ramp is None:
+            raise ValidationError("the model has no ramp (ModelParams.ramp)")
+        if np.isscalar(grid):
+            self.times = ramp.grid(int(grid))
+        else:
+            self.times = np.asarray(grid, dtype=float)
+            if self.times.ndim != 1 or len(self.times) < 2:
+                raise ValidationError("grid must be an int or a 1-D array of >= 2 times")
+        self.frame = SectorFrame.tracked(params)
+        self.h_values = np.atleast_1d(ramp.h(self.times))
+        self.grounds, _ = sector_ground_series(self.frame, self.h_values)
+        self.t_mid = 0.5 * (self.times[:-1] + self.times[1:])
+        self.h_mid = np.atleast_1d(ramp.h(self.t_mid))
+        self.hd_mid = np.atleast_1d(ramp.hdot(self.t_mid))
+        self.h0_mid = self.frame.h0_blocks(self.h_mid)
+        self.start_state = self.grounds[0].astype(complex)
 
 
-def _propagate(params: ModelParams, protocol: Protocol, ramp, times,
+def _propagate(params: ModelParams, protocol: Protocol, grid,
                store_states: bool) -> Trajectory:
     t0 = _time.perf_counter()
-    frame = SectorFrame.tracked(params)
-    drive = _drive(frame, protocol)
-    h_grid = ramp.h(times)
-    grounds, _ = sector_ground_series(frame, h_grid)
-    t_mid = 0.5 * (times[:-1] + times[1:])
+    run = _TrackedRun(params, grid)
+    drive = _drive(run.frame, protocol)
+    times = run.times
     dts = np.diff(times)
-    h_mid = np.atleast_1d(ramp.h(t_mid))
-    hd_mid = np.atleast_1d(ramp.hdot(t_mid))
-    h0_mid = frame.h0_blocks(h_mid)
 
-    psi = grounds[0].astype(complex)
+    psi = run.start_state
     fid = np.empty(len(times))
-    fid[0] = fidelity(psi, grounds[0])
-    states = np.empty((len(times), frame.dim), dtype=complex) if store_states else None
+    fid[0] = fidelity(psi, run.grounds[0])
+    states = np.empty((len(times), run.frame.dim), dtype=complex) if store_states else None
     if store_states:
         states[0] = psi
     norm_err = 0.0
-    for k in range(len(t_mid)):
-        block = drive(t_mid[k], h_mid[k], hd_mid[k], h0_mid[k])
-        h_tot = h0_mid[k] if block is None else h0_mid[k] + block
+    for k in range(len(run.t_mid)):
+        block = drive(run.t_mid[k], run.h_mid[k], run.hd_mid[k], run.h0_mid[k])
+        h_tot = run.h0_mid[k] if block is None else run.h0_mid[k] + block
         psi = propagate_steps(h_tot[None], dts[k:k + 1], psi)
-        fid[k + 1] = fidelity(psi, grounds[k + 1])
+        fid[k + 1] = fidelity(psi, run.grounds[k + 1])
         norm_err = max(norm_err, abs(np.linalg.norm(psi) - 1.0))
         if norm_err > NORM_TOL:
             raise NormError(f"state norm drifted by {norm_err:.2e} > {NORM_TOL:.0e} "
-                            f"at step {k + 1} of {len(t_mid)}")
+                            f"at step {k + 1} of {len(run.t_mid)}")
         if store_states:
             states[k + 1] = psi
 
     info = {
-        "steps": len(t_mid),
+        "steps": len(run.t_mid),
         "dt": float(np.max(np.abs(dts))),
         "max_norm_error": norm_err,
         "wall_time_s": _time.perf_counter() - t0,
     }
     return Trajectory(
-        times=np.asarray(times, dtype=float),
-        h_values=np.atleast_1d(h_grid),
+        times=times,
+        h_values=run.h_values,
         fidelity=fid,
-        ground=frame.embed(grounds),
-        states=frame.embed(states) if store_states else None,
+        states=run.frame.embed(states) if store_states else None,
         protocol=getattr(protocol, "label", str(protocol)),
         params=params,
         info=info,
     )
 
 
-def evolve(params: ModelParams, protocol, grid=None, *, ramp=None,
-           store_states: bool = True, converge: bool = False) -> Trajectory:
-    """Propagate the tracked ground state of H0(h(t_start)) along the ramp.
+def evolve(params: ModelParams, protocol, grid=DEFAULT_STEPS, *,
+           store_states: bool = False, converge: bool = False) -> Trajectory:
+    """Propagate the tracked ground state of H0(h(t_start)) along params.ramp.
 
     `grid` is a step count (uniform grid) or an explicit time array.  With
-    ``converge=True`` the step count is doubled until the final fidelity
-    changes by less than CONVERGENCE_TOL, at most MAX_REFINEMENTS times, and
-    the converged run is returned; failure to converge raises
-    ConvergenceError with a suggested step size.  A state norm drifting from
-    1 by more than NORM_TOL raises NormError.
+    ``store_states=True`` the trajectory keeps the state at every grid point
+    (full basis).  With ``converge=True`` the step count is doubled until
+    the final fidelity changes by less than CONVERGENCE_TOL, at most
+    MAX_REFINEMENTS times, and the converged run is returned; failure to
+    converge raises ConvergenceError with a suggested step size.  A state
+    norm drifting from 1 by more than NORM_TOL raises NormError.
     """
     protocol = parse_protocol(protocol)
-    if converge and grid is not None and not np.isscalar(grid):
+    if converge and not np.isscalar(grid):
         raise ValidationError("converge=True requires an integer step count")
-    ramp, times = _resolve_grid(params, ramp, grid)
-    traj = _propagate(params, protocol, ramp, times, store_states)
+    traj = _propagate(params, protocol, grid, store_states)
     if not converge:
         return traj
     steps = traj.info["steps"]
     for _ in range(MAX_REFINEMENTS):
-        finer = _propagate(params, protocol, ramp, ramp.grid(2 * steps), store_states)
+        finer = _propagate(params, protocol, 2 * steps, store_states)
         delta = abs(finer.final_fidelity - traj.final_fidelity)
         if delta < CONVERGENCE_TOL:
             finer.info["converged"] = True
@@ -303,4 +318,4 @@ def evolve(params: ModelParams, protocol, grid=None, *, ramp=None,
         traj, steps = finer, 2 * steps
     raise ConvergenceError(
         f"final fidelity still changing by {delta:.2e} after {steps} steps; "
-        f"try dt <= {ramp.duration / (4 * steps):.2e}")
+        f"try dt <= {params.ramp.duration / (4 * steps):.2e}")

@@ -9,13 +9,6 @@ class ValidationError(ValueError):
     """Invalid parameters or configuration."""
 
 
-class CriticalWindowError(ValidationError):
-    """Harmonic correction requested inside its undefined window around h=1.
-
-    Callers that drive dynamics treat this as "correction switched off".
-    """
-
-
 class StructureError(RuntimeError):
     """A driving term violates the expected banded structure.
 

@@ -69,8 +69,8 @@ def run_figure(figure_id: str, *, steps: int = 4000, segments: int = 40,
                seed: int = 0) -> Dict[str, Trajectory]:
     """Execute all curves of one preset; returns trajectories keyed by label.
 
-    For the optimizer presets the returned trajectories carry the optimized
-    schedules in ``info["coefficients"]``.
+    The optimizer presets return ``optimize``'s trajectories, which carry
+    the optimized schedules in ``info["coefficients"]``.
     """
     if figure_id not in FIGURES:
         raise ValidationError(
@@ -91,10 +91,9 @@ def run_figure(figure_id: str, *, steps: int = 4000, segments: int = 40,
         warm = None
         for k in spec.band_counts:
             result: OptimizeResult = optimize(
-                params, spec.ramp, k=k, segments=segments, eval_steps=steps,
+                params, k=k, segments=segments, eval_steps=steps,
                 warm_start=warm, seed=seed)
             warm = result.coefficients.values
-            result.trajectory.info["coefficients"] = result.coefficients
             out[result.trajectory.protocol] = result.trajectory
         return out
 
@@ -102,8 +101,7 @@ def run_figure(figure_id: str, *, steps: int = 4000, segments: int = 40,
     out = {}
     for size in spec.sizes:
         params = ModelParams(size, spec.gamma, spec.ramp)
-        result = optimize(params, spec.ramp, k=1, segments=segments,
+        result = optimize(params, k=1, segments=segments,
                           eval_steps=steps, seed=seed)
-        result.trajectory.info["coefficients"] = result.coefficients
         out[f"N={size}"] = result.trajectory
     return out

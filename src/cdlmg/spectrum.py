@@ -52,14 +52,12 @@ def sector_ground_series(frame: SectorFrame, h_values: np.ndarray):
     return grounds, energies_all[:, 0]
 
 
-def track_ground(params: ModelParams, times: np.ndarray,
-                 ramp=None) -> GroundTrack:
-    """Follow the ground state along a ramp by overlap continuity."""
-    ramp = ramp if ramp is not None else params.ramp
-    if ramp is None:
-        raise ValidationError("track_ground needs a ramp (params.ramp or argument)")
+def track_ground(params: ModelParams, times: np.ndarray) -> GroundTrack:
+    """Follow the ground state along params.ramp by overlap continuity."""
+    if params.ramp is None:
+        raise ValidationError("the model has no ramp (ModelParams.ramp)")
     times = np.asarray(times, dtype=float)
-    h_values = ramp.h(times)
+    h_values = params.ramp.h(times)
     frame = SectorFrame.tracked(params)
     grounds, energies = sector_ground_series(frame, h_values)
     return GroundTrack(times, np.atleast_1d(h_values), frame.embed(grounds), energies)
@@ -84,9 +82,9 @@ class GapTable:
 DEFAULT_GAP_PAIRS = ((0, 1), (2, 3), (4, 5))
 
 
-def gap_series(params: ModelParams, h_grid: Sequence[float],
-               level_pairs: Sequence[tuple] = DEFAULT_GAP_PAIRS) -> GapTable:
-    """Eigenvalue differences for the requested level pairs on a sorted h grid.
+def gap_series(params: ModelParams, h_grid: Sequence[float]) -> GapTable:
+    """Eigenvalue differences on a sorted h grid for the level pairs of
+    DEFAULT_GAP_PAIRS that fit in the spectrum.
 
     The spectrum at each field value is the merged spectra of the two parity
     blocks, which H0 does not couple.
@@ -96,11 +94,7 @@ def gap_series(params: ModelParams, h_grid: Sequence[float],
         raise ValidationError("h grid is empty")
     if np.any(np.diff(h_grid) < 0):
         raise ValidationError("h grid must be sorted ascending")
-    dim = params.sector.dim
-    pairs = tuple(tuple(p) for p in level_pairs)
-    for i, j in pairs:
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValidationError(f"level pair ({i},{j}) outside spectrum of dim {dim}")
+    pairs = tuple(p for p in DEFAULT_GAP_PAIRS if p[1] < params.sector.dim)
     energies = np.sort(np.concatenate(
         [np.linalg.eigvalsh(SectorFrame(params, parity).h0_blocks(h_grid))
          for parity in (0, 1)], axis=1), axis=1)

@@ -65,7 +65,7 @@ def size_sweep():
 @pytest.fixture(scope="module")
 def n70_single_band():
     params = ModelParams(70, 0.0, RAMP)
-    return optimize(params, RAMP, k=1, segments=40, eval_steps=4000)
+    return optimize(params, k=1, segments=40, eval_steps=4000)
 
 
 # --------------------------------------------------------------------------
@@ -116,16 +116,16 @@ def test_criterion_4_single_band_scaling(size_sweep):
 
 def test_criterion_5_harmonic_fit_discrepancies(size_sweep, n70_single_band):
     cases = [
-        (10, 2, 5 * 0.002, size_sweep["N=10"].info["coefficients"]),
-        (40, 3, 5 * 0.003, size_sweep["N=40"].info["coefficients"]),
-        (70, 3, 5 * 0.0003, n70_single_band.coefficients),
+        (10, 2, 5 * 0.002, size_sweep["N=10"]),
+        (40, 3, 5 * 0.003, size_sweep["N=40"]),
+        (70, 3, 5 * 0.0003, n70_single_band.trajectory),
     ]
     details, ok = [], True
-    for n, c, tol, schedule in cases:
-        params = ModelParams(n, 0.0, RAMP)
+    for n, c, tol, optimized in cases:
+        schedule = optimized.info["coefficients"]
         times, series = schedule.band_series(1)
         fit = fit_harmonics(times, series, c)
-        result = evaluate_fit(params, RAMP, fit, schedule, eval_steps=4000)
+        result = evaluate_fit(fit, schedule, optimized)
         ok = ok and result.discrepancy <= tol
         details.append(f"N={n},c={c}: {result.discrepancy:.5f}<= {tol}")
     report(5, ok, "max fidelity discrepancy of harmonic fits: "
@@ -213,11 +213,11 @@ def test_single_band_ansatz_beats_truncated_exact_band(band_sweep_n80):
 
 
 def test_single_harmonic_fit_stays_close(size_sweep):
-    schedule = size_sweep["N=10"].info["coefficients"]
-    params = ModelParams(10, 0.0, RAMP)
+    optimized = size_sweep["N=10"]
+    schedule = optimized.info["coefficients"]
     times, series = schedule.band_series(1)
     fit = fit_harmonics(times, series, 1)
-    result = evaluate_fit(params, RAMP, fit, schedule, eval_steps=4000)
+    result = evaluate_fit(fit, schedule, optimized)
     assert result.discrepancy <= 0.02
 
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from cdlmg import (
+    AnsatzDrive,
     BandCoefficients,
     ModelParams,
     RampSchedule,
     ValidationError,
     evaluate_fit,
+    evolve,
     fit_harmonics,
     optimize,
 )
@@ -58,18 +60,18 @@ def test_band_coefficients_csv(tmp_path):
 def test_optimize_validation(linear_ramp):
     params = ModelParams(10, 0.0, linear_ramp)
     with pytest.raises(ValidationError):
-        optimize(params, linear_ramp, k=1, segments=5)
+        optimize(params, k=1, segments=5)
     with pytest.raises(ValidationError):
-        optimize(params, linear_ramp, k=0)
+        optimize(params, k=0)
     with pytest.raises(ValidationError):
-        optimize(params, linear_ramp, k=1, warm_start=np.zeros((3, 1)))
+        optimize(params, k=1, warm_start=np.zeros((3, 1)))
     with pytest.raises(ValidationError):
-        optimize(ModelParams(10, 0.0), None, k=1)
+        optimize(ModelParams(10, 0.0), k=1)  # no ramp
 
 
 def test_optimize_small_system(linear_ramp):
     params = ModelParams(8, 0.0, linear_ramp)
-    result = optimize(params, linear_ramp, k=1, segments=10,
+    result = optimize(params, k=1, segments=10,
                       opt_steps_per_segment=8, eval_steps=600)
     assert result.trajectory.min_fidelity > 0.99
     assert result.coefficients.segments == 10
@@ -80,16 +82,16 @@ def test_optimize_deterministic(linear_ramp):
     params = ModelParams(6, 0.0, linear_ramp)
     kwargs = dict(k=1, segments=10, opt_steps_per_segment=6, eval_steps=300,
                   seed=7)
-    first = optimize(params, linear_ramp, **kwargs)
-    second = optimize(params, linear_ramp, **kwargs)
+    first = optimize(params, **kwargs)
+    second = optimize(params, **kwargs)
     assert np.array_equal(first.coefficients.values, second.coefficients.values)
 
 
 def test_optimize_more_bands_never_worse(linear_ramp):
     params = ModelParams(8, 0.0, linear_ramp)
     common = dict(segments=10, opt_steps_per_segment=6, eval_steps=400)
-    one = optimize(params, linear_ramp, k=1, **common)
-    two = optimize(params, linear_ramp, k=2,
+    one = optimize(params, k=1, **common)
+    two = optimize(params, k=2,
                    warm_start=one.coefficients.values, **common)
     assert (two.trajectory.final_fidelity
             >= one.trajectory.final_fidelity - 1e-9)
@@ -146,21 +148,20 @@ def test_evaluate_fit_exact_series_gives_zero_discrepancy(linear_ramp):
     schedule = BandCoefficients(bounds, values)
     fit = fit_harmonics(mids, values[:, 0], 1)
     assert fit.residual < 1e-9
-    evaluation = evaluate_fit(params, linear_ramp, fit, schedule, eval_steps=400)
+    reference = evolve(params, AnsatzDrive(schedule), 400)
+    evaluation = evaluate_fit(fit, schedule, reference)
     assert abs(evaluation.discrepancy) < 1e-9
 
 
 def test_evaluate_fit_robust_to_small_amplitude_errors(linear_ramp):
     params = ModelParams(10, 0.0, linear_ramp)
-    result = optimize(params, linear_ramp, k=1, segments=10,
+    result = optimize(params, k=1, segments=10,
                       opt_steps_per_segment=8, eval_steps=600)
     times, series = result.coefficients.band_series(1)
     fit = fit_harmonics(times, series, 2)
-    base = evaluate_fit(params, linear_ramp, fit, result.coefficients,
-                        eval_steps=600)
+    base = evaluate_fit(fit, result.coefficients, result.trajectory)
     bumped = type(fit)(fit.amplitudes * 1.05, fit.omegas, fit.phases,
                        fit.residual, fit.times, fit.values, fit.band,
                        fit.converged)
-    perturbed = evaluate_fit(params, linear_ramp, bumped, result.coefficients,
-                             eval_steps=600)
+    perturbed = evaluate_fit(bumped, result.coefficients, result.trajectory)
     assert abs(perturbed.discrepancy - base.discrepancy) < 0.05

@@ -72,6 +72,10 @@ def test_spectrum_gap_table(tmp_path):
     lines = (out / "gaps.csv").read_text().splitlines()
     assert lines[0] == "h,gap01,gap23,gap45"
     assert len(lines) == 52
+    # N=4 has five levels: the default pairs that fit
+    assert run_cli(["spectrum", "--n", 4, "--h-min", 0.5, "--h-max", 1.5,
+                    "--out", out]) == 0
+    assert (out / "gaps.csv").read_text().startswith("h,gap01,gap23\n")
 
 
 def test_spectrum_validation(tmp_path):
@@ -80,6 +84,11 @@ def test_spectrum_validation(tmp_path):
                     "--out", tmp_path]) == 1
     assert run_cli(["spectrum", "--n", 30, "--h-min", 0.5, "--h-max", 1.5,
                     "--h-points", 1, "--out", tmp_path]) == 1
+    # spectrum and decompose propagate nothing: no --steps or --segments
+    for args in (["spectrum", "--h-min", 0.5, "--h-max", 1.5, "--steps", 10],
+                 ["decompose", "--ramp", "linear:0.75,0.5", "--segments", 10]):
+        with pytest.raises(SystemExit):
+            run_cli(args + ["--n", 30, "--out", tmp_path])
 
 
 def test_optimize_and_determinism(tmp_path):
@@ -101,9 +110,12 @@ def test_optimize_and_determinism(tmp_path):
 
 
 def test_optimize_validation(tmp_path):
-    # a band count below 1 is bad configuration for every command that takes one
+    # a band count below 1 or a negative seed is bad configuration for every
+    # command that takes one, as is a decompose time outside the ramp
     for args in (["optimize", "--bands", 0], ["decompose", "--bands", 0],
-                 ["decompose", "--bands", -1], ["fit", "--bands", 0, "--harmonics", 1]):
+                 ["decompose", "--bands", -1], ["fit", "--bands", 0, "--harmonics", 1],
+                 ["optimize", "--bands", 1, "--seed", -1], ["decompose", "--seed", -1],
+                 ["decompose", "--t", 1.5], ["decompose", "--t", -0.1]):
         assert run_cli(args + ["--n", 10, "--ramp", "linear:0.75,0.5",
                                "--out", tmp_path]) == 1
 
@@ -120,6 +132,7 @@ def test_fit_command(tmp_path):
     assert len(fit["a"]) == 3
     assert run_cli(["fit", "--n", 10, "--harmonics", 5,
                     "--ramp", "linear:0.75,0.5", "--out", tmp_path]) == 1
+    assert run_cli(["fit", "--n", 10, "--harmonics", 1, "--out", tmp_path]) == 1  # no ramp
 
 
 def test_decompose_command(tmp_path):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlmg import (
-    CriticalWindowError,
     DickeSector,
     ModelParams,
     StructureError,
@@ -193,8 +192,7 @@ def test_hp_correction_matrix_shape():
 
 
 def test_hp_rejections():
-    with pytest.raises(CriticalWindowError):
-        hp_coefficient(40, 0.0, 1.0005, 0.5)
+    assert hp_coefficient(40, 0.0, 1.0005, 0.5) == 0.0  # switched off
     with pytest.raises(ValidationError):
         hp_coefficient(40, 1.2, 0.8, 0.5)
     with pytest.raises(ValidationError):

@@ -83,13 +83,16 @@ def test_gap_series_validation_and_export(tmp_path):
     assert len(lines) == 12
 
 
-@pytest.mark.parametrize("n,gamma", [(2, 0.0), (41, 0.0), (40, 0.3)])
+@pytest.mark.parametrize("n,gamma", [(2, 0.0), (3, 0.0), (4, 0.0), (41, 0.0), (40, 0.3)])
 def test_gap_series_matches_full_spectrum(n, gamma):
-    # merged parity-block spectra against the full-basis H0
+    # merged parity-block spectra against the full-basis H0, for the default
+    # level pairs that fit in the N+1 levels
     params = ModelParams(n, gamma)
     h_grid = np.linspace(0.5, 1.5, 7)
-    pairs = ((0, 1), (1, 2)) if n == 2 else ((0, 1), (2, 3), (4, 5), (0, 7))
-    table = gap_series(params, h_grid, pairs)
+    table = gap_series(params, h_grid)
+    pairs = {2: ((0, 1),), 3: ((0, 1), (2, 3)), 4: ((0, 1), (2, 3))}.get(
+        n, ((0, 1), (2, 3), (4, 5)))
+    assert table.pairs == pairs
     for row, h in enumerate(h_grid):
         energies = np.linalg.eigvalsh(build_h0(params, h))
         expected = [energies[j] - energies[i] for i, j in pairs]
