@@ -19,8 +19,6 @@ from .ansatz import (
 )
 from .band_operators import (
     OperatorDecomposition,
-    build_band_generator,
-    build_Bj,
     decompose_band,
     solve_first_band_beta,
 )
@@ -52,7 +50,7 @@ from .errors import (
 )
 from .figures import FIGURES, run_figure
 from .ramps import RampSchedule
-from .spectrum import GapTable, GroundTrack, gap_series, track_ground
+from .spectrum import GapTable, gap_series
 from .spin_algebra import (
     DickeSector,
     ModelParams,
@@ -66,12 +64,11 @@ __all__ = [
     # spin algebra
     "DickeSector", "ModelParams", "SpinOperators", "build_spin_ops", "build_h0",
     # spectrum
-    "GroundTrack", "GapTable", "track_ground", "gap_series",
+    "GapTable", "gap_series",
     # counterdiabatic
     "BandTable", "exact_cd", "band_table", "hp_coefficient", "analytic_cd",
     # band operators
-    "OperatorDecomposition", "build_Bj", "build_band_generator",
-    "solve_first_band_beta", "decompose_band",
+    "OperatorDecomposition", "solve_first_band_beta", "decompose_band",
     # dynamics
     "RampSchedule", "Trajectory", "evolve", "fidelity", "parse_protocol",
     "Bare", "ExactCD", "Truncated", "HPCorrection", "AnsatzDrive",

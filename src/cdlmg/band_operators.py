@@ -28,8 +28,6 @@ from .spin_algebra import DickeSector, SpinOperators, build_spin_ops
 __all__ = [
     "DecompositionTerm",
     "OperatorDecomposition",
-    "build_Bj",
-    "build_band_generator",
     "solve_first_band_beta",
     "decompose_band",
     "decomposition_gate",
@@ -88,21 +86,6 @@ def _bj(ops: SpinOperators, j: int) -> np.ndarray:
 
 def _generator(ops: SpinOperators, b: int) -> np.ndarray:
     return 1j * (_matrix_power(ops.sminus, 2 * b) - _matrix_power(ops.splus, 2 * b))
-
-
-def build_Bj(sector: DickeSector, j: int) -> np.ndarray:
-    """First-band dressing operator B_j."""
-    if not 0 <= j <= sector.n - 2:
-        raise ValidationError(f"dressing index j={j} outside [0, {sector.n - 2}]")
-    return _bj(build_spin_ops(sector), j)
-
-
-def build_band_generator(sector: DickeSector, b: int) -> np.ndarray:
-    """Hermitian generator i(S_-^{2b} - S_+^{2b}) populating only offset-2b
-    diagonals."""
-    if not 1 <= b <= sector.n // 2:
-        raise ValidationError(f"band index b={b} outside [1, {sector.n // 2}]")
-    return _generator(build_spin_ops(sector), b)
 
 
 def _sz(p: int) -> str:

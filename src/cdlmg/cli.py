@@ -3,8 +3,9 @@
 Every run writes CSV data files plus a JSON manifest echoing the full
 configuration, so a run can be replayed exactly.  Files are written
 atomically (temp file + rename).  Exit codes: 0 success, 1 invalid
-configuration, 2 numerical failure (one of NUMERICAL_FAILURES); any other
-exception is a bug and propagates with its traceback.
+configuration (argparse usage errors included), 2 numerical failure (one of
+NUMERICAL_FAILURES); any other exception is a bug and propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -346,7 +347,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: usage error, or --help/--version
+        if exc.code:
+            return 1
+        raise
     fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
               if hasattr(args, f)}
     config = RunConfig(**fields)

@@ -17,7 +17,6 @@ the other modules work inside one parity block through `SectorFrame`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -115,25 +114,17 @@ def build_spin_ops(sector: DickeSector) -> SpinOperators:
     return SpinOperators(sector, sx, sy, sz, sp, sm)
 
 
-def interaction_matrix(sector: DickeSector, gamma: float) -> np.ndarray:
-    """Field-independent part -(2/N)(Sx^2 + gamma*Sy^2), real symmetric."""
-    ops = build_spin_ops(sector)
-    sx, sy = ops.sx, ops.sy
-    return (-(2.0 / sector.n) * ((sx @ sx) + gamma * (sy @ sy))).real
-
-
-def build_h0(params: ModelParams, h: float, include_shift: bool = False) -> np.ndarray:
-    """LMG Hamiltonian -(2/N)(Sx^2 + gamma*Sy^2) - 2h*Sz.
+def build_h0(params: ModelParams, h: float) -> np.ndarray:
+    """LMG Hamiltonian -(2/N)(Sx^2 + gamma*Sy^2) - 2h*Sz in the full basis,
+    from dense spin matrices: the independent check of `SectorFrame`.
 
     The constant shift (1+gamma)/2 relating this form to the pairwise spin
-    sum is omitted by default; pass ``include_shift=True`` for cross-checks
-    against shifted conventions.  Fidelities never depend on it.
+    sum is omitted; fidelities never depend on it.
     """
-    sector = params.sector
-    mat = interaction_matrix(sector, params.gamma) - 2.0 * h * np.diag(sector.m_values)
-    if include_shift:
-        mat = mat + 0.5 * (1.0 + params.gamma) * np.eye(sector.dim)
-    return mat
+    ops = build_spin_ops(params.sector)
+    sx, sy = ops.sx, ops.sy
+    interaction = (-(2.0 / params.n) * ((sx @ sx) + params.gamma * (sy @ sy))).real
+    return interaction - 2.0 * h * np.diag(params.sector.m_values)
 
 
 def parity_indices(sector: DickeSector, parity: int) -> np.ndarray:
@@ -159,6 +150,12 @@ class SectorFrame:
     vectors and matrices sit in the full basis (``embed``, ``ix``), H0 and
     (SxSy+SySx) restricted to the block, and bands in block coordinates,
     where full-basis offset 2b is block offset b.
+
+    Both blocks are tridiagonal, with closed-form entries from the ladder
+    coefficients c_k = <k+1|S_+|k>: full-basis states k and k+2 are coupled
+    through c_k c_{k+1}.  H0 is held as its field-free diagonal ``h0_diag``
+    and block band 1 ``h0_off``; ``h0_blocks`` and ``b0_block`` give the
+    dense matrices the step kernel works on.
     """
 
     def __init__(self, params: ModelParams, parity: int):
@@ -167,8 +164,14 @@ class SectorFrame:
         self.idx = parity_indices(sector, parity)
         self.dim = len(self.idx)
         self.ix = np.ix_(self.idx, self.idx)
-        self.base = interaction_matrix(sector, params.gamma)[self.ix]
         self.m_diag = sector.m_values[self.idx]
+        ladder = _ladder_coefficients(params.n)
+        pair = ladder[self.idx[:-1]] * ladder[self.idx[:-1] + 1]
+        s, n, gamma = sector.spin, params.n, params.gamma
+        self.h0_diag = -((1.0 + gamma) / n) * (s * (s + 1) - self.m_diag ** 2)
+        self.h0_off = -((1.0 - gamma) / (2 * n)) * pair
+        self.b0_block = place_band(np.zeros((self.dim, self.dim), dtype=complex),
+                                   1, 0.5j * pair, -0.5j * pair)
 
     @classmethod
     def tracked(cls, params: ModelParams) -> "SectorFrame":
@@ -176,15 +179,18 @@ class SectorFrame:
         continuously to the unique large-field ground state |N>."""
         return cls(params, params.n % 2)
 
-    @cached_property
-    def b0_block(self) -> np.ndarray:
-        return build_spin_ops(self.params.sector).sxsy_plus_sysx()[self.ix]
+    def h0_diagonals(self, h_values) -> np.ndarray:
+        """Diagonal of the H0 block at each field value, (len(h), dim)."""
+        h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
+        return self.h0_diag - 2.0 * h_values[:, None] * self.m_diag
 
     def h0_blocks(self, h_values) -> np.ndarray:
         """H0 restricted to the block at each field value, (len(h), dim, dim)."""
-        h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-        return (self.base[None, :, :]
-                - 2.0 * h_values[:, None, None] * np.diag(self.m_diag)[None, :, :])
+        diagonals = self.h0_diagonals(h_values)
+        out = np.zeros(diagonals.shape + (self.dim,))
+        rows = np.arange(self.dim)
+        out[:, rows, rows] = diagonals
+        return place_band(out, 1, self.h0_off, self.h0_off)
 
     def band_patterns(self, k: int) -> np.ndarray:
         """Unit-coefficient matrices of bands 1..k, (k, dim, dim)."""

@@ -11,12 +11,13 @@ from cdlmg import (
     ValidationError,
     analytic_cd,
     band_table,
-    build_Bj,
+    build_h0,
     build_spin_ops,
     exact_cd,
     hp_coefficient,
 )
-from cdlmg.spin_algebra import SectorFrame
+from cdlmg.band_operators import _bj
+from cdlmg.spin_algebra import SectorFrame, parity_indices
 from conftest import block_angle_rate_fd, even_projector
 
 
@@ -49,8 +50,8 @@ def test_exact_cd_three_particles_two_rotations():
     h, hdot = 0.7, 0.5
     rate_even = block_angle_rate_fd(params, h, hdot, idx=[0, 2])
     rate_odd = block_angle_rate_fd(params, h, hdot, idx=[1, 3])
-    b0 = build_Bj(DickeSector(3), 0)
-    b1 = build_Bj(DickeSector(3), 1)
+    ops = build_spin_ops(DickeSector(3))
+    b0, b1 = _bj(ops, 0), _bj(ops, 1)
     combo = ((rate_even + rate_odd) / (2 * np.sqrt(3)) * b0
              + (rate_odd - rate_even) / np.sqrt(3) * b1)
     term = exact_cd(params, h, hdot)
@@ -86,16 +87,13 @@ def test_exact_cd_structure_invariants(n, gamma, h, hdot):
 def test_exact_cd_eigenbasis_round_trip():
     # conjugating by the sector-resolved eigenbasis recovers the
     # i <m|dH0/dt|n> / (E_n - E_m) form
-    from cdlmg.spin_algebra import interaction_matrix, parity_indices
-
     params = ModelParams(9, 0.0)
     h, hdot = 1.1, 0.5
     term = exact_cd(params, h, hdot)
     sector = params.sector
-    base = interaction_matrix(sector, 0.0)
     for parity in (0, 1):
         idx = parity_indices(sector, parity)
-        block = base[np.ix_(idx, idx)] - 2 * h * np.diag(sector.m_values[idx])
+        block = build_h0(params, h)[np.ix_(idx, idx)]
         energies, vectors = np.linalg.eigh(block)
         m = vectors.T @ np.diag(-2 * hdot * sector.m_values[idx]) @ vectors
         de = energies[None, :] - energies[:, None]

@@ -21,9 +21,10 @@ from cdlmg import (
     fidelity,
     hp_coefficient,
     parse_protocol,
-    track_ground,
 )
 from cdlmg.dynamics import propagate_steps
+from cdlmg.spectrum import sector_ground_series
+from cdlmg.spin_algebra import SectorFrame
 
 
 # --------------------------------------------------------------------------
@@ -136,9 +137,10 @@ def test_full_basis_reference():
     steps = 200
     times = ramp.grid(steps)
 
-    track = track_ground(params, times)
-    psi = track.vectors[0].astype(complex)
-    fids = [fidelity(psi, track.vectors[0])]
+    frame = SectorFrame.tracked(params)
+    grounds = frame.embed(sector_ground_series(frame, ramp.h(times))[0])
+    psi = grounds[0].astype(complex)
+    fids = [fidelity(psi, grounds[0])]
     for k in range(steps):
         tm = 0.5 * (times[k] + times[k + 1])
         h, hd = float(ramp.h(tm)), float(ramp.hdot(tm))
@@ -147,7 +149,7 @@ def test_full_basis_reference():
         energies, vectors = np.linalg.eigh(hmat)
         psi = vectors @ (np.exp(-1j * energies * (times[k + 1] - times[k]))
                          * (vectors.conj().T @ psi))
-        fids.append(fidelity(psi, track.vectors[k + 1]))
+        fids.append(fidelity(psi, grounds[k + 1]))
 
     traj = evolve(params, "exact_cd", steps)
     assert np.max(np.abs(traj.fidelity - np.array(fids))) < 1e-10

@@ -7,8 +7,8 @@ from cdlmg import (
     ValidationError,
     build_h0,
     gap_series,
-    track_ground,
 )
+from cdlmg.spectrum import sector_ground_series
 from cdlmg.spin_algebra import SectorFrame
 
 
@@ -22,16 +22,19 @@ def test_diagonalize_h0_degenerate_pair():
     assert np.allclose(odd, [-1.0], atol=1e-12)
 
 
-@pytest.mark.parametrize("n,h", [(6, 0.4), (11, 1.3)])
+@pytest.mark.parametrize("n,h", [(6, 0.4), (11, 1.3), (2, 0.0), (100, 0.0), (100, 1.3)])
 def test_reconstruction(n, h):
-    # the two parity blocks of the frame, put back in the full basis, are H0
-    params = ModelParams(n, 0.2)
-    full = build_h0(params, h)
-    rebuilt = np.zeros_like(full)
-    for parity in (0, 1):
-        frame = SectorFrame(params, parity)
-        rebuilt[frame.ix] = frame.h0_blocks(h)[0]
-    assert np.array_equal(rebuilt, full)
+    # the two closed-form parity blocks of the frame, put back in the full
+    # basis, are the dense H0 up to rounding
+    for gamma in (0.2, 0.95):
+        params = ModelParams(n, gamma)
+        full = build_h0(params, h)
+        rebuilt = np.zeros_like(full)
+        for parity in (0, 1):
+            frame = SectorFrame(params, parity)
+            rebuilt[frame.ix] = frame.h0_blocks(h)[0]
+        floor = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(full)))
+        assert np.max(np.abs(rebuilt - full)) <= floor
 
 
 def test_ground_continuity_across_transition():
@@ -41,7 +44,8 @@ def test_ground_continuity_across_transition():
     params = ModelParams(100, 0.0, ramp)
 
     def tracked_ground(points):
-        vectors = track_ground(params, np.linspace(0.0, 1.0, points)).vectors
+        h_values = ramp.h(np.linspace(0.0, 1.0, points))
+        vectors, _ = sector_ground_series(SectorFrame.tracked(params), h_values)
         return vectors[-1], np.einsum("ij,ij->i", vectors[:-1], vectors[1:]).min()
 
     ground_fine, worst_fine = tracked_ground(2000)
@@ -53,17 +57,19 @@ def test_ground_continuity_across_transition():
 def test_track_ground_matches_unique_ground_at_large_field():
     ramp = RampSchedule.linear(1.25, 0.5)  # h in [1.25, 1.75], no degeneracy
     params = ModelParams(60, 0.0, ramp)
-    track = track_ground(params, ramp.grid(50))
-    _, vectors = np.linalg.eigh(build_h0(params, ramp.h(ramp.t_end)))
-    overlap = abs(np.vdot(track.vectors[-1], vectors[:, 0]))
+    frame = SectorFrame.tracked(params)
+    grounds, energies = sector_ground_series(frame, ramp.h(ramp.grid(50)))
+    full_energies, vectors = np.linalg.eigh(build_h0(params, ramp.h(ramp.t_end)))
+    overlap = abs(np.vdot(frame.embed(grounds)[-1], vectors[:, 0]))
     assert overlap > 1 - 1e-8
+    assert abs(energies[-1] - full_energies[0]) < 1e-12
 
 
 def test_track_ground_successive_overlaps():
     ramp = RampSchedule.linear(0.75, 0.5)
     params = ModelParams(40, 0.0, ramp)
-    track = track_ground(params, ramp.grid(200))
-    overlaps = np.abs(np.einsum("ij,ij->i", track.vectors[:-1], track.vectors[1:]))
+    vectors, _ = sector_ground_series(SectorFrame.tracked(params), ramp.h(ramp.grid(200)))
+    overlaps = np.abs(np.einsum("ij,ij->i", vectors[:-1], vectors[1:]))
     assert overlaps.min() > 0.5
 
 
@@ -71,8 +77,9 @@ def test_gap_series_validation_and_export(tmp_path):
     params = ModelParams(20, 0.0)
     with pytest.raises(ValidationError):
         gap_series(params, [])
-    with pytest.raises(ValidationError):
-        gap_series(params, [1.0, 0.5])
+    for bad in ([1.0, 0.5], [0.5, np.inf], [np.nan]):
+        with pytest.raises(ValidationError):
+            gap_series(params, bad)
     table = gap_series(params, np.linspace(0.5, 1.5, 11))
     assert table.gaps.shape == (11, 3)
     assert np.all(table.gap((0, 1)) >= 0)

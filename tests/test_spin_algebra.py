@@ -72,13 +72,6 @@ def test_h0_large_field_polarizes():
     assert abs(ground[-1]) ** 2 > 0.9  # |N> dominates
 
 
-def test_h0_shift_flag():
-    params = ModelParams(4, 0.3)
-    base = np.linalg.eigvalsh(build_h0(params, 0.7))
-    shifted = np.linalg.eigvalsh(build_h0(params, 0.7, include_shift=True))
-    assert np.allclose(shifted - base, 0.5 * (1 + 0.3))
-
-
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 30), gamma=st.floats(0, 0.95), h=st.floats(0.05, 2.5))
 def test_h0_parity_symmetry(n, gamma, h):
