@@ -165,7 +165,7 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
     prev = np.zeros(k)
     for s in range(segments):
         lo, hi = s * opt_steps_per_segment, (s + 1) * opt_steps_per_segment
-        h0_segment = run.h0_mid[lo:hi]
+        h0_segment = frame.h0_blocks(run.h_mid[lo:hi])
         target = grounds[hi]
 
         def advance(x):

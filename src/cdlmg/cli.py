@@ -1,7 +1,7 @@
 """Command-line front end: evolve / spectrum / optimize / fit / decompose.
 
-Every run writes CSV data files plus a JSON manifest echoing the full
-configuration, so a run can be replayed exactly.  Files are written
+Every run writes CSV data files plus a JSON manifest echoing the options of
+its command, so a run can be replayed exactly.  Files are written
 atomically (temp file + rename).  Exit codes: 0 success, 1 invalid
 configuration (argparse usage errors included), 2 numerical failure (one of
 NUMERICAL_FAILURES); any other exception is a bug and propagates with its
@@ -15,7 +15,7 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -47,7 +47,8 @@ NUMERICAL_FAILURES = (ConvergenceError, DecompositionError, NormError,
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; serialized verbatim into manifests."""
+    """Run configuration; the manifest records the fields that the command's
+    parser defines."""
 
     command: str
     n: Optional[int] = None
@@ -93,15 +94,14 @@ def _write_json(path: Path, payload) -> None:
     output.atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _write_manifest(outdir: Path, config: RunConfig, extra: dict,
-                    wall_time: float) -> None:
+def _write_manifest(options: dict, extra: dict, wall_time: float) -> None:
     manifest = {
-        "config": asdict(config),
+        "config": options,
         "version": _code_version(),
         "wall_time_s": wall_time,
         **extra,
     }
-    _write_json(outdir / "manifest.json", manifest)
+    _write_json(Path(options["out"]) / "manifest.json", manifest)
 
 
 def _run_preset(config: RunConfig) -> dict:
@@ -122,9 +122,8 @@ def _run_preset(config: RunConfig) -> dict:
 # --------------------------------------------------------------------------
 # subcommands
 
-def _cmd_evolve(config: RunConfig) -> int:
+def _cmd_evolve(config: RunConfig) -> dict:
     outdir = Path(config.out)
-    t0 = time.perf_counter()
     finals = {}
     if config.figure:
         trajectories = _run_preset(config)
@@ -145,14 +144,11 @@ def _cmd_evolve(config: RunConfig) -> int:
         finals[label] = traj.final_fidelity
         print(f"{label}: final fidelity {traj.final_fidelity:.6f} "
               f"(min {traj.min_fidelity:.6f})")
-    _write_manifest(outdir, config, {"files": files, "final_fidelity": finals},
-                    time.perf_counter() - t0)
-    return 0
+    return {"files": files, "final_fidelity": finals}
 
 
-def _cmd_spectrum(config: RunConfig) -> int:
+def _cmd_spectrum(config: RunConfig) -> dict:
     outdir = Path(config.out)
-    t0 = time.perf_counter()
     params = config.model()
     if config.h_min is None or config.h_max is None:
         raise ValidationError("spectrum needs --h-min and --h-max")
@@ -167,14 +163,11 @@ def _cmd_spectrum(config: RunConfig) -> int:
     for pair in table.pairs:
         print(f"gap{pair[0]}{pair[1]}: min {table.gap(pair).min():.3e} "
               f"max {table.gap(pair).max():.3e}")
-    _write_manifest(outdir, config, {"files": [path.name]},
-                    time.perf_counter() - t0)
-    return 0
+    return {"files": [path.name]}
 
 
-def _cmd_optimize(config: RunConfig) -> int:
+def _cmd_optimize(config: RunConfig) -> dict:
     outdir = Path(config.out)
-    t0 = time.perf_counter()
     files, summary = [], {}
     if config.figure:
         trajectories = _run_preset(config)
@@ -202,14 +195,11 @@ def _cmd_optimize(config: RunConfig) -> int:
                           "final_fidelity": traj.final_fidelity,
                           "warnings": traj.info.get("optimizer_warnings", [])}
         print(f"{label}: min fidelity {traj.min_fidelity:.6f}")
-    _write_manifest(outdir, config, {"files": files, "results": summary},
-                    time.perf_counter() - t0)
-    return 0
+    return {"files": files, "results": summary}
 
 
-def _cmd_fit(config: RunConfig) -> int:
+def _cmd_fit(config: RunConfig) -> dict:
     outdir = Path(config.out)
-    t0 = time.perf_counter()
     params = config.model()
     c = config.harmonics
     if c is None or not 1 <= c <= 3:
@@ -238,14 +228,11 @@ def _cmd_fit(config: RunConfig) -> int:
     files.append(rpath.name)
     print(f"harmonics={c}: max fidelity discrepancy "
           f"{evaluation.discrepancy:.6f} (fit rms {fit.residual:.4g})")
-    _write_manifest(outdir, config, {"files": files, "report": report},
-                    time.perf_counter() - t0)
-    return 0
+    return {"files": files, "report": report}
 
 
-def _cmd_decompose(config: RunConfig) -> int:
+def _cmd_decompose(config: RunConfig) -> dict:
     outdir = Path(config.out)
-    t0 = time.perf_counter()
     params = config.model()
     ramp = params.ramp
     t_eval = config.t_eval if config.t_eval is not None else ramp.t_start
@@ -273,9 +260,7 @@ def _cmd_decompose(config: RunConfig) -> int:
         print(f"band {b}: {len(dec.terms)} operators, residual {dec.residual:.2e}")
     path = outdir / "decomposition.json"
     _write_json(path, payload)
-    _write_manifest(outdir, config, {"files": [path.name]},
-                    time.perf_counter() - t0)
-    return 0
+    return {"files": [path.name]}
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +346,10 @@ def main(argv=None) -> int:
             raise ValidationError("--bands must be a positive integer")
         if config.seed < 0:
             raise ValidationError(f"--seed must be >= 0, got {config.seed}")
-        return _HANDLERS[config.command](config)
+        t0 = time.perf_counter()
+        extra = _HANDLERS[config.command](config)
+        _write_manifest(fields, extra, time.perf_counter() - t0)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

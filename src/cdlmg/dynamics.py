@@ -20,7 +20,7 @@ import numpy as np
 
 from . import output
 from .band_operators import decomposition_gate
-from .counterdiabatic import band_table, hp_coefficient, sector_cd_block
+from .counterdiabatic import band_table, exact_cd, hp_coefficient, sector_cd_block
 from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
 from .spin_algebra import ModelParams, SectorFrame
@@ -134,14 +134,13 @@ def _drive(frame: SectorFrame, protocol: Protocol):
         return lambda t, h, hdot, h0: sector_cd_block(h0, frame.m_diag, hdot)
     if isinstance(protocol, Truncated):
         keep = frame.truncation_mask(protocol.bands)
-        gate = (_decomposition_gate(frame, protocol.bands)
-                if isinstance(protocol, DecomposedDrive) else None)
+        check = (decomposition_gate(frame.params.sector, protocol.bands)
+                 if isinstance(protocol, DecomposedDrive) else None)
 
         def truncated(t, h, hdot, h0):
-            block = sector_cd_block(h0, frame.m_diag, hdot)
-            if gate is not None:
-                gate(h, hdot, block)
-            return np.where(keep, block, 0.0)
+            if check is not None:
+                check(band_table(exact_cd(frame.params, h, hdot)))
+            return np.where(keep, sector_cd_block(h0, frame.m_diag, hdot), 0.0)
         return truncated
     if isinstance(protocol, HPCorrection):
         def hp(t, h, hdot, h0):
@@ -154,22 +153,6 @@ def _drive(frame: SectorFrame, protocol: Protocol):
         return lambda t, h, hdot, h0: np.tensordot(
             coefficients.values_at(t), patterns, axes=(0, 0))
     raise ValidationError(f"unsupported protocol {protocol!r}")
-
-
-def _decomposition_gate(frame: SectorFrame, k: int):
-    """Returns gate(h, hdot, block): assembles the full exact term from the
-    tracked block and the other parity's block at (h, hdot) and checks its
-    bands 1..k with `decomposition_gate` (DecompositionError on failure)."""
-    params = frame.params
-    check = decomposition_gate(params.sector, k)
-    other = SectorFrame(params, 1 - params.n % 2)
-
-    def gate(h, hdot, block):
-        full = np.zeros((params.sector.dim, params.sector.dim), dtype=complex)
-        full[frame.ix] = block
-        full[other.ix] = sector_cd_block(other.h0_blocks(h)[0], other.m_diag, hdot)
-        check(band_table(full))
-    return gate
 
 
 def propagate_steps(hamiltonians: np.ndarray, dt, psi: np.ndarray) -> np.ndarray:
@@ -221,9 +204,11 @@ def fidelity(state: np.ndarray, ground: np.ndarray) -> float:
 class _TrackedRun:
     """What `evolve` and `ansatz.optimize` share for one run of params.ramp
     on `grid`, a step count (uniform grid) or an explicit 1-D array of at
-    least two times: the tracked block, the field at the grid points, the
-    field, its rate and the H0 blocks at the step midpoints, and the
-    sign-aligned ground series with its first vector as the start state."""
+    least two times inside the ramp's domain: the tracked block, the field
+    at the grid points, the field and its rate at the step midpoints, and
+    the sign-aligned ground series with its first vector as the start state.
+    Each step's H0 block is built when the step runs, from
+    ``frame.h0_blocks(h_mid[k])``."""
 
     def __init__(self, params: ModelParams, grid):
         ramp = params.ramp
@@ -235,13 +220,16 @@ class _TrackedRun:
             self.times = np.asarray(grid, dtype=float)
             if self.times.ndim != 1 or len(self.times) < 2:
                 raise ValidationError("grid must be an int or a 1-D array of >= 2 times")
+            if not np.all((ramp.t_start <= self.times) & (self.times <= ramp.t_end)):
+                raise ValidationError(
+                    f"grid times must be finite and inside the ramp's "
+                    f"[{ramp.t_start}, {ramp.t_end}]")
         self.frame = SectorFrame.tracked(params)
         self.h_values = np.atleast_1d(ramp.h(self.times))
         self.grounds, _ = sector_ground_series(self.frame, self.h_values)
         self.t_mid = 0.5 * (self.times[:-1] + self.times[1:])
         self.h_mid = np.atleast_1d(ramp.h(self.t_mid))
         self.hd_mid = np.atleast_1d(ramp.hdot(self.t_mid))
-        self.h0_mid = self.frame.h0_blocks(self.h_mid)
         self.start_state = self.grounds[0].astype(complex)
 
 
@@ -261,8 +249,9 @@ def _propagate(params: ModelParams, protocol: Protocol, grid,
         states[0] = psi
     norm_err = 0.0
     for k in range(len(run.t_mid)):
-        block = drive(run.t_mid[k], run.h_mid[k], run.hd_mid[k], run.h0_mid[k])
-        h_tot = run.h0_mid[k] if block is None else run.h0_mid[k] + block
+        h0 = run.frame.h0_blocks(run.h_mid[k])[0]
+        block = drive(run.t_mid[k], run.h_mid[k], run.hd_mid[k], h0)
+        h_tot = h0 if block is None else h0 + block
         psi = propagate_steps(h_tot[None], dts[k:k + 1], psi)
         fid[k + 1] = fidelity(psi, run.grounds[k + 1])
         norm_err = max(norm_err, abs(np.linalg.norm(psi) - 1.0))

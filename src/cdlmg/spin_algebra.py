@@ -185,12 +185,20 @@ class SectorFrame:
         return self.h0_diag - 2.0 * h_values[:, None] * self.m_diag
 
     def h0_blocks(self, h_values) -> np.ndarray:
-        """H0 restricted to the block at each field value, (len(h), dim, dim)."""
+        """H0 restricted to the block at each field value, (len(h), dim, dim).
+
+        The propagation loop calls this once per step; writing the three
+        diagonals as stride-(dim + 1) slices of the flattened blocks keeps the
+        call cheap.
+        """
         diagonals = self.h0_diagonals(h_values)
         out = np.zeros(diagonals.shape + (self.dim,))
-        rows = np.arange(self.dim)
-        out[:, rows, rows] = diagonals
-        return place_band(out, 1, self.h0_off, self.h0_off)
+        flat = out.reshape(len(diagonals), -1)
+        stride = self.dim + 1
+        flat[:, ::stride] = diagonals
+        flat[:, 1::stride] = self.h0_off
+        flat[:, self.dim::stride] = self.h0_off
+        return out
 
     def band_patterns(self, k: int) -> np.ndarray:
         """Unit-coefficient matrices of bands 1..k, (k, dim, dim)."""

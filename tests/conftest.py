@@ -1,7 +1,15 @@
 """Shared test helpers: independent oracles kept deliberately separate from
 the package's own construction paths."""
 
-import numpy as np
+import os
+
+# One BLAS thread, set before numpy loads its BLAS: the suite's matrices are
+# small, and BLAS threads on top of the figure pool's workers contend for the
+# same cores.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from cdlmg import ModelParams, build_h0

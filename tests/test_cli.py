@@ -77,6 +77,10 @@ def test_spectrum_gap_table(tmp_path):
     assert run_cli(["spectrum", "--n", 4, "--h-min", 0.5, "--h-max", 1.5,
                     "--out", out]) == 0
     assert (out / "gaps.csv").read_text().startswith("h,gap01,gap23\n")
+    # the manifest records only the options spectrum takes
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert set(config) == {"command", "n", "gamma", "seed", "out",
+                           "h_min", "h_max", "h_points"}
 
 
 def test_spectrum_validation(tmp_path):
@@ -148,6 +152,9 @@ def test_decompose_command(tmp_path):
         assert all({"label", "coefficient"} == set(t) for t in band["terms"])
     beta = np.array(payload["first_band_beta"])
     assert beta.shape == (5, 5)
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert set(config) == {"command", "n", "gamma", "ramp", "seed", "out",
+                           "bands", "t_eval"}
 
 
 def _stub_figure(monkeypatch):

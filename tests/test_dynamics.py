@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,8 +219,25 @@ def test_evolve_validation():
     with pytest.raises(ValidationError):
         evolve(params, "bare", 100)  # no ramp
     ramp = RampSchedule.linear(0.75, 0.5)
-    with pytest.raises(ValidationError):
-        evolve(ModelParams(8, 0.0, ramp), "bare", [0.0])
+    # an explicit grid needs two or more finite times inside the ramp's domain;
+    # t = -3 would run at h = -0.75, a field the ramp's own check forbids
+    for grid in ([0.0], np.array([0.0, np.nan]), [0.0, np.inf], [0.0, -3.0], [0.0, 1.5]):
+        with pytest.raises(ValidationError):
+            evolve(ModelParams(8, 0.0, ramp), "bare", grid)
+
+
+def test_run_holds_one_step_block_at_a_time():
+    # a run builds each step's H0 block when the step runs: at N=100 over 4000
+    # steps it must peak far below one (steps, 51, 51) float64 stack, 83.2 MB
+    params = ModelParams(100, 0.0, RampSchedule.linear(0.75, 0.5))
+    stack_bytes = 4000 * 51 * 51 * 8
+    tracemalloc.start()
+    try:
+        evolve(params, "bare", 4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 4
 
 
 def test_trajectory_export(tmp_path):
