@@ -24,7 +24,7 @@ from typing import Dict
 import numpy as np
 
 from .errors import StructureError, ValidationError
-from .spin_algebra import DickeSector, ModelParams, SectorFrame, place_band
+from .spin_algebra import DickeSector, ModelParams, SectorFrame, _eigh, place_band
 
 __all__ = [
     "BandTable",
@@ -62,7 +62,7 @@ class BandTable:
 
 def sector_cd_block(h0_block: np.ndarray, sz_diag: np.ndarray, hdot: float) -> np.ndarray:
     """Driving-term block for one parity sector, in that sector's basis."""
-    energies, vectors = np.linalg.eigh(h0_block)
+    energies, vectors = _eigh(h0_block)
     m = vectors.T @ (sz_diag[:, None] * vectors) * (-2.0 * hdot)
     de = energies[None, :] - energies[:, None]
     tol = DEGENERACY_TOL_FACTOR * max(np.max(np.abs(energies)), 1.0)

@@ -23,7 +23,7 @@ from .band_operators import decomposition_gate
 from .counterdiabatic import band_table, exact_cd, hp_coefficient, sector_cd_block
 from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
-from .spin_algebra import ModelParams, SectorFrame
+from .spin_algebra import ModelParams, SectorFrame, _eigh
 
 __all__ = [
     "Bare",
@@ -138,9 +138,11 @@ def _drive(frame: SectorFrame, protocol: Protocol):
                  if isinstance(protocol, DecomposedDrive) else None)
 
         def truncated(t, h, hdot, h0):
-            if check is not None:
-                check(band_table(exact_cd(frame.params, h, hdot)))
-            return np.where(keep, sector_cd_block(h0, frame.m_diag, hdot), 0.0)
+            if check is None:
+                return np.where(keep, sector_cd_block(h0, frame.m_diag, hdot), 0.0)
+            full = exact_cd(frame.params, h, hdot)
+            check(band_table(full))
+            return np.where(keep, full[frame.ix], 0.0)
         return truncated
     if isinstance(protocol, HPCorrection):
         def hp(t, h, hdot, h0):
@@ -158,10 +160,12 @@ def _drive(frame: SectorFrame, protocol: Protocol):
 def propagate_steps(hamiltonians: np.ndarray, dt, psi: np.ndarray) -> np.ndarray:
     """Apply exp(-i H_j dt_j) to psi for each H_j of the stack, in order.
 
-    `dt` is one step size or one per Hamiltonian.  The stack is solved in one
-    batched call, in its own dtype: a real stack stays real.
+    `dt` is one step size or one per Hamiltonian.  The stack is solved in its
+    own dtype, a real stack staying real: a tridiagonal stack of at least
+    TRIDIAGONAL_MIN_DIM states matrix by matrix with LAPACK stevd, any other
+    in one batched np.linalg.eigh call.
     """
-    energies, vectors = np.linalg.eigh(hamiltonians)
+    energies, vectors = _eigh(hamiltonians)
     phases = np.exp(-1j * energies * np.reshape(dt, (-1, 1)))
     for v, phase in zip(vectors, phases):
         psi = v @ (phase * (v.conj().T @ psi))

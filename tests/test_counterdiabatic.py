@@ -17,7 +17,8 @@ from cdlmg import (
     hp_coefficient,
 )
 from cdlmg.band_operators import _bj
-from cdlmg.spin_algebra import SectorFrame, parity_indices
+from cdlmg.counterdiabatic import sector_cd_block
+from cdlmg.spin_algebra import TRIDIAGONAL_MIN_DIM, SectorFrame, parity_indices
 from conftest import block_angle_rate_fd, even_projector
 
 
@@ -101,6 +102,26 @@ def test_exact_cd_eigenbasis_round_trip():
         np.fill_diagonal(expected, 0)
         got = vectors.T @ term[np.ix_(idx, idx)] @ vectors
         assert np.max(np.abs(got - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("h", [0.6, 1.0, 1.3])
+def test_sector_cd_block_large_sector_matches_dense_reference(h):
+    # at N=300 the H0 block (151 states) is solved by LAPACK stevd; the
+    # reference builds the same term from numpy's dense eigh
+    frame = SectorFrame.tracked(ModelParams(300, 0.0))
+    assert frame.dim >= TRIDIAGONAL_MIN_DIM
+    h0, hdot = frame.h0_blocks(h)[0], 0.5
+    energies, vectors = np.linalg.eigh(h0)
+    assert np.min(np.diff(energies)) > 0.1  # no degenerate cluster to zero
+    m = vectors.T @ (frame.m_diag[:, None] * vectors) * (-2.0 * hdot)
+    de = energies[None, :] - energies[:, None]
+    np.fill_diagonal(de, 1.0)
+    w = m / de
+    np.fill_diagonal(w, 0.0)
+    expected = vectors @ (1j * w) @ vectors.T
+    np.fill_diagonal(expected, 0.0)
+    got = sector_cd_block(h0, frame.m_diag, hdot)
+    assert np.max(np.abs(got - expected)) < 1e-12
 
 
 # --------------------------------------------------------------------------

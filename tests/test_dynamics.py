@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, expm
 
 from cdlmg import (
     AnsatzDrive,
@@ -26,7 +31,7 @@ from cdlmg import (
 )
 from cdlmg.dynamics import propagate_steps
 from cdlmg.spectrum import sector_ground_series
-from cdlmg.spin_algebra import SectorFrame
+from cdlmg.spin_algebra import TRIDIAGONAL_MIN_DIM, SectorFrame, place_band
 
 
 # --------------------------------------------------------------------------
@@ -98,22 +103,77 @@ def test_fidelity_basic_cases():
 # --------------------------------------------------------------------------
 # propagation
 
-@pytest.mark.parametrize("dtype", [float, complex])
+def _tridiagonal(rng, dim, sub):
+    """Hermitian tridiagonal matrix: random diagonal, subdiagonal `sub`."""
+    out = np.diag(rng.normal(size=dim)).astype(np.result_type(sub, float))
+    return place_band(out, 1, np.conj(sub), sub)
+
+
+def _stack(kind, rng, dim):
+    """Two Hermitian matrices of `dim` states of one kind."""
+    if kind == "diagonal":  # gamma = 1: H0 has no off-diagonal
+        frame = SectorFrame.tracked(ModelParams(2 * dim - 2, 1.0))
+        assert frame.dim == dim and not np.any(frame.h0_off)
+        return frame.h0_blocks([0.9, 1.1])
+    subs = rng.normal(size=(2, dim - 1))
+    if kind == "imaginary":
+        subs = 1j * subs
+    elif kind != "real":
+        subs = subs + 1j * rng.normal(size=(2, dim - 1))
+    if kind == "split":
+        subs[:, dim // 2] = 0.0
+    stack = np.array([_tridiagonal(rng, dim, e) for e in subs])
+    if kind == "band2":
+        stack[0, 2, 0] = 0.3 + 0.1j
+        stack[0, 0, 2] = 0.3 - 0.1j
+    return stack
+
+
+@pytest.mark.parametrize("dtype", [float, complex, "tridiagonal"])
 def test_propagate_steps_batch_equals_single_steps(dtype):
     # evolve steps one Hamiltonian at a time, optimize a segment at a time:
     # both must do the same arithmetic
     rng = np.random.default_rng(5)
-    raw = rng.normal(size=(4, 9, 9))
-    if dtype is complex:
-        raw = raw + 1j * rng.normal(size=(4, 9, 9))
-    stack = raw + raw.conj().transpose(0, 2, 1)
+    if dtype == "tridiagonal":
+        dim = TRIDIAGONAL_MIN_DIM + 3
+        stack = np.concatenate([_stack("complex", rng, dim), _stack("split", rng, dim)])
+    else:
+        dim = 9
+        raw = rng.normal(size=(4, dim, dim))
+        if dtype is complex:
+            raw = raw + 1j * rng.normal(size=(4, dim, dim))
+        stack = raw + raw.conj().transpose(0, 2, 1)
     dts = np.array([0.01, 0.02, -0.01, 0.03])
-    psi0 = rng.normal(size=9) + 1j * rng.normal(size=9)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi = psi0
     for k in range(4):
         psi = propagate_steps(stack[k][None], dts[k:k + 1], psi)
     assert np.array_equal(propagate_steps(stack, dts, psi0), psi)
     assert np.linalg.norm(psi) == pytest.approx(np.linalg.norm(psi0), abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "imaginary", "split", "diagonal",
+                                  "band2", "small"])
+def test_propagate_steps_tridiagonal_path(kind, monkeypatch):
+    # tridiagonal stacks of TRIDIAGONAL_MIN_DIM states or more are solved by
+    # LAPACK stevd (complex ones through a diagonal phase gauge); a stack
+    # with any entry beyond the first off-diagonal, or a smaller one, takes
+    # the dense path
+    solved = []
+    monkeypatch.setattr("cdlmg.spin_algebra.eigh_tridiagonal",
+                        lambda *a, **kw: solved.append(kw) or eigh_tridiagonal(*a, **kw))
+    rng = np.random.default_rng(11)
+    dim = TRIDIAGONAL_MIN_DIM + (-1 if kind == "small" else 5)
+    stack = _stack(kind, rng, dim)
+    dts = np.array([0.05, -0.03])
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    expected = psi0
+    for h, dt in zip(stack, dts):
+        expected = expm(-1j * h * dt) @ expected
+    got = propagate_steps(stack, dts, psi0)
+    assert np.max(np.abs(got - expected)) < 1e-12
+    assert solved == ([] if kind in ("band2", "small") else [{"lapack_driver": "stevd"}] * 2)
 
 
 def test_constant_ramp_bare_is_stationary():
@@ -269,3 +329,23 @@ def test_norm_preserved_over_full_ramp():
     assert np.max(np.abs(norms - 1)) < 1e-8
     assert np.all(traj.fidelity >= 0)
     assert np.all(traj.fidelity <= 1 + 1e-12)
+
+
+def test_fidelities_independent_of_blas_threads():
+    # exact_cd is left out: its dense eigensolve moves by 6e-15 between one
+    # and two BLAS threads at N=300
+    code = (
+        "from cdlmg import ModelParams, RampSchedule, evolve\n"
+        "params = ModelParams(300, 0.0, RampSchedule.linear(0.75, 0.5))\n"
+        "for protocol in ('bare', 'hp', 'truncated:1'):\n"
+        "    print(evolve(params, protocol, 60).fidelity.tobytes().hex())\n")
+    src = str(Path(__import__("cdlmg").__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        outputs.append(run.stdout.split())
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
