@@ -22,7 +22,8 @@ from scipy.optimize import least_squares, minimize
 
 from . import output
 from .counterdiabatic import hp_coefficient
-from .dynamics import AnsatzDrive, Trajectory, _TrackedRun, evolve, propagate_steps
+from .dynamics import (DEFAULT_STEPS, AnsatzDrive, Trajectory, _TrackedRun, evolve,
+                       propagate_steps)
 from .errors import ValidationError
 from .spin_algebra import ModelParams, SectorFrame
 
@@ -39,7 +40,6 @@ __all__ = [
 MIN_SEGMENTS = 10
 DEFAULT_SEGMENTS = 40
 OPT_STEPS_PER_SEGMENT = 10
-EVAL_STEPS = 4000
 NM_MAXFEV_PER_BAND = 50
 
 
@@ -125,7 +125,7 @@ def _hp_start(frame: SectorFrame, ground_start: np.ndarray, h: float,
 
 def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, *,
              opt_steps_per_segment: int = OPT_STEPS_PER_SEGMENT,
-             eval_steps: int = EVAL_STEPS,
+             eval_steps: int = DEFAULT_STEPS,
              warm_start: Optional[np.ndarray] = None,
              seed: int = 0) -> OptimizeResult:
     """Greedy per-segment optimization of the banded ansatz coefficients
@@ -142,10 +142,12 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
         raise ValidationError(f"need at least {MIN_SEGMENTS} segments, got {segments}")
     if k < 1:
         raise ValidationError(f"band count must be >= 1, got {k}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
-        if warm_start.shape[0] != segments:
-            raise ValidationError("warm_start must have one row per segment")
+        if warm_start.ndim != 2 or warm_start.shape[0] != segments:
+            raise ValidationError("warm_start must be 2-D with one row per segment")
         if warm_start.shape[1] < k:
             warm_start = np.hstack(
                 [warm_start, np.zeros((segments, k - warm_start.shape[1]))])

@@ -15,17 +15,15 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import __version__, output
-from .ansatz import evaluate_fit, fit_harmonics, optimize
+from .ansatz import DEFAULT_SEGMENTS, evaluate_fit, fit_harmonics, optimize
 from .band_operators import decompose_band, solve_first_band_beta
 from .counterdiabatic import band_table, exact_cd
-from .dynamics import evolve, parse_protocol
+from .dynamics import DEFAULT_STEPS, evolve, parse_protocol
 from .errors import (
     ConvergenceError,
     DecompositionError,
@@ -38,45 +36,27 @@ from .ramps import RampSchedule
 from .spectrum import gap_series
 from .spin_algebra import ModelParams
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 # Failures of a valid run (exit code 2).
 NUMERICAL_FAILURES = (ConvergenceError, DecompositionError, NormError,
                       StructureError, np.linalg.LinAlgError)
 
 
-@dataclass
-class RunConfig:
-    """Run configuration; the manifest records the fields that the command's
-    parser defines."""
+def _model(args) -> ModelParams:
+    """The model a command without --figure runs; spectrum's has no ramp."""
+    if args.n is None:
+        raise ValidationError("--n is required for this command")
+    if args.command == "spectrum":
+        return ModelParams(args.n, args.gamma)
+    if args.ramp is None:
+        raise ValidationError(f"--ramp is required for {args.command}")
+    return ModelParams(args.n, args.gamma, RampSchedule.parse(args.ramp))
 
-    command: str
-    n: Optional[int] = None
-    gamma: float = 0.0
-    ramp: Optional[str] = None
-    protocols: list = field(default_factory=list)
-    bands: Optional[int] = None
-    segments: int = 40
-    steps: int = 4000
-    seed: int = 0
-    out: str = "."
-    figure: Optional[str] = None
-    harmonics: Optional[int] = None
-    h_min: Optional[float] = None
-    h_max: Optional[float] = None
-    h_points: int = 500
-    t_eval: Optional[float] = None
 
-    def model(self) -> ModelParams:
-        if self.n is None:
-            raise ValidationError("--n is required for this command")
-        if self.n < 2:
-            raise ValidationError(f"--n must be >= 2, got {self.n}")
-        if self.command == "spectrum":
-            return ModelParams(self.n, self.gamma)
-        if self.ramp is None:
-            raise ValidationError(f"--ramp is required for {self.command}")
-        return ModelParams(self.n, self.gamma, RampSchedule.parse(self.ramp))
+def _stem(label: str) -> str:
+    """File-name stem of a trajectory label: 'truncated(1)' -> 'truncated_1'."""
+    return label.replace("(", "_").replace(")", "").replace("=", "")
 
 
 def _code_version() -> str:
@@ -104,41 +84,42 @@ def _write_manifest(options: dict, extra: dict, wall_time: float) -> None:
     _write_json(Path(options["out"]) / "manifest.json", manifest)
 
 
-def _run_preset(config: RunConfig) -> dict:
+def _run_preset(args) -> dict:
     """Run the --figure preset.  A preset fixes its own model, so an option
-    it would ignore is rejected rather than echoed into the manifest."""
-    given = {"--n": config.n is not None,
-             "--gamma": config.gamma != FIGURES[config.figure].gamma,
-             "--ramp": config.ramp is not None, "--bands": config.bands is not None,
-             "--protocol": bool(config.protocols)}
+    it would ignore is rejected rather than echoed into the manifest.
+    evolve takes no --bands and optimize no --protocol."""
+    given = {"--n": args.n is not None,
+             "--gamma": args.gamma != FIGURES[args.figure].gamma,
+             "--ramp": args.ramp is not None,
+             "--bands": getattr(args, "bands", None) is not None,
+             "--protocol": bool(getattr(args, "protocols", None))}
     ignored = [opt for opt, is_given in given.items() if is_given]
     if ignored:
         raise ValidationError(
-            f"--figure {config.figure} fixes its own model; drop {', '.join(ignored)}")
-    return run_figure(config.figure, steps=config.steps,
-                      segments=config.segments, seed=config.seed)
+            f"--figure {args.figure} fixes its own model; drop {', '.join(ignored)}")
+    return run_figure(args.figure, steps=args.steps,
+                      segments=args.segments, seed=args.seed)
 
 
 # --------------------------------------------------------------------------
 # subcommands
 
-def _cmd_evolve(config: RunConfig) -> dict:
-    outdir = Path(config.out)
+def _cmd_evolve(args) -> dict:
+    outdir = Path(args.out)
     finals = {}
-    if config.figure:
-        trajectories = _run_preset(config)
+    if args.figure:
+        trajectories = _run_preset(args)
     else:
-        params = config.model()
-        if not config.protocols:
+        params = _model(args)
+        if not args.protocols:
             raise ValidationError("at least one --protocol is required")
         trajectories = {}
-        for spec in config.protocols:
+        for spec in args.protocols:
             protocol = parse_protocol(spec)
-            trajectories[protocol.label] = evolve(params, protocol, config.steps)
+            trajectories[protocol.label] = evolve(params, protocol, args.steps)
     files = []
     for label, traj in trajectories.items():
-        safe = label.replace("(", "_").replace(")", "").replace("=", "")
-        path = outdir / f"trajectory_{safe}.csv"
+        path = outdir / f"trajectory_{_stem(label)}.csv"
         traj.to_csv(path)
         files.append(path.name)
         finals[label] = traj.final_fidelity
@@ -147,16 +128,14 @@ def _cmd_evolve(config: RunConfig) -> dict:
     return {"files": files, "final_fidelity": finals}
 
 
-def _cmd_spectrum(config: RunConfig) -> dict:
-    outdir = Path(config.out)
-    params = config.model()
-    if config.h_min is None or config.h_max is None:
-        raise ValidationError("spectrum needs --h-min and --h-max")
-    if not config.h_max > config.h_min:
+def _cmd_spectrum(args) -> dict:
+    outdir = Path(args.out)
+    params = _model(args)
+    if not args.h_max > args.h_min:
         raise ValidationError("--h-max must exceed --h-min")
-    if config.h_points < 2:
+    if args.h_points < 2:
         raise ValidationError("--h-points must be >= 2")
-    grid = np.linspace(config.h_min, config.h_max, config.h_points)
+    grid = np.linspace(args.h_min, args.h_max, args.h_points)
     table = gap_series(params, grid)
     path = outdir / "gaps.csv"
     table.to_csv(path)
@@ -166,20 +145,19 @@ def _cmd_spectrum(config: RunConfig) -> dict:
     return {"files": [path.name]}
 
 
-def _cmd_optimize(config: RunConfig) -> dict:
-    outdir = Path(config.out)
+def _cmd_optimize(args) -> dict:
+    outdir = Path(args.out)
     files, summary = [], {}
-    if config.figure:
-        trajectories = _run_preset(config)
+    if args.figure:
+        trajectories = _run_preset(args)
     else:
-        if config.bands is None:
-            raise ValidationError("--bands must be a positive integer")
-        params = config.model()
-        result = optimize(params, k=config.bands, segments=config.segments,
-                          eval_steps=config.steps, seed=config.seed)
+        if args.bands is None:
+            raise ValidationError("--bands is required for optimize")
+        result = optimize(_model(args), k=args.bands, segments=args.segments,
+                          eval_steps=args.steps, seed=args.seed)
         trajectories = {result.trajectory.protocol: result.trajectory}
     for label, traj in trajectories.items():
-        safe = label.replace("(", "_").replace(")", "").replace("=", "")
+        safe = _stem(label)
         coeffs = traj.info.get("coefficients")
         if coeffs is not None:
             cpath = outdir / f"schedule_{safe}.csv"
@@ -198,14 +176,12 @@ def _cmd_optimize(config: RunConfig) -> dict:
     return {"files": files, "results": summary}
 
 
-def _cmd_fit(config: RunConfig) -> dict:
-    outdir = Path(config.out)
-    params = config.model()
-    c = config.harmonics
-    if c is None or not 1 <= c <= 3:
-        raise ValidationError("--harmonics must be 1, 2 or 3")
-    result = optimize(params, k=config.bands, segments=config.segments,
-                      eval_steps=config.steps, seed=config.seed)
+def _cmd_fit(args) -> dict:
+    outdir = Path(args.out)
+    params = _model(args)
+    c = args.harmonics
+    result = optimize(params, k=args.bands, segments=args.segments,
+                      eval_steps=args.steps, seed=args.seed)
     times, series = result.coefficients.band_series(1)
     fit = fit_harmonics(times, series, c)
     evaluation = evaluate_fit(fit, result.coefficients, result.trajectory)
@@ -231,11 +207,13 @@ def _cmd_fit(config: RunConfig) -> dict:
     return {"files": files, "report": report}
 
 
-def _cmd_decompose(config: RunConfig) -> dict:
-    outdir = Path(config.out)
-    params = config.model()
+def _cmd_decompose(args) -> dict:
+    outdir = Path(args.out)
+    if args.bands is not None and args.bands < 1:
+        raise ValidationError(f"--bands must be >= 1, got {args.bands}")
+    params = _model(args)
     ramp = params.ramp
-    t_eval = config.t_eval if config.t_eval is not None else ramp.t_start
+    t_eval = args.t_eval if args.t_eval is not None else ramp.t_start
     if not ramp.t_start <= t_eval <= ramp.t_end:
         raise ValidationError(
             f"--t {t_eval} outside the ramp's [{ramp.t_start}, {ramp.t_end}]")
@@ -244,8 +222,8 @@ def _cmd_decompose(config: RunConfig) -> dict:
     term = exact_cd(params, h, hdot)
     table = band_table(term)
     bands = sorted(table.bands)
-    if config.bands is not None:
-        bands = [b for b in bands if b <= config.bands]
+    if args.bands is not None:
+        bands = [b for b in bands if b <= args.bands]
     payload = {"n": params.n, "gamma": params.gamma, "h": h, "hdot": hdot,
                "bands": {}}
     beta, residuals = solve_first_band_beta(params.sector)
@@ -281,10 +259,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if ramp:
             p.add_argument("--ramp", help="field schedule, e.g. linear:0.75,0.5")
         if steps:
-            p.add_argument("--steps", type=int, default=4000,
-                           help="propagation steps (default 4000)")
-            p.add_argument("--segments", type=int, default=40,
-                           help="optimizer time segments (default 40)")
+            p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                           help="propagation steps (default %(default)s)")
+            p.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS,
+                           help="optimizer time segments (default %(default)s)")
         p.add_argument("--seed", type=int, default=0, help="optimizer seed")
         p.add_argument("--out", default=".", help="output directory")
 
@@ -298,8 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="energy-gap table over a field grid")
     common(p, ramp=False, steps=False)
-    p.add_argument("--h-min", type=float, dest="h_min")
-    p.add_argument("--h-max", type=float, dest="h_max")
+    p.add_argument("--h-min", type=float, dest="h_min", required=True)
+    p.add_argument("--h-max", type=float, dest="h_max", required=True)
     p.add_argument("--h-points", type=int, dest="h_points", default=500)
 
     p = sub.add_parser("optimize", help="optimize banded-ansatz coefficients")
@@ -311,7 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="harmonic fit of the optimized band-1 pulse")
     common(p)
     p.add_argument("--bands", type=int, default=1)
-    p.add_argument("--harmonics", type=int, help="number of sinusoids (1-3)")
+    p.add_argument("--harmonics", type=int, choices=(1, 2, 3), required=True,
+                   help="number of sinusoids")
 
     p = sub.add_parser("decompose", help="physical-operator decomposition of "
                                          "the exact driving term")
@@ -338,17 +317,12 @@ def main(argv=None) -> int:
         if exc.code:
             return 1
         raise
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__
-              if hasattr(args, f)}
-    config = RunConfig(**fields)
     try:
-        if config.bands is not None and config.bands < 1:
-            raise ValidationError("--bands must be a positive integer")
-        if config.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {config.seed}")
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         t0 = time.perf_counter()
-        extra = _HANDLERS[config.command](config)
-        _write_manifest(fields, extra, time.perf_counter() - t0)
+        extra = _HANDLERS[args.command](args)
+        _write_manifest(vars(args), extra, time.perf_counter() - t0)
         return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -258,10 +258,11 @@ def _propagate(params: ModelParams, protocol: Protocol, grid,
         h_tot = h0 if block is None else h0 + block
         psi = propagate_steps(h_tot[None], dts[k:k + 1], psi)
         fid[k + 1] = fidelity(psi, run.grounds[k + 1])
-        norm_err = max(norm_err, abs(np.linalg.norm(psi) - 1.0))
-        if norm_err > NORM_TOL:
-            raise NormError(f"state norm drifted by {norm_err:.2e} > {NORM_TOL:.0e} "
+        err = abs(np.linalg.norm(psi) - 1.0)
+        if not err <= NORM_TOL:  # a NaN norm fails too
+            raise NormError(f"state norm drifted by {err:.2e} > {NORM_TOL:.0e} "
                             f"at step {k + 1} of {len(run.t_mid)}")
+        norm_err = max(norm_err, err)
         if store_states:
             states[k + 1] = psi
 

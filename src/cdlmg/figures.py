@@ -13,8 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict
 
-from .ansatz import OptimizeResult, optimize
-from .dynamics import Bare, ExactCD, HPCorrection, Trajectory, Truncated, evolve
+from .ansatz import DEFAULT_SEGMENTS, OptimizeResult, optimize
+from .dynamics import (DEFAULT_STEPS, Bare, ExactCD, HPCorrection, Trajectory, Truncated,
+                       evolve)
 from .errors import ValidationError
 from .ramps import RampSchedule
 from .spin_algebra import ModelParams
@@ -65,8 +66,8 @@ def max_workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def run_figure(figure_id: str, *, steps: int = 4000, segments: int = 40,
-               seed: int = 0) -> Dict[str, Trajectory]:
+def run_figure(figure_id: str, *, steps: int = DEFAULT_STEPS,
+               segments: int = DEFAULT_SEGMENTS, seed: int = 0) -> Dict[str, Trajectory]:
     """Execute all curves of one preset; returns trajectories keyed by label.
 
     The optimizer presets return ``optimize``'s trajectories, which carry

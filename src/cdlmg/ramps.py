@@ -73,10 +73,6 @@ class RampSchedule:
     def duration(self) -> float:
         return self.t_end - self.t_start
 
-    def describe(self) -> str:
-        inner = ",".join(f"{p:g}" for p in self.params)
-        return f"{self.kind}:{inner}" if inner else self.kind
-
     @classmethod
     def linear(cls, h0: float, rate: float, t_start: float = 0.0, t_end: float = 1.0):
         """h(t) = h0 + rate * t."""

@@ -97,8 +97,8 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValidationError(f"model requires N >= 2, got {self.n}")
-        if self.gamma < 0:
-            raise ValidationError(f"anisotropy must be >= 0, got {self.gamma}")
+        if not 0 <= self.gamma < np.inf:
+            raise ValidationError(f"anisotropy must be finite and >= 0, got {self.gamma}")
 
     @property
     def sector(self) -> DickeSector:

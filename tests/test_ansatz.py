@@ -66,6 +66,10 @@ def test_optimize_validation(linear_ramp):
     with pytest.raises(ValidationError):
         optimize(params, k=1, warm_start=np.zeros((3, 1)))
     with pytest.raises(ValidationError):
+        optimize(params, k=1, segments=10, warm_start=np.zeros(10))
+    with pytest.raises(ValidationError):
+        optimize(params, k=1, segments=10, seed=-1)
+    with pytest.raises(ValidationError):
         optimize(ModelParams(10, 0.0), k=1)  # no ramp
 
 

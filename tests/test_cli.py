@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from cdlmg.cli import main
+from cdlmg.ansatz import DEFAULT_SEGMENTS
+from cdlmg.cli import _build_parser, main
+from cdlmg.dynamics import DEFAULT_STEPS
 from cdlmg.output import write_csv
 
 
@@ -63,6 +65,17 @@ def test_evolve_validation_failures(tmp_path, capsys):
     assert run_cli(["evolve", "--n", 4, "--protocol", "warp",
                     "--ramp", "linear:0.75,0.5", "--out", tmp_path]) == 1
     assert run_cli(["evolve", "--figure", "nope", "--out", tmp_path]) == 1
+    for gamma in ("nan", "inf"):
+        assert run_cli(["evolve", "--n", 10, "--gamma", gamma, "--protocol", "bare",
+                        "--ramp", "linear:0.75,0.5", "--steps", 10, "--out", tmp_path]) == 1
+
+
+def test_step_and_segment_defaults_come_from_the_library():
+    parser = _build_parser()
+    for argv in (["evolve"], ["optimize"], ["fit", "--harmonics", "1"]):
+        args = parser.parse_args(argv)
+        assert args.steps == DEFAULT_STEPS
+        assert args.segments == DEFAULT_SEGMENTS
 
 
 def test_spectrum_gap_table(tmp_path):

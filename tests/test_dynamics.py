@@ -315,11 +315,13 @@ def test_trajectory_export(tmp_path):
 
 
 def test_norm_drift_raises(monkeypatch):
-    monkeypatch.setattr("cdlmg.dynamics.propagate_steps",
-                        lambda h, dt, psi: propagate_steps(h, dt, psi) * (1 + 1e-6))
+    # a drifting norm and a state that turns NaN both stop the run
     params = ModelParams(6, 0.0, RampSchedule.linear(0.75, 0.5))
-    with pytest.raises(NormError, match="at step 1 of 20"):
-        evolve(params, "bare", 20)
+    for factor in (1 + 1e-6, np.nan):
+        monkeypatch.setattr("cdlmg.dynamics.propagate_steps",
+                            lambda h, dt, psi: propagate_steps(h, dt, psi) * factor)
+        with pytest.raises(NormError, match="at step 1 of 20"):
+            evolve(params, "bare", 20)
 
 
 def test_norm_preserved_over_full_ramp():

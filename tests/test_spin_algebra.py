@@ -93,8 +93,9 @@ def test_operator_matrix_checks():
 def test_model_params_validation():
     with pytest.raises(ValidationError):
         ModelParams(1, 0.0)
-    with pytest.raises(ValidationError):
-        ModelParams(4, -0.1)
+    for gamma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            ModelParams(4, gamma)
 
 
 @pytest.mark.parametrize("n", [8, 9])
