@@ -106,6 +106,10 @@ def _run_preset(args) -> dict:
 
 def _cmd_evolve(args) -> dict:
     outdir = Path(args.out)
+    if (args.segments != DEFAULT_SEGMENTS
+            and (args.figure is None or FIGURES[args.figure].kind == "protocols")):
+        raise ValidationError("--segments sets the optimizer's time segments, "
+                              "and this run optimizes nothing; drop it")
     finals = {}
     if args.figure:
         trajectories = _run_preset(args)
@@ -171,6 +175,7 @@ def _cmd_optimize(args) -> dict:
         files.append(tpath.name)
         summary[label] = {"min_fidelity": traj.min_fidelity,
                           "final_fidelity": traj.final_fidelity,
+                          "nfev": traj.info.get("nfev"),
                           "warnings": traj.info.get("optimizer_warnings", [])}
         print(f"{label}: min fidelity {traj.min_fidelity:.6f}")
     return {"files": files, "results": summary}
@@ -204,7 +209,7 @@ def _cmd_fit(args) -> dict:
     files.append(rpath.name)
     print(f"harmonics={c}: max fidelity discrepancy "
           f"{evaluation.discrepancy:.6f} (fit rms {fit.residual:.4g})")
-    return {"files": files, "report": report}
+    return {"files": files, "report": report, "nfev": result.nfev}
 
 
 def _cmd_decompose(args) -> dict:

@@ -167,9 +167,17 @@ def propagate_steps(hamiltonians: np.ndarray, dt, psi: np.ndarray) -> np.ndarray
     """
     energies, vectors = _eigh(hamiltonians)
     phases = np.exp(-1j * energies * np.reshape(dt, (-1, 1)))
-    for v, phase in zip(vectors, phases):
+    return _step_states(vectors, phases, psi)[-1]
+
+
+def _step_states(vectors: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The state after each step, (steps, dim): psi_j = V_j (phase_j * V_j^dagger
+    psi_{j-1}), with V_j the eigenvectors and phase_j the eigenphases of step j."""
+    states = np.empty((len(phases), len(psi)), dtype=complex)
+    for j, (v, phase) in enumerate(zip(vectors, phases)):
         psi = v @ (phase * (v.conj().T @ psi))
-    return psi
+        states[j] = psi
+    return states
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from cdlmg import (
     fit_harmonics,
     optimize,
 )
+from cdlmg.ansatz import _segment_infidelity
+from cdlmg.dynamics import _TrackedRun, propagate_steps
 from cdlmg.spin_algebra import SectorFrame
 
 
@@ -71,6 +73,29 @@ def test_optimize_validation(linear_ramp):
         optimize(params, k=1, segments=10, seed=-1)
     with pytest.raises(ValidationError):
         optimize(ModelParams(10, 0.0), k=1)  # no ramp
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_segment_gradient_matches_finite_differences(linear_ramp, k):
+    # a segment across the transition (h from 0.975 to 1.025), at zero drive
+    # and at a generic point
+    params = ModelParams(8, 0.0, linear_ramp)
+    run = _TrackedRun(params, 100)
+    lo, hi = 45, 55
+    args = (run.frame.h0_blocks(run.h_mid[lo:hi]), run.frame.band_patterns(k))
+    dt = run.times[1] - run.times[0]
+    psi, target = run.grounds[lo].astype(complex), run.grounds[hi]
+    eps = 1e-5
+    for x in (np.zeros(k), np.array([-0.9, 0.4])[:k]):
+        value, gradient = _segment_infidelity(*args, x, dt, psi, target)
+        assert value == pytest.approx(1.0 - abs(np.vdot(
+            target, propagate_steps(args[0] + np.tensordot(x, args[1], axes=(0, 0)),
+                                    dt, psi))) ** 2, abs=1e-15)
+        central = np.array([
+            (_segment_infidelity(*args, x + eps * e, dt, psi, target)[0]
+             - _segment_infidelity(*args, x - eps * e, dt, psi, target)[0]) / (2 * eps)
+            for e in np.eye(k)])
+        assert np.max(np.abs(gradient - central)) <= 1e-6 * np.max(np.abs(gradient))
 
 
 def test_optimize_small_system(linear_ramp):

@@ -122,6 +122,7 @@ def test_optimize_and_determinism(tmp_path):
     assert traj1 == traj2
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["results"]["ansatz(k=1)"]["min_fidelity"] > 0.99
+    assert manifest["results"]["ansatz(k=1)"]["nfev"] > 0
     schedule_json = json.loads((out1 / "schedule_ansatz_k1.json").read_text())
     assert set(schedule_json) == {"boundaries", "values"}
 
@@ -147,6 +148,8 @@ def test_fit_command(tmp_path):
     assert report["max_fidelity_discrepancy"] <= 0.01
     fit = json.loads((out / "harmonic_fit.json").read_text())
     assert len(fit["a"]) == 3
+    assert json.loads((out / "manifest.json").read_text())["nfev"] > 0
+    assert "nfev" not in report
     assert run_cli(["fit", "--n", 10, "--harmonics", 5,
                     "--ramp", "linear:0.75,0.5", "--out", tmp_path]) == 1
     assert run_cli(["fit", "--n", 10, "--harmonics", 1, "--out", tmp_path]) == 1  # no ramp
@@ -218,6 +221,26 @@ def test_figure_rejects_options_it_would_ignore(tmp_path, monkeypatch, capsys):
     assert calls == []
     assert run_cli(["evolve", "--figure", "fig1a", "--gamma", 0.0, "--out", tmp_path]) == 0
     assert calls == ["fig1a"]
+
+
+def test_segments_rejected_where_nothing_is_optimized(tmp_path, monkeypatch, capsys):
+    calls = _stub_figure(monkeypatch)
+    for figure in ("fig1a", "s1b"):
+        assert run_cli(["evolve", "--figure", figure, "--segments", 7,
+                        "--out", tmp_path]) == 1
+        assert "--segments" in capsys.readouterr().err
+    assert run_cli(["evolve", "--n", 6, "--protocol", "bare", "--ramp", "linear:0.75,0.5",
+                    "--steps", 20, "--segments", 12, "--out", tmp_path]) == 1
+    assert "--segments" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "manifest.json").exists()
+    # the default segment count, and --seed, are accepted everywhere
+    assert run_cli(["evolve", "--figure", "fig1a", "--segments", DEFAULT_SEGMENTS,
+                    "--seed", 3, "--out", tmp_path]) == 0
+    assert run_cli(["evolve", "--figure", "fig2", "--segments", 12, "--out", tmp_path]) == 0
+    assert calls == ["fig1a", "fig2"]
+    assert run_cli(["evolve", "--n", 6, "--protocol", "bare", "--ramp", "linear:0.75,0.5",
+                    "--steps", 20, "--seed", 5, "--out", tmp_path]) == 0
 
 
 def test_output_files_follow_umask(tmp_path):
