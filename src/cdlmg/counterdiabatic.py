@@ -19,7 +19,7 @@ purely imaginary entries; band i is read off as x[i][j] = Im(H1[j-1, j-1+2i]).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .spin_algebra import DickeSector, ModelParams, SectorFrame, _eigh, place_ba
 __all__ = [
     "BandTable",
     "exact_cd",
+    "parity_frames",
     "band_table",
     "hp_coefficient",
     "analytic_cd",
@@ -74,24 +75,38 @@ def sector_cd_block(h0_block: np.ndarray, sz_diag: np.ndarray, hdot: float) -> n
     return out
 
 
-def _from_parity_blocks(params: ModelParams, block) -> np.ndarray:
+def parity_frames(params: ModelParams) -> tuple:
+    """The even and the odd parity block of params, as SectorFrames."""
+    return SectorFrame(params, 0), SectorFrame(params, 1)
+
+
+def _from_parity_blocks(frames: tuple, block) -> np.ndarray:
     """Full-basis matrix holding block(frame) in each parity block of two or
     more states; the one-state block stays zero."""
-    dim = params.sector.dim
+    dim = frames[0].params.sector.dim
     mat = np.zeros((dim, dim), dtype=complex)
-    for parity in (0, 1):
-        frame = SectorFrame(params, parity)
+    for frame in frames:
         if frame.dim >= 2:
             mat[frame.ix] = block(frame)
     return mat
 
 
-def exact_cd(params: ModelParams, h: float, hdot: float) -> np.ndarray:
-    """Exact transitionless driving term at field h with ramp rate hdot."""
+def exact_cd(params: ModelParams, h: float, hdot: float, *,
+             frames: Optional[tuple] = None) -> np.ndarray:
+    """Exact transitionless driving term at field h with ramp rate hdot.
+
+    A caller that builds the term at many fields passes
+    ``frames=parity_frames(params)``, built once, instead of having every
+    call build them.
+    """
+    if frames is None:
+        frames = parity_frames(params)
+    elif (frames[0].params.n, frames[0].params.gamma) != (params.n, params.gamma):
+        raise ValidationError("frames were built for another N or anisotropy")
     if hdot == 0.0:
         dim = params.sector.dim
         return np.zeros((dim, dim), dtype=complex)
-    return _from_parity_blocks(params, lambda frame: sector_cd_block(
+    return _from_parity_blocks(frames, lambda frame: sector_cd_block(
         frame.h0_blocks(h)[0], frame.m_diag, hdot))
 
 
@@ -184,4 +199,4 @@ def analytic_cd(params: ModelParams, h: float, hdot: float) -> np.ndarray:
         rate = _two_level_angle_rate(frame.h0_blocks(h)[0]) * hdot
         return np.array([[0.0, 1j * rate], [-1j * rate, 0.0]])
 
-    return _from_parity_blocks(params, rotation)
+    return _from_parity_blocks(parity_frames(params), rotation)

@@ -2,8 +2,12 @@
 driving protocol, with fidelity tracked against the instantaneous ground
 state.
 
-The integrator steps with the midpoint propagator exp(-i H(t_mid) dt),
-applied through an exact eigendecomposition at every step.  Both the bare
+The integrator steps with the midpoint propagator exp(-i H(t_mid) dt).
+`evolve` applies it to the state through a Chebyshev expansion summed to
+machine precision (`_chebyshev_step`), which needs only products of the
+step's block with a vector.  The optimizer's search keeps the exact
+per-step eigendecomposition (`propagate_steps`), because the gradient of its
+objective is built from each step's eigenbasis.  Both the bare
 Hamiltonian and every driving protocol here preserve excitation-number
 parity, and the initial state is the tracked ground state (parity-pure), so
 the evolution is carried out inside that parity block; this is an exact
@@ -12,15 +16,18 @@ reduction, not an approximation.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import jv
 
 from . import output
 from .band_operators import decomposition_gate
-from .counterdiabatic import band_table, exact_cd, hp_coefficient, sector_cd_block
+from .counterdiabatic import (band_table, exact_cd, hp_coefficient, parity_frames,
+                              sector_cd_block)
 from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
 from .spin_algebra import ModelParams, SectorFrame, _eigh
@@ -42,6 +49,7 @@ DEFAULT_STEPS = 4000
 CONVERGENCE_TOL = 1e-6
 MAX_REFINEMENTS = 3
 NORM_TOL = 1e-8
+_LOG_EPS = math.log(np.finfo(float).eps)
 
 
 # --------------------------------------------------------------------------
@@ -134,13 +142,16 @@ def _drive(frame: SectorFrame, protocol: Protocol):
         return lambda t, h, hdot, h0: sector_cd_block(h0, frame.m_diag, hdot)
     if isinstance(protocol, Truncated):
         keep = frame.truncation_mask(protocol.bands)
-        check = (decomposition_gate(frame.params.sector, protocol.bands)
-                 if isinstance(protocol, DecomposedDrive) else None)
+        if isinstance(protocol, DecomposedDrive):
+            check = decomposition_gate(frame.params.sector, protocol.bands)
+            frames = parity_frames(frame.params)
+        else:
+            check = None
 
         def truncated(t, h, hdot, h0):
             if check is None:
                 return np.where(keep, sector_cd_block(h0, frame.m_diag, hdot), 0.0)
-            full = exact_cd(frame.params, h, hdot)
+            full = exact_cd(frame.params, h, hdot, frames=frames)
             check(band_table(full))
             return np.where(keep, full[frame.ix], 0.0)
         return truncated
@@ -178,6 +189,45 @@ def _step_states(vectors: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np
         psi = v @ (phase * (v.conj().T @ psi))
         states[j] = psi
     return states
+
+
+def _chebyshev_step(h: np.ndarray, dt: float, psi: np.ndarray):
+    """exp(-i h dt) psi for a Hermitian block h, and the number of Chebyshev
+    terms summed (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+
+    Gershgorin discs put the spectrum inside [c - r, c + r].  With
+    x = (h - c)/r and z = r dt,
+    exp(-i h dt) = exp(-i c dt) sum_k e_k (-i)^k J_k(z) T_k(x), e_0 = 1 and
+    e_k = 2, which holds for z of either sign.  Since |T_k(x) psi| <= |psi| and
+    |J_k(z)| <= (|z|/2)^k / k!, terms are added until that bound falls below
+    machine epsilon; h = c*I takes the zeroth term alone.
+    """
+    diag = np.diagonal(h).real
+    radius = np.abs(h).sum(axis=1) - np.abs(diag)
+    lo, hi = np.min(diag - radius), np.max(diag + radius)
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    z = half * dt
+    terms, log_bound = 0, 0.0  # log of the bound on |J_terms(z)|
+    while _LOG_EPS <= log_bound < math.inf:  # a NaN or infinite z stops at once
+        terms += 1
+        log_bound += math.log(0.5 * abs(z) / terms) if z else -math.inf
+    k = np.arange(terms)
+    coeffs = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, z) * np.exp(-1j * centre * dt)
+    if terms == 1:
+        return coeffs[0] * psi, terms
+    # the recurrence T_k = 2x T_{k-1} - T_{k-2} on two real columns when h is
+    # real, so that a real block is never cast to complex
+    dim = len(psi)
+    two_x = h * (2.0 / half)
+    two_x.flat[::dim + 1] -= 2.0 * centre / half
+    work = np.empty((terms, dim, 2 if np.isrealobj(h) else 1), dtype=h.dtype)
+    work[0] = psi.view(float).reshape(dim, 2) if np.isrealobj(h) else psi[:, None]
+    np.matmul(two_x, work[0], out=work[1])
+    work[1] *= 0.5
+    for j in range(2, terms):
+        np.matmul(two_x, work[j - 1], out=work[j])
+        work[j] -= work[j - 2]
+    return coeffs @ work.view(complex).reshape(terms, dim), terms
 
 
 # --------------------------------------------------------------------------
@@ -260,11 +310,13 @@ def _propagate(params: ModelParams, protocol: Protocol, grid,
     if store_states:
         states[0] = psi
     norm_err = 0.0
+    matvecs = 0
     for k in range(len(run.t_mid)):
         h0 = run.frame.h0_blocks(run.h_mid[k])[0]
         block = drive(run.t_mid[k], run.h_mid[k], run.hd_mid[k], h0)
         h_tot = h0 if block is None else h0 + block
-        psi = propagate_steps(h_tot[None], dts[k:k + 1], psi)
+        psi, terms = _chebyshev_step(h_tot, dts[k], psi)
+        matvecs += terms
         fid[k + 1] = fidelity(psi, run.grounds[k + 1])
         err = abs(np.linalg.norm(psi) - 1.0)
         if not err <= NORM_TOL:  # a NaN norm fails too
@@ -278,6 +330,7 @@ def _propagate(params: ModelParams, protocol: Protocol, grid,
         "steps": len(run.t_mid),
         "dt": float(np.max(np.abs(dts))),
         "max_norm_error": norm_err,
+        "matvecs": matvecs,
         "wall_time_s": _time.perf_counter() - t0,
     }
     return Trajectory(

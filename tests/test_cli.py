@@ -271,10 +271,13 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
     # a state norm drifting beyond NORM_TOL
-    from cdlmg.dynamics import propagate_steps
+    from cdlmg.dynamics import _chebyshev_step
 
-    monkeypatch.setattr("cdlmg.dynamics.propagate_steps",
-                        lambda h, dt, psi: propagate_steps(h, dt, psi) * (1 + 1e-6))
+    def drifting(h, dt, psi):
+        psi, terms = _chebyshev_step(h, dt, psi)
+        return psi * (1 + 1e-6), terms
+
+    monkeypatch.setattr("cdlmg.dynamics._chebyshev_step", drifting)
     code = run_cli(["evolve", "--n", 6, "--protocol", "bare",
                     "--ramp", "linear:0.75,0.5", "--steps", 20, "--out", tmp_path])
     assert code == 2

@@ -17,7 +17,7 @@ from cdlmg import (
     hp_coefficient,
 )
 from cdlmg.band_operators import _bj
-from cdlmg.counterdiabatic import sector_cd_block
+from cdlmg.counterdiabatic import parity_frames, sector_cd_block
 from cdlmg.spin_algebra import TRIDIAGONAL_MIN_DIM, SectorFrame, parity_indices
 from conftest import block_angle_rate_fd, even_projector
 
@@ -41,6 +41,15 @@ def test_exact_cd_two_particles_is_single_rotation(h):
 def test_exact_cd_zero_rate_is_zero():
     term = exact_cd(ModelParams(7, 0.0), 0.9, 0.0)
     assert np.max(np.abs(term)) == 0.0
+
+
+def test_exact_cd_reuses_given_frames():
+    params = ModelParams(9, 0.3)
+    frames = parity_frames(params)
+    assert np.array_equal(exact_cd(params, 0.9, 0.5, frames=frames),
+                          exact_cd(params, 0.9, 0.5))
+    with pytest.raises(ValidationError):
+        exact_cd(ModelParams(9, 0.0), 0.9, 0.5, frames=frames)
 
 
 def test_exact_cd_three_particles_two_rotations():

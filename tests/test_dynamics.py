@@ -29,7 +29,7 @@ from cdlmg import (
     hp_coefficient,
     parse_protocol,
 )
-from cdlmg.dynamics import propagate_steps
+from cdlmg.dynamics import _chebyshev_step, propagate_steps
 from cdlmg.spectrum import sector_ground_series
 from cdlmg.spin_algebra import TRIDIAGONAL_MIN_DIM, SectorFrame, place_band
 
@@ -131,8 +131,8 @@ def _stack(kind, rng, dim):
 
 @pytest.mark.parametrize("dtype", [float, complex, "tridiagonal"])
 def test_propagate_steps_batch_equals_single_steps(dtype):
-    # evolve steps one Hamiltonian at a time, optimize a segment at a time:
-    # both must do the same arithmetic
+    # optimize's search solves a segment's steps in one batched eigensolve,
+    # and stepping them one at a time must do the same arithmetic
     rng = np.random.default_rng(5)
     if dtype == "tridiagonal":
         dim = TRIDIAGONAL_MIN_DIM + 3
@@ -174,6 +174,48 @@ def test_propagate_steps_tridiagonal_path(kind, monkeypatch):
     got = propagate_steps(stack, dts, psi0)
     assert np.max(np.abs(got - expected)) < 1e-12
     assert solved == ([] if kind in ("band2", "small") else [{"lapack_driver": "stevd"}] * 2)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "tridiagonal", "identity", "wide"])
+def test_chebyshev_step_matches_expm(kind):
+    rng = np.random.default_rng(3)
+    dim = 9
+    if kind == "tridiagonal":
+        h = _stack("complex", rng, TRIDIAGONAL_MIN_DIM + 5)[0]
+    elif kind == "identity":  # a zero-width spectral interval
+        h = 1.7 * np.eye(dim)
+    else:
+        raw = rng.normal(size=(dim, dim))
+        if kind != "real":
+            raw = raw + 1j * rng.normal(size=(dim, dim))
+        h = raw + raw.conj().T
+    dim = len(h)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    for dt in (0.05, -0.03) if kind != "wide" else (3.0, -2.5):
+        if kind == "wide":  # z, the spectral half-width times |dt|, beyond dim
+            energies = np.linalg.eigvalsh(h)
+            assert 0.5 * (energies[-1] - energies[0]) * abs(dt) > dim
+        got, terms = _chebyshev_step(h, dt, psi)
+        assert np.max(np.abs(got - expm(-1j * h * dt) @ psi)) < 1e-12
+        assert terms == 1 if kind == "identity" else terms > 1
+
+
+@pytest.mark.parametrize("protocol", ["bare", "hp", "truncated:1", "exact_cd",
+                                      "decomposed:1", "ansatz"])
+def test_evolve_matches_eigh_steps(protocol, monkeypatch):
+    # evolve's Chebyshev steps against the same run stepped by eigendecomposition
+    params = ModelParams(20, 0.0, RampSchedule.linear(0.75, 0.5))
+    if protocol == "ansatz":
+        protocol = AnsatzDrive(BandCoefficients(np.linspace(0, 1, 11),
+                                                np.linspace(-0.3, 0.3, 20).reshape(10, 2)))
+    traj = evolve(params, protocol, 200, store_states=True)
+    assert traj.info["matvecs"] >= traj.info["steps"]
+    monkeypatch.setattr("cdlmg.dynamics._chebyshev_step", lambda h, dt, psi: (
+        propagate_steps(h[None], np.array([dt]), psi), 1))
+    reference = evolve(params, protocol, 200, store_states=True)
+    assert np.max(np.abs(traj.states - reference.states)) < 1e-12
+    assert np.max(np.abs(traj.fidelity - reference.fidelity)) < 1e-12
 
 
 def test_constant_ramp_bare_is_stationary():
@@ -318,8 +360,11 @@ def test_norm_drift_raises(monkeypatch):
     # a drifting norm and a state that turns NaN both stop the run
     params = ModelParams(6, 0.0, RampSchedule.linear(0.75, 0.5))
     for factor in (1 + 1e-6, np.nan):
-        monkeypatch.setattr("cdlmg.dynamics.propagate_steps",
-                            lambda h, dt, psi: propagate_steps(h, dt, psi) * factor)
+        def drifting(h, dt, psi):
+            psi, terms = _chebyshev_step(h, dt, psi)
+            return psi * factor, terms
+
+        monkeypatch.setattr("cdlmg.dynamics._chebyshev_step", drifting)
         with pytest.raises(NormError, match="at step 1 of 20"):
             evolve(params, "bare", 20)
 
@@ -334,12 +379,10 @@ def test_norm_preserved_over_full_ramp():
 
 
 def test_fidelities_independent_of_blas_threads():
-    # exact_cd is left out: its dense eigensolve moves by 6e-15 between one
-    # and two BLAS threads at N=300
     code = (
         "from cdlmg import ModelParams, RampSchedule, evolve\n"
         "params = ModelParams(300, 0.0, RampSchedule.linear(0.75, 0.5))\n"
-        "for protocol in ('bare', 'hp', 'truncated:1'):\n"
+        "for protocol in ('bare', 'hp', 'truncated:1', 'exact_cd'):\n"
         "    print(evolve(params, protocol, 60).fidelity.tobytes().hex())\n")
     src = str(Path(__import__("cdlmg").__file__).resolve().parent.parent)
     outputs = []
@@ -349,5 +392,5 @@ def test_fidelities_independent_of_blas_threads():
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=300, check=True)
         outputs.append(run.stdout.split())
-    assert len(outputs[0]) == 3
+    assert len(outputs[0]) == 4
     assert outputs[0] == outputs[1]
