@@ -9,13 +9,13 @@ OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = CDLMG_THREADS = 1, alternating which
 side runs first, and writes one JSON record:
 
 - ``fit``: the configuration of the benchmark's ``fit`` job (N=40, k=2,
-  10 segments, 200 evaluation steps, seed 0, linear ramp), REPEATS runs per
+  10 segments, 200 evaluation steps, linear ramp), REPEATS runs per
   side.  Each run records the objective evaluations (``nfev``), the seconds
   spent inside ``ansatz.minimize`` (``search_s``), the whole ``optimize``
-  call (``optimize_s``, which adds the starts' set-up and the final
-  re-propagation), the min fidelity and the schedule; the record holds the
-  medians, every run's times, whether every run wrote the same schedule,
-  and the largest |dx| between the two sides' schedules;
+  call (``optimize_s``, which adds the zero-drive baselines, the segment
+  carry and the final re-propagation), the min fidelity and the schedule;
+  the record holds the medians, every run's times, whether every run wrote
+  the same schedule, and the largest |dx| between the two sides' schedules;
 - ``fig2``: the ``fig2`` band sweep (N=80, k = 1..4, 40 segments, each k
   warm-started from the previous optimum, 4000 evaluation steps), once per
   side: per k the same quantities, plus the sweep's wall time;
@@ -39,9 +39,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import env  # noqa: E402  (perfbench/env.py)
 
 RAMP = "linear:0.75,0.5"
-FIT = {"n": 40, "bands": [2], "segments": 10, "eval_steps": 200, "seed": 0, "ramp": RAMP}
-FIG2 = {"n": 80, "bands": [1, 2, 3, 4], "segments": 40, "eval_steps": 4000, "seed": 0,
-        "ramp": RAMP}
+FIT = {"n": 40, "bands": [2], "segments": 10, "eval_steps": 200, "ramp": RAMP}
+FIG2 = {"n": 80, "bands": [1, 2, 3, 4], "segments": 40, "eval_steps": 4000, "ramp": RAMP}
 REPEATS = 3
 
 CHILD = """
@@ -68,8 +67,7 @@ for k in task["bands"]:
     search["s"] = 0.0
     start = time.perf_counter()
     result = cdlmg.ansatz.optimize(params, k=k, segments=task["segments"],
-                                   eval_steps=task["eval_steps"], warm_start=warm,
-                                   seed=task["seed"])
+                                   eval_steps=task["eval_steps"], warm_start=warm)
     runs.append({"k": k, "nfev": result.nfev, "search_s": search["s"],
                  "optimize_s": time.perf_counter() - start,
                  "min_fidelity": result.trajectory.min_fidelity,

@@ -4,9 +4,9 @@ The driving ansatz populates the even-offset bands of the S_z basis with one
 real coefficient per band (constant along the band).  Coefficients are
 piecewise constant over time segments and chosen greedily: holding earlier
 segments fixed, each segment's coefficients maximize the fidelity with the
-tracked ground state at the segment's end time, searched with L-BFGS-B
-from several starts on the exact gradient of that fidelity, which comes from
-the same per-step eigendecompositions as the fidelity itself.
+tracked ground state at the segment's end time, searched with one L-BFGS-B
+run on the exact gradient of that fidelity, which comes from the same
+per-step eigendecompositions as the fidelity itself.
 
 The optimization itself runs on a coarsened grid (a few propagation steps
 per segment); the returned trajectory re-evaluates the optimized schedule on
@@ -22,11 +22,10 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from . import output
-from .counterdiabatic import hp_coefficient
 from .dynamics import (DEFAULT_STEPS, AnsatzDrive, Trajectory, _step_states, _TrackedRun,
                        evolve, propagate_steps)
 from .errors import ValidationError
-from .spin_algebra import ModelParams, SectorFrame, _eigh
+from .spin_algebra import ModelParams, _eigh
 
 __all__ = [
     "BandCoefficients",
@@ -113,20 +112,6 @@ class OptimizeResult:
     warnings: tuple = ()
 
 
-def _hp_start(frame: SectorFrame, ground_start: np.ndarray, h: float,
-              hdot: float, k: int) -> np.ndarray:
-    """First-band seed from the harmonic-limit coefficient, scaled by the
-    band entry of (SxSy+SySx) at the most occupied row."""
-    x = np.zeros(k)
-    try:
-        c = hp_coefficient(frame.params.n, frame.params.gamma, h, hdot)
-    except ValidationError:
-        return x
-    row = min(int(np.argmax(np.abs(ground_start))), frame.dim - 2)
-    x[0] = c * frame.b0_block[row, row + 1].imag
-    return x
-
-
 def _segment_infidelity(h0_segment: np.ndarray, patterns: np.ndarray, x: np.ndarray,
                         dt: float, psi: np.ndarray, target: np.ndarray):
     """1 - |a|^2 and its gradient in x, for a = <target|psi_end> after the
@@ -165,16 +150,15 @@ def _segment_infidelity(h0_segment: np.ndarray, patterns: np.ndarray, x: np.ndar
 def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, *,
              opt_steps_per_segment: int = OPT_STEPS_PER_SEGMENT,
              eval_steps: int = DEFAULT_STEPS,
-             warm_start: Optional[np.ndarray] = None,
-             seed: int = 0) -> OptimizeResult:
+             warm_start: Optional[np.ndarray] = None) -> OptimizeResult:
     """Greedy per-segment optimization of the banded ansatz coefficients
     along params.ramp.
 
     Each segment's (x_1..x_k) maximize the fidelity at the segment end via
-    L-BFGS-B on the exact gradient (`_segment_infidelity`), started from the
-    previous segment's optimum, zeros, and the harmonic-limit seed (plus
-    `warm_start` rows when given, e.g. the optimum of a run with fewer
-    bands), in an order drawn from `seed`.  The schedule is then
+    one L-BFGS-B run on the exact gradient (`_segment_infidelity`), started
+    from row s of `warm_start` when given (e.g. the optimum of a run with
+    fewer bands, padded with zeros), else from the previous segment's
+    optimum (zeros for the first segment).  The schedule is then
     re-propagated on the fine grid for the returned trajectory, whose
     ``info["coefficients"]`` holds it; ``nfev`` counts the objective
     evaluations, each one value and gradient.
@@ -183,8 +167,6 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
         raise ValidationError(f"need at least {MIN_SEGMENTS} segments, got {segments}")
     if k < 1:
         raise ValidationError(f"band count must be >= 1, got {k}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
     if warm_start is not None:
         warm_start = np.asarray(warm_start, dtype=float)
         if warm_start.ndim != 2 or warm_start.shape[0] != segments:
@@ -198,8 +180,6 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
     frame, times, grounds = run.frame, run.times, run.grounds
     patterns = frame.band_patterns(k)
     dt = times[1] - times[0]
-    ramp = params.ramp
-    rng = np.random.default_rng(seed)
 
     psi = run.start_state
     schedule = np.zeros((segments, k))
@@ -214,34 +194,16 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
         def infidelity_and_gradient(x):
             return _segment_infidelity(h0_segment, patterns, x, dt, psi, target)
 
-        seeds = [prev, np.zeros(k),
-                 _hp_start(frame, grounds[lo], float(ramp.h(0.5 * (times[lo] + times[hi]))),
-                           float(ramp.hdot(0.5 * (times[lo] + times[hi]))), k)]
-        if warm_start is not None:
-            seeds.insert(0, warm_start[s])
-        starts, seen = [], set()
-        for cand in seeds:
-            key = tuple(np.round(cand, 10))
-            if key not in seen:
-                seen.add(key)
-                starts.append(np.asarray(cand, dtype=float))
-        order = rng.permutation(len(starts))
-
         baseline, _ = infidelity_and_gradient(np.zeros(k))
-        nfev += 1
-        best_fun, best_x = np.inf, np.zeros(k)
-        for pos in order:
-            result = minimize(infidelity_and_gradient, starts[pos], jac=True,
-                              method="L-BFGS-B", options={"gtol": GRADIENT_TOL})
-            nfev += result.nfev
-            if result.fun < best_fun:
-                best_fun, best_x = result.fun, result.x
-        if best_fun >= baseline - 1e-12:
+        start = warm_start[s] if warm_start is not None else prev
+        result = minimize(infidelity_and_gradient, start, jac=True,
+                          method="L-BFGS-B", options={"gtol": GRADIENT_TOL})
+        nfev += 1 + result.nfev
+        if result.fun >= baseline - 1e-12:
             warnings.append(
                 f"segment {s}: no improvement over zero drive (F={1 - baseline:.6f})")
-        schedule[s] = best_x
-        prev = best_x.copy()
-        psi = propagate_steps(h0_segment + np.tensordot(best_x, patterns, axes=(0, 0)),
+        schedule[s] = prev = result.x
+        psi = propagate_steps(h0_segment + np.tensordot(prev, patterns, axes=(0, 0)),
                               dt, psi)
 
     coefficients = BandCoefficients(times[::opt_steps_per_segment], schedule)

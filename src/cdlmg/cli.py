@@ -97,8 +97,7 @@ def _run_preset(args) -> dict:
     if ignored:
         raise ValidationError(
             f"--figure {args.figure} fixes its own model; drop {', '.join(ignored)}")
-    return run_figure(args.figure, steps=args.steps,
-                      segments=args.segments, seed=args.seed)
+    return run_figure(args.figure, steps=args.steps, segments=args.segments)
 
 
 # --------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def _cmd_optimize(args) -> dict:
         if args.bands is None:
             raise ValidationError("--bands is required for optimize")
         result = optimize(_model(args), k=args.bands, segments=args.segments,
-                          eval_steps=args.steps, seed=args.seed)
+                          eval_steps=args.steps)
         trajectories = {result.trajectory.protocol: result.trajectory}
     for label, traj in trajectories.items():
         safe = _stem(label)
@@ -186,7 +185,7 @@ def _cmd_fit(args) -> dict:
     params = _model(args)
     c = args.harmonics
     result = optimize(params, k=args.bands, segments=args.segments,
-                      eval_steps=args.steps, seed=args.seed)
+                      eval_steps=args.steps)
     times, series = result.coefficients.band_series(1)
     fit = fit_harmonics(times, series, c)
     evaluation = evaluate_fit(fit, result.coefficients, result.trajectory)
@@ -268,7 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="propagation steps (default %(default)s)")
             p.add_argument("--segments", type=int, default=DEFAULT_SEGMENTS,
                            help="optimizer time segments (default %(default)s)")
-        p.add_argument("--seed", type=int, default=0, help="optimizer seed")
+        p.add_argument("--seed", type=int, default=0,
+                       help="no effect; accepted (>= 0) for existing command lines")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("evolve", help="propagate one or more protocols")

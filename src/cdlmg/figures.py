@@ -67,7 +67,7 @@ def max_workers() -> int:
 
 
 def run_figure(figure_id: str, *, steps: int = DEFAULT_STEPS,
-               segments: int = DEFAULT_SEGMENTS, seed: int = 0) -> Dict[str, Trajectory]:
+               segments: int = DEFAULT_SEGMENTS) -> Dict[str, Trajectory]:
     """Execute all curves of one preset; returns trajectories keyed by label.
 
     The optimizer presets return ``optimize``'s trajectories, which carry
@@ -93,7 +93,7 @@ def run_figure(figure_id: str, *, steps: int = DEFAULT_STEPS,
         for k in spec.band_counts:
             result: OptimizeResult = optimize(
                 params, k=k, segments=segments, eval_steps=steps,
-                warm_start=warm, seed=seed)
+                warm_start=warm)
             warm = result.coefficients.values
             out[result.trajectory.protocol] = result.trajectory
         return out
@@ -102,7 +102,6 @@ def run_figure(figure_id: str, *, steps: int = DEFAULT_STEPS,
     out = {}
     for size in spec.sizes:
         params = ModelParams(size, spec.gamma, spec.ramp)
-        result = optimize(params, k=1, segments=segments,
-                          eval_steps=steps, seed=seed)
+        result = optimize(params, k=1, segments=segments, eval_steps=steps)
         out[f"N={size}"] = result.trajectory
     return out

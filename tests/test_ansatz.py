@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cdlmg.ansatz
 from cdlmg import (
     AnsatzDrive,
     BandCoefficients,
@@ -70,8 +71,6 @@ def test_optimize_validation(linear_ramp):
     with pytest.raises(ValidationError):
         optimize(params, k=1, segments=10, warm_start=np.zeros(10))
     with pytest.raises(ValidationError):
-        optimize(params, k=1, segments=10, seed=-1)
-    with pytest.raises(ValidationError):
         optimize(ModelParams(10, 0.0), k=1)  # no ramp
 
 
@@ -109,11 +108,48 @@ def test_optimize_small_system(linear_ramp):
 
 def test_optimize_deterministic(linear_ramp):
     params = ModelParams(6, 0.0, linear_ramp)
-    kwargs = dict(k=1, segments=10, opt_steps_per_segment=6, eval_steps=300,
-                  seed=7)
+    kwargs = dict(k=1, segments=10, opt_steps_per_segment=6, eval_steps=300)
     first = optimize(params, **kwargs)
     second = optimize(params, **kwargs)
     assert np.array_equal(first.coefficients.values, second.coefficients.values)
+
+
+def _record_minimize(monkeypatch):
+    """Wrap the optimizer's `minimize`; returns the list of (x0, result) it
+    fills, one entry per call."""
+    calls, scipy_minimize = [], cdlmg.ansatz.minimize
+
+    def recording(fun, x0, **kwargs):
+        start = np.array(x0, dtype=float)
+        result = scipy_minimize(fun, x0, **kwargs)
+        calls.append((start, result))
+        return result
+
+    monkeypatch.setattr(cdlmg.ansatz, "minimize", recording)
+    return calls
+
+
+def test_optimize_one_search_per_segment_from_previous_optimum(linear_ramp, monkeypatch):
+    calls = _record_minimize(monkeypatch)
+    result = optimize(ModelParams(6, 0.0, linear_ramp), k=1, segments=10,
+                      opt_steps_per_segment=6, eval_steps=300)
+    assert len(calls) == 10
+    # one zero-drive baseline per segment, plus the search's own evaluations
+    assert result.nfev == 10 + sum(r.nfev for _, r in calls)
+    assert np.array_equal(calls[0][0], np.zeros(1))
+    for (_, before), (start, _) in zip(calls, calls[1:]):
+        assert np.array_equal(start, before.x)
+
+
+def test_optimize_warm_start_pads_missing_bands_with_zeros(linear_ramp, monkeypatch):
+    params = ModelParams(6, 0.0, linear_ramp)
+    common = dict(segments=10, opt_steps_per_segment=6, eval_steps=300)
+    one = optimize(params, k=1, **common).coefficients.values
+    calls = _record_minimize(monkeypatch)
+    optimize(params, k=2, warm_start=one, **common)
+    assert len(calls) == 10
+    for (start, _), row in zip(calls, one):
+        assert np.array_equal(start, [row[0], 0.0])
 
 
 def test_optimize_more_bands_never_worse(linear_ramp):
