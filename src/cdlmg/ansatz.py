@@ -5,8 +5,10 @@ real coefficient per band (constant along the band).  Coefficients are
 piecewise constant over time segments and chosen greedily: holding earlier
 segments fixed, each segment's coefficients maximize the fidelity with the
 tracked ground state at the segment's end time, searched with one L-BFGS-B
-run on the exact gradient of that fidelity, which comes from the same
-per-step eigendecompositions as the fidelity itself.
+run on the exact gradient of that fidelity.  The gradient is carried forward
+with the state through the segment by the same step kernel as `evolve`
+(`dynamics._chebyshev_step`), and the segment's end state is carried on to
+the next segment.
 
 The optimization itself runs on a coarsened grid (a few propagation steps
 per segment); the returned trajectory re-evaluates the optimized schedule on
@@ -22,10 +24,9 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from . import output
-from .dynamics import (DEFAULT_STEPS, AnsatzDrive, Trajectory, _step_states, _TrackedRun,
-                       evolve, propagate_steps)
+from .dynamics import DEFAULT_STEPS, AnsatzDrive, Trajectory, _chebyshev_step, _TrackedRun, evolve
 from .errors import ValidationError
-from .spin_algebra import ModelParams, _eigh
+from .spin_algebra import ModelParams
 
 __all__ = [
     "BandCoefficients",
@@ -114,37 +115,33 @@ class OptimizeResult:
 
 def _segment_infidelity(h0_segment: np.ndarray, patterns: np.ndarray, x: np.ndarray,
                         dt: float, psi: np.ndarray, target: np.ndarray):
-    """1 - |a|^2 and its gradient in x, for a = <target|psi_end> after the
-    segment's steps exp(-i dt (H0_j + sum_b x_b P_b)) applied to psi.
+    """1 - |a|^2, its gradient in x and psi_end, for a = <target|psi_end> after
+    the segment's steps exp(-i dt H_j), H_j = H0_j + sum_b x_b P_b, applied to psi.
 
-    The gradient is exact (Daleckii-Krein, as in GRAPE): with phi_j the state
-    after step j, lambda_j the target carried back to it and V_j, E_j the
-    eigenvectors and energies of step j,
-    da/dx_b = sum_j <lambda_j| V_j (Gamma_j o V_j^dagger P_b V_j) V_j^dagger |phi_{j-1}>,
-    Gamma_mn = -i dt exp(-i dt (E_m + E_n) / 2) sinc(dt (E_m - E_n) / 2 pi),
-    which stays exact through degenerate levels.  The sum is contracted as
-    sum_pq (P_b)_pq Z_pq, Z = sum_j conj(V_j) X_j V_j^T, with
-    (X_j)_mn = conj(l_m) Gamma_mn q_n, l = V_j^dagger lambda_j and
-    q = V_j^dagger phi_{j-1}.
+    The gradient is exact, in forward mode (as in GOAT): the stacked vector
+    [d psi/dx_1; ...; d psi/dx_k; psi] is stepped by `_chebyshev_step` on the
+    block upper-triangular matrix with H_j on every diagonal block and P_b in
+    the last block column of block row b, since the upper-right block of
+    exp(-i dt [[H, P], [0, H]]) is the derivative of exp(-i dt H) along P
+    (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  Then
+    d|a|^2/dx_b = 2 Re(conj(a) <target|d psi_end/dx_b>).
     """
-    energies, vectors = _eigh(h0_segment + np.tensordot(x, patterns, axes=(0, 0)))
-    phases = np.exp(-1j * energies * dt)
-    states = _step_states(vectors, phases, psi)
-    a = np.vdot(target, states[-1])
-    lam = np.vstack([_step_states(vectors[:0:-1], phases[:0:-1].conj(), target)[::-1],
-                     target])
-    phi = np.vstack([psi, states[:-1]])
-    v_dagger = vectors.conj().swapaxes(1, 2)
-    lam_eig = np.einsum("jmp,jp->jm", v_dagger, lam)
-    phi_eig = np.einsum("jmp,jp->jm", v_dagger, phi)
-    half = np.exp(-0.5j * dt * energies)
-    e_diff = energies[:, :, None] - energies[:, None, :]
-    gamma = (-1j * dt * half[:, :, None] * half[:, None, :]
-             * np.sinc(0.5 * dt * e_diff / np.pi))
-    z = (vectors.conj() @ (lam_eig.conj()[:, :, None] * gamma * phi_eig[:, None, :])
-         @ vectors.swapaxes(1, 2)).sum(axis=0)
-    da = np.tensordot(patterns, z, axes=((1, 2), (0, 1)))
-    return 1.0 - abs(a) ** 2, -2.0 * np.real(np.conj(a) * da)
+    k, dim = len(patterns), len(psi)
+    drive = np.tensordot(x, patterns, axes=(0, 0))
+    block = np.zeros(((k + 1) * dim,) * 2, dtype=complex)
+    for b, pattern in enumerate(patterns):
+        block[b * dim:(b + 1) * dim, k * dim:] = pattern
+    state = np.zeros((k + 1) * dim, dtype=complex)
+    state[k * dim:] = psi
+    for h0 in h0_segment:
+        h = h0 + drive
+        for b in range(k + 1):
+            block[b * dim:(b + 1) * dim, b * dim:(b + 1) * dim] = h
+        state, _ = _chebyshev_step(block, dt, state)
+    states = state.reshape(k + 1, dim)
+    overlaps = states @ target.conj()
+    a = overlaps[-1]
+    return 1.0 - abs(a) ** 2, -2.0 * np.real(np.conj(a) * overlaps[:-1]), states[-1]
 
 
 def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, *,
@@ -158,8 +155,9 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
     one L-BFGS-B run on the exact gradient (`_segment_infidelity`), started
     from row s of `warm_start` when given (e.g. the optimum of a run with
     fewer bands, padded with zeros), else from the previous segment's
-    optimum (zeros for the first segment).  The schedule is then
-    re-propagated on the fine grid for the returned trajectory, whose
+    optimum (zeros for the first segment).  The next segment starts from the
+    state that optimum leaves, which the same helper returns.  The schedule
+    is then re-propagated on the fine grid for the returned trajectory, whose
     ``info["coefficients"]`` holds it; ``nfev`` counts the objective
     evaluations, each one value and gradient.
     """
@@ -191,20 +189,19 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
         h0_segment = frame.h0_blocks(run.h_mid[lo:hi])
         target = grounds[hi]
 
-        def infidelity_and_gradient(x):
+        def segment(x):
             return _segment_infidelity(h0_segment, patterns, x, dt, psi, target)
 
-        baseline, _ = infidelity_and_gradient(np.zeros(k))
+        baseline = segment(np.zeros(k))[0]
         start = warm_start[s] if warm_start is not None else prev
-        result = minimize(infidelity_and_gradient, start, jac=True,
+        result = minimize(lambda x: segment(x)[:2], start, jac=True,
                           method="L-BFGS-B", options={"gtol": GRADIENT_TOL})
         nfev += 1 + result.nfev
         if result.fun >= baseline - 1e-12:
             warnings.append(
                 f"segment {s}: no improvement over zero drive (F={1 - baseline:.6f})")
         schedule[s] = prev = result.x
-        psi = propagate_steps(h0_segment + np.tensordot(prev, patterns, axes=(0, 0)),
-                              dt, psi)
+        psi = segment(prev)[2]
 
     coefficients = BandCoefficients(times[::opt_steps_per_segment], schedule)
     trajectory = evolve(params, AnsatzDrive(coefficients), eval_steps)

@@ -2,13 +2,13 @@
 driving protocol, with fidelity tracked against the instantaneous ground
 state.
 
-The integrator steps with the midpoint propagator exp(-i H(t_mid) dt).
-`evolve` applies it to the state through a Chebyshev expansion summed to
-machine precision (`_chebyshev_step`), which needs only products of the
-step's block with a vector.  The optimizer's search keeps the exact
-per-step eigendecomposition (`propagate_steps`), because the gradient of its
-objective is built from each step's eigenbasis.  Both the bare
-Hamiltonian and every driving protocol here preserve excitation-number
+The integrator steps with the midpoint propagator exp(-i H(t_mid) dt),
+applied to the state through a Chebyshev expansion summed to machine
+precision (`_chebyshev_step`), which needs only products of the step's block
+with a vector and no eigensolve.  It is the one step kernel: `evolve` runs
+it on the drive's block, and the optimizer's search (`ansatz`) on a block
+upper-triangular extension of it that carries the gradient along.  Both the
+bare Hamiltonian and every driving protocol here preserve excitation-number
 parity, and the initial state is the tracked ground state (parity-pure), so
 the evolution is carried out inside that parity block; this is an exact
 reduction, not an approximation.
@@ -30,7 +30,7 @@ from .counterdiabatic import (band_table, exact_cd, hp_coefficient, parity_frame
                               sector_cd_block)
 from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
-from .spin_algebra import ModelParams, SectorFrame, _eigh
+from .spin_algebra import ModelParams, SectorFrame
 
 __all__ = [
     "Bare",
@@ -168,29 +168,6 @@ def _drive(frame: SectorFrame, protocol: Protocol):
     raise ValidationError(f"unsupported protocol {protocol!r}")
 
 
-def propagate_steps(hamiltonians: np.ndarray, dt, psi: np.ndarray) -> np.ndarray:
-    """Apply exp(-i H_j dt_j) to psi for each H_j of the stack, in order.
-
-    `dt` is one step size or one per Hamiltonian.  The stack is solved in its
-    own dtype, a real stack staying real: a tridiagonal stack of at least
-    TRIDIAGONAL_MIN_DIM states matrix by matrix with LAPACK stevd, any other
-    in one batched np.linalg.eigh call.
-    """
-    energies, vectors = _eigh(hamiltonians)
-    phases = np.exp(-1j * energies * np.reshape(dt, (-1, 1)))
-    return _step_states(vectors, phases, psi)[-1]
-
-
-def _step_states(vectors: np.ndarray, phases: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The state after each step, (steps, dim): psi_j = V_j (phase_j * V_j^dagger
-    psi_{j-1}), with V_j the eigenvectors and phase_j the eigenphases of step j."""
-    states = np.empty((len(phases), len(psi)), dtype=complex)
-    for j, (v, phase) in enumerate(zip(vectors, phases)):
-        psi = v @ (phase * (v.conj().T @ psi))
-        states[j] = psi
-    return states
-
-
 def _chebyshev_step(h: np.ndarray, dt: float, psi: np.ndarray):
     """exp(-i h dt) psi for a Hermitian block h, and the number of Chebyshev
     terms summed (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
@@ -201,6 +178,13 @@ def _chebyshev_step(h: np.ndarray, dt: float, psi: np.ndarray):
     e_k = 2, which holds for z of either sign.  Since |T_k(x) psi| <= |psi| and
     |J_k(z)| <= (|z|/2)^k / k!, terms are added until that bound falls below
     machine epsilon; h = c*I takes the zeroth term alone.
+
+    h may also be block upper-triangular with one Hermitian H on every
+    diagonal block, as in the optimizer's gradient (`ansatz`).  Its spectrum
+    is H's, so the Gershgorin interval of the whole matrix still bounds it.
+    The off-diagonal blocks of T_k(x) grow at most as k^2 (Markov's
+    inequality), far slower than the bound on J_k falls, so the same
+    stopping rule holds.
     """
     diag = np.diagonal(h).real
     radius = np.abs(h).sum(axis=1) - np.abs(diag)
@@ -265,10 +249,11 @@ def fidelity(state: np.ndarray, ground: np.ndarray) -> float:
 
 class _TrackedRun:
     """What `evolve` and `ansatz.optimize` share for one run of params.ramp
-    on `grid`, a step count (uniform grid) or an explicit 1-D array of at
-    least two times inside the ramp's domain: the tracked block, the field
-    at the grid points, the field and its rate at the step midpoints, and
-    the sign-aligned ground series with its first vector as the start state.
+    on `grid`, an integer step count (uniform grid) or an explicit 1-D array
+    of at least two times inside the ramp's domain: the tracked block, the
+    field at the grid points, the field and its rate at the step midpoints,
+    and the sign-aligned ground series with its first vector as the start
+    state.
     Each step's H0 block is built when the step runs, from
     ``frame.h0_blocks(h_mid[k])``."""
 
@@ -276,12 +261,12 @@ class _TrackedRun:
         ramp = params.ramp
         if ramp is None:
             raise ValidationError("the model has no ramp (ModelParams.ramp)")
-        if np.isscalar(grid):
+        if isinstance(grid, (int, np.integer)) and not isinstance(grid, bool):
             self.times = ramp.grid(int(grid))
         else:
-            self.times = np.asarray(grid, dtype=float)
-            if self.times.ndim != 1 or len(self.times) < 2:
+            if np.ndim(grid) != 1 or len(grid) < 2:
                 raise ValidationError("grid must be an int or a 1-D array of >= 2 times")
+            self.times = np.asarray(grid, dtype=float)
             if not np.all((ramp.t_start <= self.times) & (self.times <= ramp.t_end)):
                 raise ValidationError(
                     f"grid times must be finite and inside the ramp's "
@@ -348,9 +333,9 @@ def evolve(params: ModelParams, protocol, grid=DEFAULT_STEPS, *,
            store_states: bool = False, converge: bool = False) -> Trajectory:
     """Propagate the tracked ground state of H0(h(t_start)) along params.ramp.
 
-    `grid` is a step count (uniform grid) or an explicit time array.  With
-    ``store_states=True`` the trajectory keeps the state at every grid point
-    (full basis).  With ``converge=True`` the step count is doubled until
+    `grid` is an integer step count (uniform grid) or an explicit time
+    array.  With ``store_states=True`` the trajectory keeps the state at
+    every grid point (full basis).  With ``converge=True`` the step count is doubled until
     the final fidelity changes by less than CONVERGENCE_TOL, at most
     MAX_REFINEMENTS times, and the converged run is returned; failure to
     converge raises ConvergenceError with a suggested step size.  A state

@@ -67,6 +67,8 @@ def gap_series(params: ModelParams, h_grid: Sequence[float]) -> GapTable:
     blocks, which H0 does not couple.
     """
     h_grid = np.asarray(h_grid, dtype=float)
+    if h_grid.ndim != 1:
+        raise ValidationError("h grid must be 1-D")
     if h_grid.size == 0:
         raise ValidationError("h grid is empty")
     if not np.all(np.isfinite(h_grid)):

@@ -36,9 +36,9 @@ __all__ = [
     "SectorFrame",
 ]
 
-# Stacks of at least this many states that are exactly tridiagonal are solved
-# by LAPACK stevd, smaller ones by numpy's eigh.  scipy's LAPACK wrappers hold
-# the GIL and numpy's eigh releases it, so below this size stevd's speed-up is
+# Tridiagonal matrices of at least this many states are solved by LAPACK
+# stevd, smaller ones by numpy's eigh.  scipy's LAPACK wrappers hold the GIL
+# and numpy's eigh releases it, so below this size stevd's speed-up is
 # smaller than what it costs the figure presets' thread pool (51 states at
 # N=100; timed by bench/step_kernel.py).
 TRIDIAGONAL_MIN_DIM = 64
@@ -152,34 +152,14 @@ def place_band(out: np.ndarray, offset: int, upper, lower) -> np.ndarray:
     return out
 
 
-def _eigh(hamiltonians: np.ndarray):
-    """``np.linalg.eigh`` of a Hermitian matrix or stack, (..., dim, dim),
-    read from the lower triangle.
-
-    A stack of at least TRIDIAGONAL_MIN_DIM states with nothing below the
-    first subdiagonal is solved matrix by matrix with LAPACK stevd.  A
-    complex Hermitian tridiagonal matrix with subdiagonal e is
-    P T P^dagger, T real with subdiagonal |e| and P = diag(exp(i phi)),
-    phi = (0, cumsum(angle(e))); its eigenvectors are those of T with row j
-    multiplied by exp(i phi_j).  Every other stack goes to np.linalg.eigh.
-    """
-    dim = hamiltonians.shape[-1]
-    if dim < TRIDIAGONAL_MIN_DIM or np.any(np.tril(hamiltonians, -2)):
-        return np.linalg.eigh(hamiltonians)
-    stack = hamiltonians.reshape(-1, dim, dim)
-    diagonals = np.diagonal(stack, 0, -2, -1).real
-    subdiagonals = np.diagonal(stack, -1, -2, -1)
-    energies = np.empty(diagonals.shape)
-    vectors = np.empty(stack.shape, dtype=stack.dtype)
-    for j, (diag, sub) in enumerate(zip(diagonals, subdiagonals)):
-        if np.iscomplexobj(sub):
-            energies[j], v = eigh_tridiagonal(diag, np.abs(sub), lapack_driver="stevd")
-            phi = np.concatenate(([0.0], np.cumsum(np.angle(sub))))
-            vectors[j] = np.exp(1j * phi)[:, None] * v
-        else:
-            energies[j], vectors[j] = eigh_tridiagonal(diag, sub, lapack_driver="stevd")
-    return (energies.reshape(hamiltonians.shape[:-1]),
-            vectors.reshape(hamiltonians.shape))
+def _eigh(hamiltonian: np.ndarray):
+    """``np.linalg.eigh`` of a real symmetric matrix, read from the lower
+    triangle.  One of at least TRIDIAGONAL_MIN_DIM states with nothing below
+    the first subdiagonal is solved by LAPACK stevd instead."""
+    if len(hamiltonian) < TRIDIAGONAL_MIN_DIM or np.any(np.tril(hamiltonian, -2)):
+        return np.linalg.eigh(hamiltonian)
+    return eigh_tridiagonal(np.diagonal(hamiltonian), np.diagonal(hamiltonian, -1),
+                            lapack_driver="stevd")
 
 
 class SectorFrame:

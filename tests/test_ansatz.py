@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import cdlmg.ansatz
 from cdlmg import (
@@ -14,7 +15,7 @@ from cdlmg import (
     optimize,
 )
 from cdlmg.ansatz import _segment_infidelity
-from cdlmg.dynamics import _TrackedRun, propagate_steps
+from cdlmg.dynamics import _TrackedRun
 from cdlmg.spin_algebra import SectorFrame
 
 
@@ -77,23 +78,27 @@ def test_optimize_validation(linear_ramp):
 @pytest.mark.parametrize("k", [1, 2])
 def test_segment_gradient_matches_finite_differences(linear_ramp, k):
     # a segment across the transition (h from 0.975 to 1.025), at zero drive
-    # and at a generic point
+    # and at a generic point; the value and end state against steps of expm
     params = ModelParams(8, 0.0, linear_ramp)
     run = _TrackedRun(params, 100)
     lo, hi = 45, 55
-    args = (run.frame.h0_blocks(run.h_mid[lo:hi]), run.frame.band_patterns(k))
+    h0_segment, patterns = run.frame.h0_blocks(run.h_mid[lo:hi]), run.frame.band_patterns(k)
     dt = run.times[1] - run.times[0]
     psi, target = run.grounds[lo].astype(complex), run.grounds[hi]
+
+    def segment(x):
+        return _segment_infidelity(h0_segment, patterns, x, dt, psi, target)
+
     eps = 1e-5
     for x in (np.zeros(k), np.array([-0.9, 0.4])[:k]):
-        value, gradient = _segment_infidelity(*args, x, dt, psi, target)
-        assert value == pytest.approx(1.0 - abs(np.vdot(
-            target, propagate_steps(args[0] + np.tensordot(x, args[1], axes=(0, 0)),
-                                    dt, psi))) ** 2, abs=1e-15)
-        central = np.array([
-            (_segment_infidelity(*args, x + eps * e, dt, psi, target)[0]
-             - _segment_infidelity(*args, x - eps * e, dt, psi, target)[0]) / (2 * eps)
-            for e in np.eye(k)])
+        value, gradient, psi_end = segment(x)
+        expected = psi
+        for h0 in h0_segment:
+            expected = expm(-1j * dt * (h0 + np.tensordot(x, patterns, axes=(0, 0)))) @ expected
+        assert value == pytest.approx(1.0 - abs(np.vdot(target, expected)) ** 2, abs=1e-15)
+        assert np.max(np.abs(psi_end - expected)) < 1e-14
+        central = np.array([(segment(x + eps * e)[0] - segment(x - eps * e)[0]) / (2 * eps)
+                            for e in np.eye(k)])
         assert np.max(np.abs(gradient - central)) <= 1e-6 * np.max(np.abs(gradient))
 
 

@@ -29,9 +29,9 @@ from cdlmg import (
     hp_coefficient,
     parse_protocol,
 )
-from cdlmg.dynamics import _chebyshev_step, propagate_steps
+from cdlmg.dynamics import _chebyshev_step
 from cdlmg.spectrum import sector_ground_series
-from cdlmg.spin_algebra import TRIDIAGONAL_MIN_DIM, SectorFrame, place_band
+from cdlmg.spin_algebra import TRIDIAGONAL_MIN_DIM, SectorFrame, _eigh, place_band
 
 
 # --------------------------------------------------------------------------
@@ -109,81 +109,58 @@ def _tridiagonal(rng, dim, sub):
     return place_band(out, 1, np.conj(sub), sub)
 
 
-def _stack(kind, rng, dim):
-    """Two Hermitian matrices of `dim` states of one kind."""
+def _real_matrix(kind, rng, dim):
+    """A real symmetric matrix of `dim` states of one kind."""
     if kind == "diagonal":  # gamma = 1: H0 has no off-diagonal
         frame = SectorFrame.tracked(ModelParams(2 * dim - 2, 1.0))
         assert frame.dim == dim and not np.any(frame.h0_off)
-        return frame.h0_blocks([0.9, 1.1])
-    subs = rng.normal(size=(2, dim - 1))
-    if kind == "imaginary":
-        subs = 1j * subs
-    elif kind != "real":
-        subs = subs + 1j * rng.normal(size=(2, dim - 1))
+        return frame.h0_blocks(0.9)[0]
+    sub = rng.normal(size=dim - 1)
     if kind == "split":
-        subs[:, dim // 2] = 0.0
-    stack = np.array([_tridiagonal(rng, dim, e) for e in subs])
+        sub[dim // 2] = 0.0
+    out = _tridiagonal(rng, dim, sub)
     if kind == "band2":
-        stack[0, 2, 0] = 0.3 + 0.1j
-        stack[0, 0, 2] = 0.3 - 0.1j
-    return stack
+        out[2, 0] = out[0, 2] = 0.3
+    return out
 
 
-@pytest.mark.parametrize("dtype", [float, complex, "tridiagonal"])
-def test_propagate_steps_batch_equals_single_steps(dtype):
-    # optimize's search solves a segment's steps in one batched eigensolve,
-    # and stepping them one at a time must do the same arithmetic
-    rng = np.random.default_rng(5)
-    if dtype == "tridiagonal":
-        dim = TRIDIAGONAL_MIN_DIM + 3
-        stack = np.concatenate([_stack("complex", rng, dim), _stack("split", rng, dim)])
-    else:
-        dim = 9
-        raw = rng.normal(size=(4, dim, dim))
-        if dtype is complex:
-            raw = raw + 1j * rng.normal(size=(4, dim, dim))
-        stack = raw + raw.conj().transpose(0, 2, 1)
-    dts = np.array([0.01, 0.02, -0.01, 0.03])
-    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi = psi0
-    for k in range(4):
-        psi = propagate_steps(stack[k][None], dts[k:k + 1], psi)
-    assert np.array_equal(propagate_steps(stack, dts, psi0), psi)
-    assert np.linalg.norm(psi) == pytest.approx(np.linalg.norm(psi0), abs=1e-12)
-
-
-@pytest.mark.parametrize("kind", ["real", "complex", "imaginary", "split", "diagonal",
-                                  "band2", "small"])
+@pytest.mark.parametrize("kind", ["real", "split", "diagonal", "band2", "small"])
 def test_propagate_steps_tridiagonal_path(kind, monkeypatch):
-    # tridiagonal stacks of TRIDIAGONAL_MIN_DIM states or more are solved by
-    # LAPACK stevd (complex ones through a diagonal phase gauge); a stack
-    # with any entry beyond the first off-diagonal, or a smaller one, takes
-    # the dense path
+    # _eigh solves the real H0 block of sector_cd_block: a tridiagonal matrix
+    # of TRIDIAGONAL_MIN_DIM states or more by LAPACK stevd; one with any entry
+    # beyond the first off-diagonal, or a smaller one, takes the dense path
     solved = []
     monkeypatch.setattr("cdlmg.spin_algebra.eigh_tridiagonal",
                         lambda *a, **kw: solved.append(kw) or eigh_tridiagonal(*a, **kw))
     rng = np.random.default_rng(11)
     dim = TRIDIAGONAL_MIN_DIM + (-1 if kind == "small" else 5)
-    stack = _stack(kind, rng, dim)
-    dts = np.array([0.05, -0.03])
+    h = _real_matrix(kind, rng, dim)
     psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi0 /= np.linalg.norm(psi0)
-    expected = psi0
-    for h, dt in zip(stack, dts):
-        expected = expm(-1j * h * dt) @ expected
-    got = propagate_steps(stack, dts, psi0)
-    assert np.max(np.abs(got - expected)) < 1e-12
-    assert solved == ([] if kind in ("band2", "small") else [{"lapack_driver": "stevd"}] * 2)
+    energies, vectors = _eigh(h)
+    for dt in (0.05, -0.03):
+        got = vectors @ (np.exp(-1j * energies * dt) * (vectors.T @ psi0))
+        assert np.max(np.abs(got - expm(-1j * h * dt) @ psi0)) < 1e-12
+    assert solved == ([] if kind in ("band2", "small") else [{"lapack_driver": "stevd"}])
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "tridiagonal", "identity", "wide"])
+@pytest.mark.parametrize("kind", ["real", "complex", "tridiagonal", "identity", "wide",
+                                  "block_triangular"])
 def test_chebyshev_step_matches_expm(kind):
     rng = np.random.default_rng(3)
     dim = 9
     if kind == "tridiagonal":
-        h = _stack("complex", rng, TRIDIAGONAL_MIN_DIM + 5)[0]
+        dim = TRIDIAGONAL_MIN_DIM + 5
+        h = _tridiagonal(rng, dim, rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1))
     elif kind == "identity":  # a zero-width spectral interval
         h = 1.7 * np.eye(dim)
+    elif kind == "block_triangular":
+        # [[H, P_1], [0, H]], whose upper-right exponential block is the
+        # derivative of exp(-i H dt) along P_1 (the optimizer's gradient)
+        frame = SectorFrame.tracked(ModelParams(40, 0.0))
+        pattern = frame.band_patterns(1)[0]
+        block = frame.h0_blocks(1.0)[0] + 0.4 * pattern
+        h = np.block([[block, pattern], [np.zeros_like(block), block]])
     else:
         raw = rng.normal(size=(dim, dim))
         if kind != "real":
@@ -192,7 +169,8 @@ def test_chebyshev_step_matches_expm(kind):
     dim = len(h)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
-    for dt in (0.05, -0.03) if kind != "wide" else (3.0, -2.5):
+    dts = {"wide": (3.0, -2.5), "block_triangular": (0.05, -0.03, 10.0)}.get(kind, (0.05, -0.03))
+    for dt in dts:
         if kind == "wide":  # z, the spectral half-width times |dt|, beyond dim
             energies = np.linalg.eigvalsh(h)
             assert 0.5 * (energies[-1] - energies[0]) * abs(dt) > dim
@@ -204,7 +182,7 @@ def test_chebyshev_step_matches_expm(kind):
 @pytest.mark.parametrize("protocol", ["bare", "hp", "truncated:1", "exact_cd",
                                       "decomposed:1", "ansatz"])
 def test_evolve_matches_eigh_steps(protocol, monkeypatch):
-    # evolve's Chebyshev steps against the same run stepped by eigendecomposition
+    # evolve's Chebyshev steps against the same run stepped by expm
     params = ModelParams(20, 0.0, RampSchedule.linear(0.75, 0.5))
     if protocol == "ansatz":
         protocol = AnsatzDrive(BandCoefficients(np.linspace(0, 1, 11),
@@ -212,7 +190,7 @@ def test_evolve_matches_eigh_steps(protocol, monkeypatch):
     traj = evolve(params, protocol, 200, store_states=True)
     assert traj.info["matvecs"] >= traj.info["steps"]
     monkeypatch.setattr("cdlmg.dynamics._chebyshev_step", lambda h, dt, psi: (
-        propagate_steps(h[None], np.array([dt]), psi), 1))
+        expm(-1j * h * dt) @ psi, 1))
     reference = evolve(params, protocol, 200, store_states=True)
     assert np.max(np.abs(traj.states - reference.states)) < 1e-12
     assert np.max(np.abs(traj.fidelity - reference.fidelity)) < 1e-12
@@ -326,6 +304,12 @@ def test_evolve_validation():
     for grid in ([0.0], np.array([0.0, np.nan]), [0.0, np.inf], [0.0, -3.0], [0.0, 1.5]):
         with pytest.raises(ValidationError):
             evolve(ModelParams(8, 0.0, ramp), "bare", grid)
+    # a step count must be an integer: 2.7, True and "3" would otherwise run
+    # 2, 1 and 3 steps
+    for grid in (2.7, True, "3"):
+        with pytest.raises(ValidationError):
+            evolve(ModelParams(8, 0.0, ramp), "bare", grid)
+    assert evolve(ModelParams(8, 0.0, ramp), "bare", np.int64(3)).info["steps"] == 3
 
 
 def test_run_holds_one_step_block_at_a_time():
@@ -379,11 +363,16 @@ def test_norm_preserved_over_full_ramp():
 
 
 def test_fidelities_independent_of_blas_threads():
+    # the four protocols' fidelities at N=300, and the optimizer's schedule at
+    # N=130 (66 states per block, stepped with the gradient on 132)
     code = (
-        "from cdlmg import ModelParams, RampSchedule, evolve\n"
-        "params = ModelParams(300, 0.0, RampSchedule.linear(0.75, 0.5))\n"
+        "from cdlmg import ModelParams, RampSchedule, evolve, optimize\n"
+        "ramp = RampSchedule.linear(0.75, 0.5)\n"
+        "params = ModelParams(300, 0.0, ramp)\n"
         "for protocol in ('bare', 'hp', 'truncated:1', 'exact_cd'):\n"
-        "    print(evolve(params, protocol, 60).fidelity.tobytes().hex())\n")
+        "    print(evolve(params, protocol, 60).fidelity.tobytes().hex())\n"
+        "result = optimize(ModelParams(130, 0.0, ramp), k=1, segments=10, eval_steps=200)\n"
+        "print(result.coefficients.values.tobytes().hex())\n")
     src = str(Path(__import__("cdlmg").__file__).resolve().parent.parent)
     outputs = []
     for threads in ("1", "2"):
@@ -392,5 +381,5 @@ def test_fidelities_independent_of_blas_threads():
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=300, check=True)
         outputs.append(run.stdout.split())
-    assert len(outputs[0]) == 4
+    assert len(outputs[0]) == 5
     assert outputs[0] == outputs[1]

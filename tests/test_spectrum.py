@@ -77,7 +77,8 @@ def test_gap_series_validation_and_export(tmp_path):
     params = ModelParams(20, 0.0)
     with pytest.raises(ValidationError):
         gap_series(params, [])
-    for bad in ([1.0, 0.5], [0.5, np.inf], [np.nan]):
+    # a 2-D grid would return gaps at its first column under 2-D h_values
+    for bad in ([1.0, 0.5], [0.5, np.inf], [np.nan], [[0.5, 0.9], [1.2, 1.5]], 0.7):
         with pytest.raises(ValidationError):
             gap_series(params, bad)
     table = gap_series(params, np.linspace(0.5, 1.5, 11))
