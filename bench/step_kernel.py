@@ -16,7 +16,7 @@ first, and writes one JSON record:
   the median of those and every interpreter's value, with the final
   fidelity and the norm error;
   ``change_all_tridiagonal`` is the change with the threshold lowered to 2,
-  so that every tridiagonal stack goes to stevd.  ``evolve`` steps by a
+  so that every H0 block goes to stevd.  ``evolve`` steps by a
   Chebyshev expansion and solves no step eigenproblem, so the threshold
   reaches only the H0 solve inside the CD block of truncated:1 and
   exact_cd; bare and hp read the same on both;
@@ -59,8 +59,8 @@ CHILD = """
 import json, sys, time
 task = json.loads(sys.argv[1])
 if task["min_dim"] is not None:
-    import cdlmg.spin_algebra
-    cdlmg.spin_algebra.TRIDIAGONAL_MIN_DIM = task["min_dim"]
+    import cdlmg.counterdiabatic
+    cdlmg.counterdiabatic.TRIDIAGONAL_MIN_DIM = task["min_dim"]
 from cdlmg import ModelParams, RampSchedule, evolve
 from cdlmg.figures import run_figure
 if task["kind"] == "step":
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
         return 2
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     sys.path.insert(0, str(change))
-    from cdlmg.spin_algebra import TRIDIAGONAL_MIN_DIM
+    from cdlmg.counterdiabatic import TRIDIAGONAL_MIN_DIM
 
     record = {
         "command": "python3 bench/step_kernel.py --src <parent>/src --out <file>",

@@ -232,11 +232,9 @@ class HarmonicFit:
         return len(self.amplitudes)
 
     def evaluate(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for a, w, p in zip(self.amplitudes, self.omegas, self.phases):
-            out = out + a * np.sin(w * t + p)
-        return out
+        """The fitted pulse at the 1-D times t."""
+        return _harmonic_model(self.amplitudes, self.omegas, self.phases,
+                               np.asarray(t, dtype=float))
 
     def to_json_dict(self) -> dict:
         return {
@@ -249,9 +247,9 @@ class HarmonicFit:
         }
 
 
-def _harmonic_model(packed: np.ndarray, t: np.ndarray) -> np.ndarray:
-    c = len(packed) // 3
-    a, w, p = packed[:c], packed[c:2 * c], packed[2 * c:]
+def _harmonic_model(a: np.ndarray, w: np.ndarray, p: np.ndarray,
+                    t: np.ndarray) -> np.ndarray:
+    """sum_m a_m sin(w_m t + p_m) at the 1-D times t."""
     return (a[:, None] * np.sin(np.outer(w, t) + p[:, None])).sum(axis=0)
 
 
@@ -282,9 +280,9 @@ def fit_harmonics(times, values, c: int) -> HarmonicFit:
     """Nonlinear least-squares fit of c sinusoids with free frequencies.
 
     Initial frequencies come from the dominant peaks of greedy frequency
-    scans; the joint refinement then releases all 3c parameters.  If the
-    refinement does not converge the best point found is returned with
-    ``converged=False``.
+    scans; one joint refinement then releases all 3c parameters.
+    ``converged`` is that refinement's success within 20000 evaluations;
+    when it does not succeed, the point it stopped at is returned.
     """
     if not 1 <= c <= 3:
         raise ValidationError(f"harmonic count must be 1, 2 or 3, got {c}")
@@ -294,22 +292,13 @@ def fit_harmonics(times, values, c: int) -> HarmonicFit:
         raise ValidationError("times and values must be matching 1-D arrays")
     if len(times) < 3 * c + 1:
         raise ValidationError(f"need more than {3 * c} samples to fit {c} harmonics")
-    x0 = _matching_pursuit_init(times, values, c)
-    best = None
-    for attempt, start in enumerate((x0, x0 * np.concatenate(
-            [np.ones(c), np.full(c, 1.05), np.ones(c)]))):
-        sol = least_squares(lambda p: _harmonic_model(p, times) - values,
-                            start, max_nfev=20000)
-        if best is None or sol.cost < best.cost:
-            best = sol
-        if sol.success and attempt == 0:
-            break
-    packed = best.x
-    rms = float(np.sqrt(np.mean((_harmonic_model(packed, times) - values) ** 2)))
+    sol = least_squares(lambda x: _harmonic_model(*x.reshape(3, c), times) - values,
+                        _matching_pursuit_init(times, values, c), max_nfev=20000)
+    amplitudes, omegas, phases = sol.x.reshape(3, c)
     return HarmonicFit(
-        amplitudes=packed[:c].copy(), omegas=packed[c:2 * c].copy(),
-        phases=packed[2 * c:].copy(), residual=rms,
-        times=times.copy(), values=values.copy(), converged=bool(best.success))
+        amplitudes=amplitudes, omegas=omegas, phases=phases,
+        residual=float(np.sqrt(np.mean(sol.fun ** 2))),
+        times=times.copy(), values=values.copy(), converged=bool(sol.success))
 
 
 @dataclass(frozen=True)

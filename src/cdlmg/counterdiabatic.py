@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import StructureError, ValidationError
-from .spin_algebra import DickeSector, ModelParams, SectorFrame, _eigh, place_band
+from .spin_algebra import DickeSector, ModelParams, SectorFrame, place_band
 
 __all__ = [
     "BandTable",
@@ -39,6 +40,12 @@ __all__ = [
 HP_SWITCH_TOL = 1e-3
 ODD_OFFSET_TOL = 1e-10
 DEGENERACY_TOL_FACTOR = 1e-8
+# H0 blocks of at least this many states are solved by LAPACK stevd, smaller
+# ones by numpy's eigh.  scipy's LAPACK wrappers hold the GIL and numpy's eigh
+# releases it, so below this size stevd's speed-up is smaller than what it
+# costs the figure presets' thread pool (51 states at N=100; timed by
+# bench/step_kernel.py).
+TRIDIAGONAL_MIN_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,18 @@ class BandTable:
         return mat
 
 
-def sector_cd_block(h0_block: np.ndarray, sz_diag: np.ndarray, hdot: float) -> np.ndarray:
-    """Driving-term block for one parity sector, in that sector's basis."""
-    energies, vectors = _eigh(h0_block)
-    m = vectors.T @ (sz_diag[:, None] * vectors) * (-2.0 * hdot)
+def sector_cd_block(frame: SectorFrame, h0_block: np.ndarray, hdot: float) -> np.ndarray:
+    """Driving-term block for one parity sector, in that sector's basis.
+
+    h0_block is the frame's tridiagonal H0 block at the field in question
+    (``frame.h0_blocks``); its subdiagonal is ``frame.h0_off``.
+    """
+    if frame.dim < TRIDIAGONAL_MIN_DIM:
+        energies, vectors = np.linalg.eigh(h0_block)
+    else:
+        energies, vectors = eigh_tridiagonal(np.diagonal(h0_block), frame.h0_off,
+                                             lapack_driver="stevd")
+    m = vectors.T @ (frame.m_diag[:, None] * vectors) * (-2.0 * hdot)
     de = energies[None, :] - energies[:, None]
     tol = DEGENERACY_TOL_FACTOR * max(np.max(np.abs(energies)), 1.0)
     safe = np.abs(de) > tol
@@ -107,7 +122,7 @@ def exact_cd(params: ModelParams, h: float, hdot: float, *,
         dim = params.sector.dim
         return np.zeros((dim, dim), dtype=complex)
     return _from_parity_blocks(frames, lambda frame: sector_cd_block(
-        frame.h0_blocks(h)[0], frame.m_diag, hdot))
+        frame, frame.h0_blocks(h)[0], hdot))
 
 
 def band_table(mat: np.ndarray) -> BandTable:

@@ -139,7 +139,7 @@ def _drive(frame: SectorFrame, protocol: Protocol):
     if isinstance(protocol, Bare):
         return lambda t, h, hdot, h0: None
     if isinstance(protocol, ExactCD):
-        return lambda t, h, hdot, h0: sector_cd_block(h0, frame.m_diag, hdot)
+        return lambda t, h, hdot, h0: sector_cd_block(frame, h0, hdot)
     if isinstance(protocol, Truncated):
         keep = frame.truncation_mask(protocol.bands)
         if isinstance(protocol, DecomposedDrive):
@@ -150,7 +150,7 @@ def _drive(frame: SectorFrame, protocol: Protocol):
 
         def truncated(t, h, hdot, h0):
             if check is None:
-                return np.where(keep, sector_cd_block(h0, frame.m_diag, hdot), 0.0)
+                return np.where(keep, sector_cd_block(frame, h0, hdot), 0.0)
             full = exact_cd(frame.params, h, hdot, frames=frames)
             check(band_table(full))
             return np.where(keep, full[frame.ix], 0.0)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ValidationError
 from .ramps import RampSchedule
@@ -35,13 +34,6 @@ __all__ = [
     "place_band",
     "SectorFrame",
 ]
-
-# Tridiagonal matrices of at least this many states are solved by LAPACK
-# stevd, smaller ones by numpy's eigh.  scipy's LAPACK wrappers hold the GIL
-# and numpy's eigh releases it, so below this size stevd's speed-up is
-# smaller than what it costs the figure presets' thread pool (51 states at
-# N=100; timed by bench/step_kernel.py).
-TRIDIAGONAL_MIN_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -150,16 +142,6 @@ def place_band(out: np.ndarray, offset: int, upper, lower) -> np.ndarray:
     out[..., rows, rows + offset] = upper
     out[..., rows + offset, rows] = lower
     return out
-
-
-def _eigh(hamiltonian: np.ndarray):
-    """``np.linalg.eigh`` of a real symmetric matrix, read from the lower
-    triangle.  One of at least TRIDIAGONAL_MIN_DIM states with nothing below
-    the first subdiagonal is solved by LAPACK stevd instead."""
-    if len(hamiltonian) < TRIDIAGONAL_MIN_DIM or np.any(np.tril(hamiltonian, -2)):
-        return np.linalg.eigh(hamiltonian)
-    return eigh_tridiagonal(np.diagonal(hamiltonian), np.diagonal(hamiltonian, -1),
-                            lapack_driver="stevd")
 
 
 class SectorFrame:

@@ -167,6 +167,16 @@ def test_optimize_more_bands_never_worse(linear_ramp):
             >= one.trajectory.final_fidelity - 1e-9)
 
 
+def test_optimize_warns_for_each_segment_zero_drive_cannot_beat():
+    # on a constant field the ground state is stationary, so zero drive
+    # already ends every segment at F = 1
+    params = ModelParams(6, 0.0, RampSchedule.constant(0.9))
+    result = optimize(params, k=1, segments=10, opt_steps_per_segment=4, eval_steps=100)
+    assert result.warnings == tuple(
+        f"segment {s}: no improvement over zero drive (F=1.000000)" for s in range(10))
+    assert result.trajectory.info["optimizer_warnings"] == list(result.warnings)
+
+
 # --------------------------------------------------------------------------
 # harmonic fits
 
@@ -189,6 +199,23 @@ def test_fit_two_sines():
     assert fit.residual < 1e-7
     recovered = sorted(np.abs(fit.omegas))
     assert recovered == pytest.approx([7.3, 19.0], abs=1e-4)
+
+
+def test_fit_makes_one_refinement_even_when_it_does_not_converge(monkeypatch):
+    calls = []
+    real = cdlmg.ansatz.least_squares
+
+    def capped(*args, **kwargs):
+        calls.append(kwargs["max_nfev"])
+        return real(*args, **dict(kwargs, max_nfev=5))
+
+    monkeypatch.setattr("cdlmg.ansatz.least_squares", capped)
+    # a damped oscillation, which the full budget fits in about 500 evaluations
+    t = np.linspace(0.0125, 0.9875, 40)
+    fit = fit_harmonics(t, np.exp(-3.0 * t) * np.cos(11.0 * t), 2)
+    assert calls == [20000]
+    assert fit.converged is False
+    assert fit.to_json_dict()["converged"] is False
 
 
 def test_fit_validation():

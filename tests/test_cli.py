@@ -127,6 +127,15 @@ def test_optimize_and_determinism(tmp_path):
     assert set(schedule_json) == {"boundaries", "values"}
 
 
+def test_optimize_manifest_records_optimizer_warnings(tmp_path):
+    # a constant field leaves zero drive optimal in every segment
+    assert run_cli(["optimize", "--n", 6, "--bands", 1, "--ramp", "constant:0.9",
+                    "--segments", 10, "--steps", 100, "--out", tmp_path]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["results"]["ansatz(k=1)"]["warnings"] == [
+        f"segment {s}: no improvement over zero drive (F=1.000000)" for s in range(10)]
+
+
 def test_optimize_validation(tmp_path):
     # a band count below 1 or a negative seed is bad configuration for every
     # command that takes one, as is a decompose time outside the ramp

@@ -3,6 +3,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from cdlmg import (
     DickeSector,
@@ -17,8 +18,8 @@ from cdlmg import (
     hp_coefficient,
 )
 from cdlmg.band_operators import _bj
-from cdlmg.counterdiabatic import parity_frames, sector_cd_block
-from cdlmg.spin_algebra import TRIDIAGONAL_MIN_DIM, SectorFrame, parity_indices
+from cdlmg.counterdiabatic import TRIDIAGONAL_MIN_DIM, parity_frames, sector_cd_block
+from cdlmg.spin_algebra import SectorFrame, parity_indices
 from conftest import block_angle_rate_fd, even_projector
 
 
@@ -113,15 +114,10 @@ def test_exact_cd_eigenbasis_round_trip():
         assert np.max(np.abs(got - expected)) < 1e-10
 
 
-@pytest.mark.parametrize("h", [0.6, 1.0, 1.3])
-def test_sector_cd_block_large_sector_matches_dense_reference(h):
-    # at N=300 the H0 block (151 states) is solved by LAPACK stevd; the
-    # reference builds the same term from numpy's dense eigh
-    frame = SectorFrame.tracked(ModelParams(300, 0.0))
-    assert frame.dim >= TRIDIAGONAL_MIN_DIM
-    h0, hdot = frame.h0_blocks(h)[0], 0.5
+def _dense_cd_reference(frame, h0, hdot):
+    """sector_cd_block's term built from numpy's dense eigh, for a block with
+    no degenerate levels to zero."""
     energies, vectors = np.linalg.eigh(h0)
-    assert np.min(np.diff(energies)) > 0.1  # no degenerate cluster to zero
     m = vectors.T @ (frame.m_diag[:, None] * vectors) * (-2.0 * hdot)
     de = energies[None, :] - energies[:, None]
     np.fill_diagonal(de, 1.0)
@@ -129,8 +125,40 @@ def test_sector_cd_block_large_sector_matches_dense_reference(h):
     np.fill_diagonal(w, 0.0)
     expected = vectors @ (1j * w) @ vectors.T
     np.fill_diagonal(expected, 0.0)
-    got = sector_cd_block(h0, frame.m_diag, hdot)
-    assert np.max(np.abs(got - expected)) < 1e-12
+    return expected
+
+
+@pytest.mark.parametrize("h", [0.6, 1.0, 1.3])
+def test_sector_cd_block_large_sector_matches_dense_reference(h):
+    # at N=300 the H0 block (151 states) is solved by LAPACK stevd; the
+    # reference builds the same term from numpy's dense eigh
+    frame = SectorFrame.tracked(ModelParams(300, 0.0))
+    assert frame.dim >= TRIDIAGONAL_MIN_DIM
+    h0, hdot = frame.h0_blocks(h)[0], 0.5
+    assert np.min(np.diff(np.linalg.eigvalsh(h0))) > 0.1  # no degenerate cluster to zero
+    got = sector_cd_block(frame, h0, hdot)
+    assert np.max(np.abs(got - _dense_cd_reference(frame, h0, hdot))) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["real", "split", "diagonal", "small"])
+def test_sector_cd_block_tridiagonal_path(kind, monkeypatch):
+    # an H0 block of TRIDIAGONAL_MIN_DIM states or more is solved by LAPACK
+    # stevd on its diagonal and frame.h0_off, also where that subdiagonal
+    # splits the block or vanishes (gamma = 1); a smaller one by numpy's eigh
+    solved = []
+    monkeypatch.setattr("cdlmg.counterdiabatic.eigh_tridiagonal",
+                        lambda *a, **kw: solved.append(kw) or eigh_tridiagonal(*a, **kw))
+    dim = TRIDIAGONAL_MIN_DIM + (-1 if kind == "small" else 5)
+    frame = SectorFrame.tracked(ModelParams(2 * dim - 2, 1.0 if kind == "diagonal" else 0.0))
+    assert frame.dim == dim
+    if kind == "split":
+        frame.h0_off[dim // 2] = 0.0
+    h0, hdot = frame.h0_blocks(1.1)[0], 0.5
+    assert np.count_nonzero(np.diagonal(h0, -1)) == {"split": dim - 2, "diagonal": 0}.get(
+        kind, dim - 1)
+    got = sector_cd_block(frame, h0, hdot)
+    assert np.max(np.abs(got - _dense_cd_reference(frame, h0, hdot))) < 1e-12
+    assert solved == ([] if kind == "small" else [{"lapack_driver": "stevd"}])
 
 
 # --------------------------------------------------------------------------

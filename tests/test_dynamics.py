@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import expm
 
 from cdlmg import (
     AnsatzDrive,
@@ -31,7 +31,7 @@ from cdlmg import (
 )
 from cdlmg.dynamics import _chebyshev_step
 from cdlmg.spectrum import sector_ground_series
-from cdlmg.spin_algebra import TRIDIAGONAL_MIN_DIM, SectorFrame, _eigh, place_band
+from cdlmg.spin_algebra import SectorFrame, place_band
 
 
 # --------------------------------------------------------------------------
@@ -109,48 +109,13 @@ def _tridiagonal(rng, dim, sub):
     return place_band(out, 1, np.conj(sub), sub)
 
 
-def _real_matrix(kind, rng, dim):
-    """A real symmetric matrix of `dim` states of one kind."""
-    if kind == "diagonal":  # gamma = 1: H0 has no off-diagonal
-        frame = SectorFrame.tracked(ModelParams(2 * dim - 2, 1.0))
-        assert frame.dim == dim and not np.any(frame.h0_off)
-        return frame.h0_blocks(0.9)[0]
-    sub = rng.normal(size=dim - 1)
-    if kind == "split":
-        sub[dim // 2] = 0.0
-    out = _tridiagonal(rng, dim, sub)
-    if kind == "band2":
-        out[2, 0] = out[0, 2] = 0.3
-    return out
-
-
-@pytest.mark.parametrize("kind", ["real", "split", "diagonal", "band2", "small"])
-def test_propagate_steps_tridiagonal_path(kind, monkeypatch):
-    # _eigh solves the real H0 block of sector_cd_block: a tridiagonal matrix
-    # of TRIDIAGONAL_MIN_DIM states or more by LAPACK stevd; one with any entry
-    # beyond the first off-diagonal, or a smaller one, takes the dense path
-    solved = []
-    monkeypatch.setattr("cdlmg.spin_algebra.eigh_tridiagonal",
-                        lambda *a, **kw: solved.append(kw) or eigh_tridiagonal(*a, **kw))
-    rng = np.random.default_rng(11)
-    dim = TRIDIAGONAL_MIN_DIM + (-1 if kind == "small" else 5)
-    h = _real_matrix(kind, rng, dim)
-    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi0 /= np.linalg.norm(psi0)
-    energies, vectors = _eigh(h)
-    for dt in (0.05, -0.03):
-        got = vectors @ (np.exp(-1j * energies * dt) * (vectors.T @ psi0))
-        assert np.max(np.abs(got - expm(-1j * h * dt) @ psi0)) < 1e-12
-    assert solved == ([] if kind in ("band2", "small") else [{"lapack_driver": "stevd"}])
-
-
 @pytest.mark.parametrize("kind", ["real", "complex", "tridiagonal", "identity", "wide",
                                   "block_triangular"])
 def test_chebyshev_step_matches_expm(kind):
     rng = np.random.default_rng(3)
     dim = 9
     if kind == "tridiagonal":
-        dim = TRIDIAGONAL_MIN_DIM + 5
+        dim = 69
         h = _tridiagonal(rng, dim, rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1))
     elif kind == "identity":  # a zero-width spectral interval
         h = 1.7 * np.eye(dim)
