@@ -5,8 +5,8 @@ to its per-segment search.
 
 Runs the sources under ``--src`` (recorded as "parent") and this checkout's
 ``src/`` (recorded as "change"), each run in a fresh interpreter with
-OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = CDLMG_THREADS = 1, alternating which
-side runs first, and writes one JSON record:
+OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1, alternating which side runs
+first, and writes one JSON record:
 
 - ``fit``: the configuration of the benchmark's ``fit`` job (N=40, k=2,
   10 segments, 200 evaluation steps, linear ramp), REPEATS runs per
@@ -81,7 +81,7 @@ print(json.dumps({"runs": runs, "wall_s": time.perf_counter() - sweep_start}))
 def measure(src: Path, task: dict) -> dict:
     """Run one optimizer task in a fresh interpreter on the sources under `src`."""
     child_env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-                     OMP_NUM_THREADS="1", CDLMG_THREADS="1")
+                     OMP_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(task)], env=child_env,
                          capture_output=True, text=True, timeout=3600, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -143,12 +143,12 @@ def main(argv=None) -> int:
     if not (parent / "cdlmg" / "ansatz.py").is_file():
         print(f"error: no cdlmg sources under {parent}", file=sys.stderr)
         return 2
-    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", CDLMG_THREADS="1")
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     sides = {"parent": parent, "change": change}
     record = {
         "command": "python3 bench/optimizer.py --src <parent>/src --out <file>",
         "environment": env.record(),
-        "threads": {"OPENBLAS_NUM_THREADS": 1, "OMP_NUM_THREADS": 1, "CDLMG_THREADS": 1},
+        "threads": {"OPENBLAS_NUM_THREADS": 1, "OMP_NUM_THREADS": 1},
         "fit": table(sides, FIT, REPEATS),
         "fig2": table(sides, FIG2, 1),
     }

@@ -292,6 +292,10 @@ def fit_harmonics(times, values, c: int) -> HarmonicFit:
         raise ValidationError("times and values must be matching 1-D arrays")
     if len(times) < 3 * c + 1:
         raise ValidationError(f"need more than {3 * c} samples to fit {c} harmonics")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        raise ValidationError("times and values must be finite")
+    if times[-1] == times[0]:
+        raise ValidationError("times must span a nonzero interval")
     sol = least_squares(lambda x: _harmonic_model(*x.reshape(3, c), times) - values,
                         _matching_pursuit_init(times, values, c), max_nfev=20000)
     amplitudes, omegas, phases = sol.x.reshape(3, c)

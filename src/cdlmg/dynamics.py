@@ -26,11 +26,10 @@ from scipy.special import jv
 
 from . import output
 from .band_operators import decomposition_gate
-from .counterdiabatic import (band_table, exact_cd, hp_coefficient, parity_frames,
-                              sector_cd_block)
+from .counterdiabatic import band_table, exact_cd, hp_coefficient, sector_cd_block
 from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
-from .spin_algebra import ModelParams, SectorFrame
+from .spin_algebra import ModelParams, SectorFrame, parity_frames
 
 __all__ = [
     "Bare",
@@ -134,12 +133,12 @@ def parse_protocol(spec) -> Protocol:
 # drive assembly and the step kernel
 
 def _drive(frame: SectorFrame, protocol: Protocol):
-    """Set a protocol up for one run.  Returns drive(t_mid, h, hdot, h0_block),
-    the block of the driving term at one midpoint, or None for no drive."""
+    """Set a protocol up for one run.  Returns drive(t_mid, h, hdot), the
+    block of the driving term at one midpoint, or None for no drive."""
     if isinstance(protocol, Bare):
-        return lambda t, h, hdot, h0: None
+        return lambda t, h, hdot: None
     if isinstance(protocol, ExactCD):
-        return lambda t, h, hdot, h0: sector_cd_block(frame, h0, hdot)
+        return lambda t, h, hdot: sector_cd_block(frame, h, hdot)
     if isinstance(protocol, Truncated):
         keep = frame.truncation_mask(protocol.bands)
         if isinstance(protocol, DecomposedDrive):
@@ -148,22 +147,22 @@ def _drive(frame: SectorFrame, protocol: Protocol):
         else:
             check = None
 
-        def truncated(t, h, hdot, h0):
+        def truncated(t, h, hdot):
             if check is None:
-                return np.where(keep, sector_cd_block(frame, h0, hdot), 0.0)
+                return np.where(keep, sector_cd_block(frame, h, hdot), 0.0)
             full = exact_cd(frame.params, h, hdot, frames=frames)
             check(band_table(full))
             return np.where(keep, full[frame.ix], 0.0)
         return truncated
     if isinstance(protocol, HPCorrection):
-        def hp(t, h, hdot, h0):
+        def hp(t, h, hdot):
             c = hp_coefficient(frame.params.n, frame.params.gamma, h, hdot)
             return None if c == 0.0 else c * frame.b0_block
         return hp
     if isinstance(protocol, AnsatzDrive):
         coefficients = protocol.coefficients
         patterns = frame.band_patterns(coefficients.num_bands)
-        return lambda t, h, hdot, h0: np.tensordot(
+        return lambda t, h, hdot: np.tensordot(
             coefficients.values_at(t), patterns, axes=(0, 0))
     raise ValidationError(f"unsupported protocol {protocol!r}")
 
@@ -298,7 +297,7 @@ def _propagate(params: ModelParams, protocol: Protocol, grid,
     matvecs = 0
     for k in range(len(run.t_mid)):
         h0 = run.frame.h0_blocks(run.h_mid[k])[0]
-        block = drive(run.t_mid[k], run.h_mid[k], run.hd_mid[k], h0)
+        block = drive(run.t_mid[k], run.h_mid[k], run.hd_mid[k])
         h_tot = h0 if block is None else h0 + block
         psi, terms = _chebyshev_step(h_tot, dts[k], psi)
         matvecs += terms

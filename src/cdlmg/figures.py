@@ -3,13 +3,12 @@
 Each preset reproduces one standard comparison: ``fig1a`` and the ``s1*``
 variants drive N=100 through (or near) the transition with the four driving
 protocols; ``fig2`` sweeps the band count of the optimized ansatz at N=80;
-``fig3a`` sweeps system size for the single-band ansatz.
+``fig3a`` sweeps system size for the single-band ansatz.  Every preset runs
+its curves one after another in the calling thread.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict
 
@@ -20,7 +19,7 @@ from .errors import ValidationError
 from .ramps import RampSchedule
 from .spin_algebra import ModelParams
 
-__all__ = ["FigureSpec", "FIGURES", "run_figure", "max_workers"]
+__all__ = ["FigureSpec", "FIGURES", "run_figure"]
 
 _COMPARISON_PROTOCOLS = (ExactCD(), Truncated(1), HPCorrection(), Bare())
 
@@ -55,15 +54,11 @@ FIGURES: Dict[str, FigureSpec] = {
 }
 
 
+# The presets run serially.  This function stays only because the benchmark
+# harness (perfbench/harness.py) imports it to scale its pool-efficiency metric.
 def max_workers() -> int:
-    """Parallelism cap for concurrent trajectories (CDLMG_THREADS env var)."""
-    env = os.environ.get("CDLMG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"CDLMG_THREADS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
+    """Trajectories a preset runs at once: always 1."""
+    return 1
 
 
 def run_figure(figure_id: str, *, steps: int = DEFAULT_STEPS,
@@ -80,11 +75,7 @@ def run_figure(figure_id: str, *, steps: int = DEFAULT_STEPS,
 
     if spec.kind == "protocols":
         params = ModelParams(spec.n, spec.gamma, spec.ramp)
-        def one(protocol):
-            return protocol.label, evolve(params, protocol, steps)
-        with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-            pairs = list(pool.map(one, spec.protocols))
-        return dict(pairs)
+        return {p.label: evolve(params, p, steps) for p in spec.protocols}
 
     if spec.kind == "band_sweep":
         params = ModelParams(spec.n, spec.gamma, spec.ramp)

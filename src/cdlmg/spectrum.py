@@ -12,7 +12,7 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from . import output
 from .errors import ValidationError
-from .spin_algebra import ModelParams, SectorFrame
+from .spin_algebra import ModelParams, SectorFrame, parity_frames
 
 __all__ = [
     "GapTable",
@@ -76,7 +76,7 @@ def gap_series(params: ModelParams, h_grid: Sequence[float]) -> GapTable:
     if np.any(np.diff(h_grid) < 0):
         raise ValidationError("h grid must be sorted ascending")
     pairs = tuple(p for p in DEFAULT_GAP_PAIRS if p[1] < params.sector.dim)
-    frames = [SectorFrame(params, parity) for parity in (0, 1)]
+    frames = parity_frames(params)
     energies = np.sort([
         np.concatenate([eigvalsh_tridiagonal(frame.h0_diagonals(h)[0], frame.h0_off)
                         for frame in frames])

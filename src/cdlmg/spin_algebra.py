@@ -33,6 +33,7 @@ __all__ = [
     "parity_indices",
     "place_band",
     "SectorFrame",
+    "parity_frames",
 ]
 
 
@@ -224,3 +225,8 @@ class SectorFrame:
                        dtype=sector_vecs.dtype)
         out[..., self.idx] = sector_vecs
         return out
+
+
+def parity_frames(params: ModelParams) -> tuple:
+    """The even and the odd parity block of params, as SectorFrames."""
+    return SectorFrame(params, 0), SectorFrame(params, 1)

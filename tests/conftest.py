@@ -4,8 +4,7 @@ the package's own construction paths."""
 import os
 
 # One BLAS thread, set before numpy loads its BLAS: the suite's matrices are
-# small, and BLAS threads on top of the figure pool's workers contend for the
-# same cores.
+# small, and more threads only contend for the cores.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

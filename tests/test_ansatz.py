@@ -226,6 +226,16 @@ def test_fit_validation():
         fit_harmonics(t[:5], np.sin(t[:5]), 2)
     with pytest.raises(ValidationError):
         fit_harmonics(t, np.sin(t)[:20], 1)
+    # non-finite samples, and times whose first and last are equal (the
+    # frequency grid of the initial scan divides by times[-1] - times[0])
+    values = np.sin(5 * t)
+    for times, series in [(t, np.where(t > 0.5, np.nan, values)),
+                          (t, np.where(t > 0.5, np.inf, values)),
+                          (np.where(t > 0.5, np.nan, t), values),
+                          (np.full(40, 0.3), values),
+                          (np.concatenate([t[:20], t[:20][::-1]]), values)]:
+        with pytest.raises(ValidationError):
+            fit_harmonics(times, series, 1)
 
 
 def test_fit_json_dict():

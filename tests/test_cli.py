@@ -1,5 +1,6 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -262,15 +263,21 @@ def test_output_files_follow_umask(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
-def test_preset_csv_independent_of_thread_count(tmp_path, monkeypatch):
-    written = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CDLMG_THREADS", threads)
-        out = tmp_path / threads
-        assert run_cli(["evolve", "--figure", "fig1a", "--steps", 50, "--out", out]) == 0
-        written.append({p.name: p.read_bytes() for p in sorted(out.glob("trajectory_*.csv"))})
-    assert len(written[0]) == 4
-    assert written[0] == written[1]
+def test_preset_runs_every_protocol_on_the_calling_thread(monkeypatch):
+    import cdlmg.figures
+    from cdlmg.figures import FIGURES, run_figure
+
+    evolve = cdlmg.figures.evolve
+    threads = []
+
+    def recording_evolve(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(cdlmg.figures, "evolve", recording_evolve)
+    curves = run_figure("fig1a", steps=20)
+    assert list(curves) == [p.label for p in FIGURES["fig1a"].protocols]
+    assert threads == [threading.get_ident()] * 4
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -18,8 +18,8 @@ from cdlmg import (
     hp_coefficient,
 )
 from cdlmg.band_operators import _bj
-from cdlmg.counterdiabatic import TRIDIAGONAL_MIN_DIM, parity_frames, sector_cd_block
-from cdlmg.spin_algebra import SectorFrame, parity_indices
+from cdlmg.counterdiabatic import sector_cd_block
+from cdlmg.spin_algebra import SectorFrame, parity_frames, parity_indices
 from conftest import block_angle_rate_fd, even_projector
 
 
@@ -130,25 +130,25 @@ def _dense_cd_reference(frame, h0, hdot):
 
 @pytest.mark.parametrize("h", [0.6, 1.0, 1.3])
 def test_sector_cd_block_large_sector_matches_dense_reference(h):
-    # at N=300 the H0 block (151 states) is solved by LAPACK stevd; the
+    # the H0 block (3, 11, 51 and 151 states) is solved by LAPACK stevd; the
     # reference builds the same term from numpy's dense eigh
-    frame = SectorFrame.tracked(ModelParams(300, 0.0))
-    assert frame.dim >= TRIDIAGONAL_MIN_DIM
-    h0, hdot = frame.h0_blocks(h)[0], 0.5
-    assert np.min(np.diff(np.linalg.eigvalsh(h0))) > 0.1  # no degenerate cluster to zero
-    got = sector_cd_block(frame, h0, hdot)
-    assert np.max(np.abs(got - _dense_cd_reference(frame, h0, hdot))) < 1e-12
+    for n in (4, 20, 100, 300):
+        frame = SectorFrame.tracked(ModelParams(n, 0.0))
+        h0, hdot = frame.h0_blocks(h)[0], 0.5
+        assert np.min(np.diff(np.linalg.eigvalsh(h0))) > 0.1  # no degenerate cluster to zero
+        got = sector_cd_block(frame, h, hdot)
+        assert np.max(np.abs(got - _dense_cd_reference(frame, h0, hdot))) < 1e-12
 
 
-@pytest.mark.parametrize("kind", ["real", "split", "diagonal", "small"])
+@pytest.mark.parametrize("kind", ["real", "split", "diagonal", "small", "two"])
 def test_sector_cd_block_tridiagonal_path(kind, monkeypatch):
-    # an H0 block of TRIDIAGONAL_MIN_DIM states or more is solved by LAPACK
-    # stevd on its diagonal and frame.h0_off, also where that subdiagonal
-    # splits the block or vanishes (gamma = 1); a smaller one by numpy's eigh
+    # every H0 block, from 2 states up, is solved by one LAPACK stevd call on
+    # its diagonal and frame.h0_off, also where that subdiagonal splits the
+    # block or vanishes (gamma = 1)
     solved = []
     monkeypatch.setattr("cdlmg.counterdiabatic.eigh_tridiagonal",
                         lambda *a, **kw: solved.append(kw) or eigh_tridiagonal(*a, **kw))
-    dim = TRIDIAGONAL_MIN_DIM + (-1 if kind == "small" else 5)
+    dim = {"small": 11, "two": 2}.get(kind, 69)
     frame = SectorFrame.tracked(ModelParams(2 * dim - 2, 1.0 if kind == "diagonal" else 0.0))
     assert frame.dim == dim
     if kind == "split":
@@ -156,9 +156,9 @@ def test_sector_cd_block_tridiagonal_path(kind, monkeypatch):
     h0, hdot = frame.h0_blocks(1.1)[0], 0.5
     assert np.count_nonzero(np.diagonal(h0, -1)) == {"split": dim - 2, "diagonal": 0}.get(
         kind, dim - 1)
-    got = sector_cd_block(frame, h0, hdot)
+    got = sector_cd_block(frame, 1.1, hdot)
     assert np.max(np.abs(got - _dense_cd_reference(frame, h0, hdot))) < 1e-12
-    assert solved == ([] if kind == "small" else [{"lapack_driver": "stevd"}])
+    assert solved == [{"lapack_driver": "stevd"}]
 
 
 # --------------------------------------------------------------------------
