@@ -5,8 +5,11 @@ change to the step or to the CD eigensolve.
 
 Times the sources under ``--src`` (recorded as "parent") and this checkout's
 ``src/`` (recorded as "change"), each measurement in a fresh interpreter with
-OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1, alternating which side runs
-first, and writes one JSON record:
+OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1.  A round runs one interpreter
+per side, the side that goes first alternating from round to round, and
+the round's change/parent ratio compares two runs made seconds apart: on a
+shared host, whose load comes in phases, that ratio is steadier than either
+side's times.  Writes one JSON record:
 
 - ``steps``: microseconds per step of ``evolve`` (its ``wall_time_s``, the
   tracked-run setup included, over the step count) for bare, hp,
@@ -14,14 +17,14 @@ first, and writes one JSON record:
   REPEATS interpreters per side times RUNS runs after one warm-up and keeps
   the fastest, since a shared host only ever adds time; the record holds
   the median of those and every interpreter's value, with the final
-  fidelity and the norm error.  Only truncated:1 and exact_cd solve an
-  eigenproblem per step (the H0 block inside the CD term);
+  fidelity and the norm error, and ``ratio``: the median, quartiles and
+  range of the rounds' change/parent ratios.  Only truncated:1 and
+  exact_cd solve an eigenproblem per step (the H0 block inside the CD
+  term);
 - ``fig1a``: wall time of the fig1a preset (four protocols at N=100, 51
   states per block) at FIG_STEPS steps, the fastest of FIG_RUNS runs in
-  each of FIG_REPEATS interpreters per side, and their median.  Every child
-  gets CDLMG_THREADS=2, the setting the benchmark pins (perfbench/env.py):
-  a parent that runs the preset's protocols on a thread pool sizes it from
-  that variable, and sources that run them serially ignore it;
+  each of FIG_REPEATS interpreters per side, their median, and the same
+  ``ratio`` summary;
 - ``environment``: versions, BLAS build and thread settings, from
   ``perfbench/env.py``.
 """
@@ -43,14 +46,17 @@ import env  # noqa: E402  (perfbench/env.py)
 
 RAMP = "linear:0.75,0.5"
 PROTOCOLS = ("bare", "hp", "truncated:1", "exact_cd")
-# N -> steps per timed run.  N=100 (51 states per block) and N=126 (64)
-# bracket the size below which sources before the change solved the CD
-# term's H0 block with numpy's dense eigh instead of LAPACK stevd.
-SIZES = {100: 200, 126: 200, 140: 200, 200: 100, 300: 60, 1000: 20}
-REPEATS = 3
+# N -> steps per timed run: the presets' size (51 states per block), 64
+# states, the benchmark's large sector (151) and 501 states.
+SIZES = {100: 200, 126: 200, 300: 60, 1000: 20}
+# With 3 rounds the medians could not resolve differences under about 25%.
+# Over 20 rounds (BENCH_16.json) every round put hp at N=300 below 1
+# (quartiles 0.37-0.46), and 15 of 20 put bare at N=100 below 1 (quartiles
+# 0.79-0.98): its timed runs, 200 steps of about 0.15 ms, are the shortest.
+REPEATS = 20
 RUNS = 5
 FIG_STEPS = 1000
-FIG_REPEATS = 8
+FIG_REPEATS = 10
 FIG_RUNS = 3
 
 CHILD = """
@@ -80,7 +86,7 @@ print(json.dumps(out))
 def measure(src: Path, task: dict) -> dict:
     """Run one task in a fresh interpreter on the sources under `src`."""
     child_env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-                     OMP_NUM_THREADS="1", CDLMG_THREADS="2")
+                     OMP_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(task)], env=child_env,
                          capture_output=True, text=True, timeout=1800, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -96,6 +102,14 @@ def alternate(sides: dict, task: dict, repeats: int) -> dict:
     return runs
 
 
+def ratio_summary(parent: list, change: list) -> dict:
+    """Median, quartiles and range of the rounds' change/parent ratios."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "min": min(ratios), "max": max(ratios),
+            "rounds": ratios}
+
+
 def step_table(sides: dict) -> list:
     rows = []
     for n, steps in SIZES.items():
@@ -109,9 +123,12 @@ def step_table(sides: dict) -> list:
                     "us_per_step_runs": [r["us_per_step"] for r in rs],
                     "final_fidelity": rs[0]["final_fidelity"],
                     "max_norm_error": max(r["max_norm_error"] for r in rs)}
+            row["ratio"] = ratio_summary(row["parent"]["us_per_step_runs"],
+                                         row["change"]["us_per_step_runs"])
             rows.append(row)
             print(json.dumps({k: row[k] for k in ("n", "protocol")}),
-                  {name: round(row[name]["us_per_step"]) for name in runs}, flush=True)
+                  {name: round(row[name]["us_per_step"]) for name in runs},
+                  "ratio {median:.3f} [{q1:.3f}, {q3:.3f}]".format(**row["ratio"]), flush=True)
     return rows
 
 
@@ -122,6 +139,7 @@ def fig1a_row(sides: dict) -> dict:
     for name, rs in runs.items():
         walls = [r["wall_s"] for r in rs]
         row[name] = {"wall_s": statistics.median(walls), "wall_s_runs": walls}
+    row["ratio"] = ratio_summary(row["parent"]["wall_s_runs"], row["change"]["wall_s_runs"])
     print(json.dumps(row), flush=True)
     return row
 
@@ -136,13 +154,13 @@ def main(argv=None) -> int:
     if not (parent / "cdlmg" / "dynamics.py").is_file():
         print(f"error: no cdlmg sources under {parent}", file=sys.stderr)
         return 2
-    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", CDLMG_THREADS="2")
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     sides = {"parent": parent, "change": change}
     record = {
         "command": "python3 bench/step_kernel.py --src <parent>/src --out <file>",
         "ramp": RAMP,
         "environment": env.record(),
-        "threads": {"OPENBLAS_NUM_THREADS": 1, "OMP_NUM_THREADS": 1, "CDLMG_THREADS": 2},
+        "threads": {"OPENBLAS_NUM_THREADS": 1, "OMP_NUM_THREADS": 1},
         "steps": step_table(sides),
         "fig1a": fig1a_row(sides),
     }

@@ -8,7 +8,11 @@ tracked ground state at the segment's end time, searched with one L-BFGS-B
 run on the exact gradient of that fidelity.  The gradient is carried forward
 with the state through the segment by the same step kernel as `evolve`
 (`dynamics._chebyshev_step`), and the segment's end state is carried on to
-the next segment.
+the next segment.  The ansatz drive is a band matrix
+(``SectorFrame.ansatz_bands``), but the block that carries the gradient is
+built dense from it and from H0's band matrix: at the optimizer's sizes
+(21 to 41 states) one dense product of that block costs less than the
+banded products it would take.
 
 The optimization itself runs on a coarsened grid (a few propagation steps
 per segment); the returned trajectory re-evaluates the optimized schedule on
@@ -113,10 +117,12 @@ class OptimizeResult:
     warnings: tuple = ()
 
 
-def _segment_infidelity(h0_segment: np.ndarray, patterns: np.ndarray, x: np.ndarray,
-                        dt: float, psi: np.ndarray, target: np.ndarray):
+def _segment_infidelity(h0_segment: np.ndarray, ansatz, x: np.ndarray, dt: float,
+                        psi: np.ndarray, target: np.ndarray):
     """1 - |a|^2, its gradient in x and psi_end, for a = <target|psi_end> after
-    the segment's steps exp(-i dt H_j), H_j = H0_j + sum_b x_b P_b, applied to psi.
+    the segment's steps exp(-i dt H_j), H_j = H0_j + sum_b x_b P_b, applied to
+    psi.  h0_segment holds the H0_j as dense blocks, and ansatz(x) gives
+    sum_b x_b P_b as a band matrix (``SectorFrame.ansatz_bands``).
 
     The gradient is exact, in forward mode (as in GOAT): the stacked vector
     [d psi/dx_1; ...; d psi/dx_k; psi] is stepped by `_chebyshev_step` on the
@@ -126,11 +132,11 @@ def _segment_infidelity(h0_segment: np.ndarray, patterns: np.ndarray, x: np.ndar
     (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  Then
     d|a|^2/dx_b = 2 Re(conj(a) <target|d psi_end/dx_b>).
     """
-    k, dim = len(patterns), len(psi)
-    drive = np.tensordot(x, patterns, axes=(0, 0))
+    k, dim = len(x), len(psi)
+    drive = ansatz(x).dense()
     block = np.zeros(((k + 1) * dim,) * 2, dtype=complex)
-    for b, pattern in enumerate(patterns):
-        block[b * dim:(b + 1) * dim, k * dim:] = pattern
+    for b, unit in enumerate(np.eye(k)):
+        block[b * dim:(b + 1) * dim, k * dim:] = ansatz(unit).dense()
     state = np.zeros((k + 1) * dim, dtype=complex)
     state[k * dim:] = psi
     for h0 in h0_segment:
@@ -176,7 +182,7 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
 
     run = _TrackedRun(params, segments * opt_steps_per_segment)
     frame, times, grounds = run.frame, run.times, run.grounds
-    patterns = frame.band_patterns(k)
+    frame.ansatz_bands(np.zeros(k))  # rejects too many bands
     dt = times[1] - times[0]
 
     psi = run.start_state
@@ -186,11 +192,11 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
     prev = np.zeros(k)
     for s in range(segments):
         lo, hi = s * opt_steps_per_segment, (s + 1) * opt_steps_per_segment
-        h0_segment = frame.h0_blocks(run.h_mid[lo:hi])
+        h0_segment = [frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]]
         target = grounds[hi]
 
         def segment(x):
-            return _segment_infidelity(h0_segment, patterns, x, dt, psi, target)
+            return _segment_infidelity(h0_segment, frame.ansatz_bands, x, dt, psi, target)
 
         baseline = segment(np.zeros(k))[0]
         start = warm_start[s] if warm_start is not None else prev

@@ -23,7 +23,7 @@ from . import __version__, output
 from .ansatz import DEFAULT_SEGMENTS, evaluate_fit, fit_harmonics, optimize
 from .band_operators import decompose_band, solve_first_band_beta
 from .counterdiabatic import band_table, exact_cd
-from .dynamics import DEFAULT_STEPS, evolve, parse_protocol
+from .dynamics import DEFAULT_STEPS, evolve_protocols
 from .errors import (
     ConvergenceError,
     DecompositionError,
@@ -116,10 +116,7 @@ def _cmd_evolve(args) -> dict:
         params = _model(args)
         if not args.protocols:
             raise ValidationError("at least one --protocol is required")
-        trajectories = {}
-        for spec in args.protocols:
-            protocol = parse_protocol(spec)
-            trajectories[protocol.label] = evolve(params, protocol, args.steps)
+        trajectories = evolve_protocols(params, args.protocols, args.steps)
     files = []
     for label, traj in trajectories.items():
         path = outdir / f"trajectory_{_stem(label)}.csv"

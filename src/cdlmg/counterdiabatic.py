@@ -25,7 +25,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import StructureError, ValidationError
-from .spin_algebra import DickeSector, ModelParams, SectorFrame, parity_frames, place_band
+from .spin_algebra import (BandMatrix, DickeSector, ModelParams, SectorFrame, parity_frames,
+                           place_band)
 
 __all__ = [
     "BandTable",
@@ -61,11 +62,10 @@ class BandTable:
         return mat
 
 
-def sector_cd_block(frame: SectorFrame, h: float, hdot: float) -> np.ndarray:
-    """Driving-term block for one parity sector at field h, in that sector's
-    basis.  The tridiagonal H0 block is solved by LAPACK stevd on its
-    diagonal and ``frame.h0_off``.
-    """
+def _cd_factors(frame: SectorFrame, h: float, hdot: float):
+    """Eigenvectors V of the H0 block at field h and the real antisymmetric
+    W with sector_cd_block = i V W V^T.  The tridiagonal block is solved by
+    LAPACK stevd on its diagonal and ``frame.h0_off``."""
     energies, vectors = eigh_tridiagonal(frame.h0_diagonals(h)[0], frame.h0_off,
                                          lapack_driver="stevd")
     m = vectors.T @ (frame.m_diag[:, None] * vectors) * (-2.0 * hdot)
@@ -74,9 +74,28 @@ def sector_cd_block(frame: SectorFrame, h: float, hdot: float) -> np.ndarray:
     safe = np.abs(de) > tol
     w = np.where(safe, m / np.where(safe, de, 1.0), 0.0)
     np.fill_diagonal(w, 0.0)
-    out = vectors @ (1j * w) @ vectors.T
+    return vectors, w
+
+
+def sector_cd_block(frame: SectorFrame, h: float, hdot: float) -> np.ndarray:
+    """Driving-term block for one parity sector at field h, in that sector's
+    basis, from two real products."""
+    vectors, w = _cd_factors(frame, h, hdot)
+    out = 1j * (vectors @ w @ vectors.T)
     np.fill_diagonal(out, 0.0)  # exact zero; the product leaves O(eps) dust
     return out
+
+
+def sector_cd_bands(frame: SectorFrame, h: float, hdot: float, k: int) -> BandMatrix:
+    """Bands 1..k of `sector_cd_block`, without the rest of the block: the
+    entries (V W V^T)[i, i+o] of band o are row-wise dots of V W, one real
+    product, with the rows of V shifted by o."""
+    vectors, w = _cd_factors(frame, h, hdot)
+    vw = vectors @ w
+    dim = frame.dim
+    uppers = [1j * np.einsum("ij,ij->i", vw[:dim - o], vectors[o:])
+              for o in range(1, min(k, dim - 1) + 1)]
+    return BandMatrix.from_uppers(np.zeros(dim), uppers)
 
 
 def _from_parity_blocks(frames: tuple, block) -> np.ndarray:
@@ -167,13 +186,12 @@ def hp_coefficient(n: int, gamma: float, h: float, hdot: float) -> float:
     return -abs(hdot) * h / (2 * n * (1 - h * h))
 
 
-def _two_level_angle_rate(block: np.ndarray) -> float:
-    """d(alpha)/dh for a 2x2 real-symmetric block whose diagonal splitting
-    grows as 2h per unit field (offset-2 S_z pair).
+def _two_level_angle_rate(a: float, b: float, c: float) -> float:
+    """d(alpha)/dh for the 2x2 real-symmetric block [[a, c], [c, b]] whose
+    diagonal splitting grows as 2h per unit field (offset-2 S_z pair).
 
     alpha parametrizes the ground state as sin(alpha)|low> + cos(alpha)|high>.
     """
-    a, b, c = block[0, 0], block[1, 1], block[0, 1]
     mu = 0.5 * (a - b)
     r = np.hypot(mu, c)
     u = mu + r
@@ -194,7 +212,8 @@ def analytic_cd(params: ModelParams, h: float, hdot: float) -> np.ndarray:
         raise ValidationError(f"analytic driving term implemented for N=2,3 only, got {n}")
 
     def rotation(frame):
-        rate = _two_level_angle_rate(frame.h0_blocks(h)[0]) * hdot
+        a, b = frame.h0_diagonals(h)[0]
+        rate = _two_level_angle_rate(a, b, frame.h0_off[0]) * hdot
         return np.array([[0.0, 1j * rate], [-1j * rate, 0.0]])
 
     return _from_parity_blocks(parity_frames(params), rotation)

@@ -7,7 +7,10 @@ applied to the state through a Chebyshev expansion summed to machine
 precision (`_chebyshev_step`), which needs only products of the step's block
 with a vector and no eigensolve.  It is the one step kernel: `evolve` runs
 it on the drive's block, and the optimizer's search (`ansatz`) on a block
-upper-triangular extension of it that carries the gradient along.  Both the
+upper-triangular extension of it that carries the gradient along.  A step's
+block is a `BandMatrix` (H0 with the hp, truncated or ansatz drive), whose
+products cost O(w dim); two blocks stay dense matrices: exact_cd's, whose
+drive fills the block, and the optimizer's extension.  Both the
 bare Hamiltonian and every driving protocol here preserve excitation-number
 parity, and the initial state is the tracked ground state (parity-pure), so
 the evolution is carried out inside that parity block; this is an exact
@@ -26,10 +29,11 @@ from scipy.special import jv
 
 from . import output
 from .band_operators import decomposition_gate
-from .counterdiabatic import band_table, exact_cd, hp_coefficient, sector_cd_block
+from .counterdiabatic import (band_table, exact_cd, hp_coefficient, sector_cd_bands,
+                             sector_cd_block)
 from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
-from .spin_algebra import ModelParams, SectorFrame, parity_frames
+from .spin_algebra import BandMatrix, ModelParams, SectorFrame, parity_frames
 
 __all__ = [
     "Bare",
@@ -40,6 +44,7 @@ __all__ = [
     "DecomposedDrive",
     "Trajectory",
     "evolve",
+    "evolve_protocols",
     "fidelity",
     "parse_protocol",
 ]
@@ -132,62 +137,114 @@ def parse_protocol(spec) -> Protocol:
 # --------------------------------------------------------------------------
 # drive assembly and the step kernel
 
-def _drive(frame: SectorFrame, protocol: Protocol):
-    """Set a protocol up for one run.  Returns drive(t_mid, h, hdot), the
-    block of the driving term at one midpoint, or None for no drive."""
+def _step_operator(frame: SectorFrame, protocol: Protocol):
+    """Set a protocol up for one run.  Returns operator(t_mid, h, hdot), the
+    step's Hamiltonian block H0 + drive at one midpoint: a `BandMatrix`, or a
+    dense matrix for exact_cd, the one drive that fills the block."""
     if isinstance(protocol, Bare):
-        return lambda t, h, hdot: None
+        return lambda t, h, hdot: frame.h0_bands(h)
     if isinstance(protocol, ExactCD):
-        return lambda t, h, hdot: sector_cd_block(frame, h, hdot)
+        return lambda t, h, hdot: frame.h0_bands(h).dense() + sector_cd_block(frame, h, hdot)
     if isinstance(protocol, Truncated):
-        keep = frame.truncation_mask(protocol.bands)
+        k = protocol.bands
         if isinstance(protocol, DecomposedDrive):
-            check = decomposition_gate(frame.params.sector, protocol.bands)
+            check = decomposition_gate(frame.params.sector, k)
             frames = parity_frames(frame.params)
         else:
             check = None
 
         def truncated(t, h, hdot):
-            if check is None:
-                return np.where(keep, sector_cd_block(frame, h, hdot), 0.0)
-            full = exact_cd(frame.params, h, hdot, frames=frames)
-            check(band_table(full))
-            return np.where(keep, full[frame.ix], 0.0)
+            if check is not None:
+                check(band_table(exact_cd(frame.params, h, hdot, frames=frames)))
+            return frame.h0_bands(h) + sector_cd_bands(frame, h, hdot, k)
         return truncated
     if isinstance(protocol, HPCorrection):
         def hp(t, h, hdot):
             c = hp_coefficient(frame.params.n, frame.params.gamma, h, hdot)
-            return None if c == 0.0 else c * frame.b0_block
+            h0 = frame.h0_bands(h)
+            return h0 if c == 0.0 else h0 + c * frame.b0_bands
         return hp
     if isinstance(protocol, AnsatzDrive):
         coefficients = protocol.coefficients
-        patterns = frame.band_patterns(coefficients.num_bands)
-        return lambda t, h, hdot: np.tensordot(
-            coefficients.values_at(t), patterns, axes=(0, 0))
+        frame.ansatz_bands(np.zeros(coefficients.num_bands))  # rejects too many bands
+        return lambda t, h, hdot: frame.h0_bands(h) + frame.ansatz_bands(
+            coefficients.values_at(t))
     raise ValidationError(f"unsupported protocol {protocol!r}")
 
 
-def _chebyshev_step(h: np.ndarray, dt: float, psi: np.ndarray):
-    """exp(-i h dt) psi for a Hermitian block h, and the number of Chebyshev
-    terms summed (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+def _gershgorin(h) -> tuple:
+    """Interval holding the spectrum of the Hermitian h, a `BandMatrix` or a
+    dense matrix, from Gershgorin's discs: its diagonal plus and minus the
+    absolute off-diagonal row sums."""
+    if isinstance(h, BandMatrix):
+        diag, rows = h.data[h.width].real, np.add.reduce(np.abs(h.data), axis=0)
+    else:
+        diag, rows = np.diagonal(h).real, np.abs(h).sum(axis=1)
+    radius = rows - np.abs(diag)
+    return (diag - radius).min(), (diag + radius).max()
+
+
+def _dense_terms(h, scale, shift, psi, terms):
+    """The Chebyshev terms' array, term 0 set, its rows as a list of views,
+    and product(src, dst), which writes 2x times row src to row dst for
+    2x = scale*h - shift."""
+    two_x = np.asarray(h, dtype=complex) * scale
+    two_x.flat[::len(psi) + 1] -= shift
+    work = np.empty((terms, len(psi)), dtype=complex)
+    work[0] = psi
+    rows = list(work)
+    return work, rows, lambda src, dst: np.matmul(two_x, rows[src], out=rows[dst])
+
+
+def _band_terms(h, scale, shift, psi, terms):
+    """`_dense_terms` for a `BandMatrix` of width w.  The rows are padded by
+    w zeros on each side, so that row src seen through a sliding window of
+    width dim holds, in window w + o, the entries x[i + o] that offset o
+    multiplies: a product is one multiply of the stack by those windows and
+    one sum over the 2w+1 offsets.  The stack is made complex even when
+    real: complex products measured faster than mixed real-complex ones at
+    51 to 501 states, and than real ones on split real and imaginary parts
+    at 51."""
+    w, dim = h.width, len(psi)
+    two_x = h.data * complex(scale)
+    two_x[w] -= shift
+    padded = np.zeros((terms, dim + 2 * w), dtype=complex)
+    stride, step = padded.strides
+    windows = list(np.ndarray((terms, 2 * w + 1, dim), complex, padded, 0,
+                              (stride, step, step)))
+    work = padded[:, w:w + dim]
+    work[0] = psi
+    rows = list(work)
+    scratch = np.empty((2 * w + 1, dim), dtype=complex)
+
+    def product(src, dst):
+        np.multiply(two_x, windows[src], out=scratch)
+        np.add.reduce(scratch, axis=0, out=rows[dst])
+    return work, rows, product
+
+
+def _chebyshev_step(h, dt: float, psi: np.ndarray):
+    """exp(-i h dt) psi for a Hermitian h, a `BandMatrix` or a dense matrix,
+    and the number of Chebyshev terms summed (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)).
 
     Gershgorin discs put the spectrum inside [c - r, c + r].  With
     x = (h - c)/r and z = r dt,
     exp(-i h dt) = exp(-i c dt) sum_k e_k (-i)^k J_k(z) T_k(x), e_0 = 1 and
     e_k = 2, which holds for z of either sign.  Since |T_k(x) psi| <= |psi| and
     |J_k(z)| <= (|z|/2)^k / k!, terms are added until that bound falls below
-    machine epsilon; h = c*I takes the zeroth term alone.
+    machine epsilon; h = c*I takes the zeroth term alone.  The operator
+    supplies the interval (`_gershgorin`) and the products of the recurrence
+    T_k = 2x T_{k-1} - T_{k-2} (`_band_terms`, `_dense_terms`).
 
-    h may also be block upper-triangular with one Hermitian H on every
-    diagonal block, as in the optimizer's gradient (`ansatz`).  Its spectrum
-    is H's, so the Gershgorin interval of the whole matrix still bounds it.
-    The off-diagonal blocks of T_k(x) grow at most as k^2 (Markov's
-    inequality), far slower than the bound on J_k falls, so the same
-    stopping rule holds.
+    A dense h may also be block upper-triangular with one Hermitian H on
+    every diagonal block, as in the optimizer's gradient (`ansatz`).  Its
+    spectrum is H's, so the Gershgorin interval of the whole matrix still
+    bounds it.  The off-diagonal blocks of T_k(x) grow at most as k^2
+    (Markov's inequality), far slower than the bound on J_k falls, so the
+    same stopping rule holds.
     """
-    diag = np.diagonal(h).real
-    radius = np.abs(h).sum(axis=1) - np.abs(diag)
-    lo, hi = np.min(diag - radius), np.max(diag + radius)
+    lo, hi = _gershgorin(h)
     centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     z = half * dt
     terms, log_bound = 0, 0.0  # log of the bound on |J_terms(z)|
@@ -198,19 +255,14 @@ def _chebyshev_step(h: np.ndarray, dt: float, psi: np.ndarray):
     coeffs = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, z) * np.exp(-1j * centre * dt)
     if terms == 1:
         return coeffs[0] * psi, terms
-    # the recurrence T_k = 2x T_{k-1} - T_{k-2} on two real columns when h is
-    # real, so that a real block is never cast to complex
-    dim = len(psi)
-    two_x = h * (2.0 / half)
-    two_x.flat[::dim + 1] -= 2.0 * centre / half
-    work = np.empty((terms, dim, 2 if np.isrealobj(h) else 1), dtype=h.dtype)
-    work[0] = psi.view(float).reshape(dim, 2) if np.isrealobj(h) else psi[:, None]
-    np.matmul(two_x, work[0], out=work[1])
-    work[1] *= 0.5
+    recurrence = _band_terms if isinstance(h, BandMatrix) else _dense_terms
+    work, rows, product = recurrence(h, 2.0 / half, 2.0 * centre / half, psi, terms)
+    product(0, 1)
+    rows[1] *= 0.5
     for j in range(2, terms):
-        np.matmul(two_x, work[j - 1], out=work[j])
-        work[j] -= work[j - 2]
-    return coeffs @ work.view(complex).reshape(terms, dim), terms
+        product(j - 1, j)
+        rows[j] -= rows[j - 2]
+    return coeffs @ work, terms
 
 
 # --------------------------------------------------------------------------
@@ -247,14 +299,14 @@ def fidelity(state: np.ndarray, ground: np.ndarray) -> float:
 
 
 class _TrackedRun:
-    """What `evolve` and `ansatz.optimize` share for one run of params.ramp
-    on `grid`, an integer step count (uniform grid) or an explicit 1-D array
-    of at least two times inside the ramp's domain: the tracked block, the
-    field at the grid points, the field and its rate at the step midpoints,
-    and the sign-aligned ground series with its first vector as the start
-    state.
+    """What the propagations of `evolve`, `evolve_protocols` and
+    `ansatz.optimize` share for one run of params.ramp on `grid`, an integer
+    step count (uniform grid) or an explicit 1-D array of at least two times
+    inside the ramp's domain: the tracked block, the field at the grid
+    points, the field and its rate at the step midpoints, and the
+    sign-aligned ground series with its first vector as the start state.
     Each step's H0 block is built when the step runs, from
-    ``frame.h0_blocks(h_mid[k])``."""
+    ``frame.h0_bands(h_mid[k])``."""
 
     def __init__(self, params: ModelParams, grid):
         ramp = params.ramp
@@ -270,6 +322,7 @@ class _TrackedRun:
                 raise ValidationError(
                     f"grid times must be finite and inside the ramp's "
                     f"[{ramp.t_start}, {ramp.t_end}]")
+        self.params = params
         self.frame = SectorFrame.tracked(params)
         self.h_values = np.atleast_1d(ramp.h(self.times))
         self.grounds, _ = sector_ground_series(self.frame, self.h_values)
@@ -279,11 +332,10 @@ class _TrackedRun:
         self.start_state = self.grounds[0].astype(complex)
 
 
-def _propagate(params: ModelParams, protocol: Protocol, grid,
-               store_states: bool) -> Trajectory:
-    t0 = _time.perf_counter()
-    run = _TrackedRun(params, grid)
-    drive = _drive(run.frame, protocol)
+def _propagate(run: _TrackedRun, protocol: Protocol, store_states: bool,
+               t0: float) -> Trajectory:
+    """Step the protocol along the run; ``info["wall_time_s"]`` counts from t0."""
+    operator = _step_operator(run.frame, protocol)
     times = run.times
     dts = np.diff(times)
 
@@ -296,10 +348,8 @@ def _propagate(params: ModelParams, protocol: Protocol, grid,
     norm_err = 0.0
     matvecs = 0
     for k in range(len(run.t_mid)):
-        h0 = run.frame.h0_blocks(run.h_mid[k])[0]
-        block = drive(run.t_mid[k], run.h_mid[k], run.hd_mid[k])
-        h_tot = h0 if block is None else h0 + block
-        psi, terms = _chebyshev_step(h_tot, dts[k], psi)
+        h = operator(run.t_mid[k], run.h_mid[k], run.hd_mid[k])
+        psi, terms = _chebyshev_step(h, dts[k], psi)
         matvecs += terms
         fid[k + 1] = fidelity(psi, run.grounds[k + 1])
         err = abs(np.linalg.norm(psi) - 1.0)
@@ -323,9 +373,23 @@ def _propagate(params: ModelParams, protocol: Protocol, grid,
         fidelity=fid,
         states=run.frame.embed(states) if store_states else None,
         protocol=getattr(protocol, "label", str(protocol)),
-        params=params,
+        params=run.params,
         info=info,
     )
+
+
+def evolve_protocols(params: ModelParams, protocols, grid=DEFAULT_STEPS) -> dict:
+    """`evolve` for each of several protocols on one tracked run, whose
+    ground series is solved once; returns the trajectories keyed by label.
+    The first trajectory's ``wall_time_s`` includes the run's set-up."""
+    protocols = [parse_protocol(p) for p in protocols]
+    t0 = _time.perf_counter()
+    run = _TrackedRun(params, grid)
+    out = {}
+    for protocol in protocols:
+        out[protocol.label] = _propagate(run, protocol, False, t0)
+        t0 = _time.perf_counter()
+    return out
 
 
 def evolve(params: ModelParams, protocol, grid=DEFAULT_STEPS, *,
@@ -343,12 +407,14 @@ def evolve(params: ModelParams, protocol, grid=DEFAULT_STEPS, *,
     protocol = parse_protocol(protocol)
     if converge and not np.isscalar(grid):
         raise ValidationError("converge=True requires an integer step count")
-    traj = _propagate(params, protocol, grid, store_states)
+    t0 = _time.perf_counter()
+    traj = _propagate(_TrackedRun(params, grid), protocol, store_states, t0)
     if not converge:
         return traj
     steps = traj.info["steps"]
     for _ in range(MAX_REFINEMENTS):
-        finer = _propagate(params, protocol, 2 * steps, store_states)
+        t0 = _time.perf_counter()
+        finer = _propagate(_TrackedRun(params, 2 * steps), protocol, store_states, t0)
         delta = abs(finer.final_fidelity - traj.final_fidelity)
         if delta < CONVERGENCE_TOL:
             finer.info["converged"] = True

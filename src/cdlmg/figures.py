@@ -4,7 +4,9 @@ Each preset reproduces one standard comparison: ``fig1a`` and the ``s1*``
 variants drive N=100 through (or near) the transition with the four driving
 protocols; ``fig2`` sweeps the band count of the optimized ansatz at N=80;
 ``fig3a`` sweeps system size for the single-band ansatz.  Every preset runs
-its curves one after another in the calling thread.
+its curves one after another in the calling thread; the protocol presets
+propagate every protocol on one tracked run, whose ground series is solved
+once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Dict
 
 from .ansatz import DEFAULT_SEGMENTS, OptimizeResult, optimize
 from .dynamics import (DEFAULT_STEPS, Bare, ExactCD, HPCorrection, Trajectory, Truncated,
-                       evolve)
+                       evolve_protocols)
 from .errors import ValidationError
 from .ramps import RampSchedule
 from .spin_algebra import ModelParams
@@ -75,7 +77,7 @@ def run_figure(figure_id: str, *, steps: int = DEFAULT_STEPS,
 
     if spec.kind == "protocols":
         params = ModelParams(spec.n, spec.gamma, spec.ramp)
-        return {p.label: evolve(params, p, steps) for p in spec.protocols}
+        return evolve_protocols(params, spec.protocols, steps)
 
     if spec.kind == "band_sweep":
         params = ModelParams(spec.n, spec.gamma, spec.ramp)

@@ -8,7 +8,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from numpy.linalg import LinAlgError
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from . import output
 from .errors import ValidationError
@@ -25,11 +27,21 @@ def sector_ground_series(frame: SectorFrame, h_values: np.ndarray):
     sign-aligned along the sequence.  Returns (vectors, energies) with
     vectors in block coordinates."""
     diagonals = frame.h0_diagonals(h_values)
+    if not np.all(np.isfinite(diagonals)):
+        raise ValidationError("field values must be finite")
     grounds = np.empty(diagonals.shape)
     energies = np.empty(len(diagonals))
+    off = frame.h0_off
     for j, diagonal in enumerate(diagonals):
-        energy, vector = eigh_tridiagonal(diagonal, frame.h0_off,
-                                          select="i", select_range=(0, 0))
+        # the lowest eigenvalue by bisection, then its vector by inverse
+        # iteration: what eigh_tridiagonal(select="i") runs, without its
+        # per-call argument handling
+        m, energy, iblock, isplit, info = dstebz(diagonal, off, 2, 0.0, 0.0, 1, 1, 0.0, "B")
+        if info == 0:
+            vector, info = dstein(diagonal, off, energy[:m], iblock, isplit)
+        if info != 0:
+            raise LinAlgError(f"tridiagonal ground state at h = {h_values[j]} "
+                              f"failed (LAPACK info {info})")
         energies[j], grounds[j] = energy[0], vector[:, 0]
     lead = np.argmax(np.abs(grounds[0]))
     if grounds[0, lead] < 0:

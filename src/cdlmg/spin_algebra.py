@@ -32,6 +32,7 @@ __all__ = [
     "build_h0",
     "parity_indices",
     "place_band",
+    "BandMatrix",
     "SectorFrame",
     "parity_frames",
 ]
@@ -145,19 +146,77 @@ def place_band(out: np.ndarray, offset: int, upper, lower) -> np.ndarray:
     return out
 
 
+class BandMatrix:
+    """A Hermitian band matrix held as its centred diagonal stack.
+
+    ``data`` has shape (2w+1, dim): row w + o holds offset o, so
+    data[w + o, i] = A[i, i + o], and entries whose i + o falls outside the
+    matrix are zero.  A product with a vector and the Gershgorin discs then
+    cost O(w dim) (`dynamics._chebyshev_step`).
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+
+    @classmethod
+    def from_uppers(cls, diagonal, uppers) -> "BandMatrix":
+        """The matrix with this diagonal and superdiagonals 1..w (arrays or
+        scalars), and their conjugates below: Hermitian by construction."""
+        dim, w = len(diagonal), len(uppers)
+        data = np.zeros((2 * w + 1, dim), dtype=np.result_type(diagonal, *uppers))
+        data[w] = diagonal
+        for o, upper in enumerate(uppers, 1):
+            data[w + o, :max(dim - o, 0)] = upper
+            data[w - o, o:] = np.conj(upper)
+        return cls(data)
+
+    @property
+    def width(self) -> int:
+        return len(self.data) // 2
+
+    def __add__(self, other: "BandMatrix") -> "BandMatrix":
+        wide, narrow = sorted((self.data, other.data), key=len, reverse=True)
+        w, v = len(wide) // 2, len(narrow) // 2
+        out = wide.astype(np.result_type(wide, narrow))
+        out[w - v:w + v + 1] += narrow
+        return BandMatrix(out)
+
+    def __rmul__(self, scalar) -> "BandMatrix":
+        return BandMatrix(scalar * self.data)
+
+    def dense(self) -> np.ndarray:
+        """The (dim, dim) matrix, its diagonals written as strided slices."""
+        w, dim = self.width, self.data.shape[1]
+        out = np.zeros((dim, dim), dtype=self.data.dtype)
+        flat = out.reshape(-1)
+        for o in range(-min(w, dim - 1), min(w, dim - 1) + 1):
+            lo, count = max(0, -o), dim - abs(o)
+            start = lo * (dim + 1) + o
+            flat[start:start + count * (dim + 1):dim + 1] = self.data[w + o, lo:lo + count]
+        return out
+
+
 class SectorFrame:
     """One excitation-parity block of the Dicke sector.
 
     The only code that knows the block layout: its basis indices, how block
-    vectors and matrices sit in the full basis (``embed``, ``ix``), H0 and
-    (SxSy+SySx) restricted to the block, and bands in block coordinates,
-    where full-basis offset 2b is block offset b.
+    vectors and matrices sit in the full basis (``embed``, ``ix``), and the
+    banded operators on the block, where full-basis offset 2b is block
+    offset b.
 
-    Both blocks are tridiagonal, with closed-form entries from the ladder
-    coefficients c_k = <k+1|S_+|k>: full-basis states k and k+2 are coupled
-    through c_k c_{k+1}.  H0 is held as its field-free diagonal ``h0_diag``
-    and block band 1 ``h0_off``; ``h0_blocks`` and ``b0_block`` give the
-    dense matrices the step kernel works on.
+    H0, (SxSy+SySx) and the ansatz drive are band matrices in block
+    coordinates, with closed-form entries from the ladder coefficients
+    c_k = <k+1|S_+|k>: full-basis states k and k+2 are coupled through
+    c_k c_{k+1}.  The frame holds each as a `BandMatrix`: H0 as
+    ``h0_bands(h)`` from its field-free diagonal ``h0_diag`` and block band
+    1 ``h0_off``, the (SxSy+SySx) block as ``b0_bands``, and the ansatz
+    drive as ``ansatz_bands(x)``.  Two blocks are dense matrices instead:
+    the exact CD block (`counterdiabatic.sector_cd_block`), which fills the
+    whole block, and the optimizer's gradient block (`ansatz`), built from
+    these band matrices because at its sizes one dense product costs less
+    than the banded products it replaces.
     """
 
     def __init__(self, params: ModelParams, parity: int):
@@ -172,8 +231,8 @@ class SectorFrame:
         s, n, gamma = sector.spin, params.n, params.gamma
         self.h0_diag = -((1.0 + gamma) / n) * (s * (s + 1) - self.m_diag ** 2)
         self.h0_off = -((1.0 - gamma) / (2 * n)) * pair
-        self.b0_block = place_band(np.zeros((self.dim, self.dim), dtype=complex),
-                                   1, 0.5j * pair, -0.5j * pair)
+        self._h0_free = BandMatrix.from_uppers(self.h0_diag, [self.h0_off])
+        self.b0_bands = BandMatrix.from_uppers(np.zeros(self.dim), [0.5j * pair])
 
     @classmethod
     def tracked(cls, params: ModelParams) -> "SectorFrame":
@@ -186,38 +245,19 @@ class SectorFrame:
         h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
         return self.h0_diag - 2.0 * h_values[:, None] * self.m_diag
 
-    def h0_blocks(self, h_values) -> np.ndarray:
-        """H0 restricted to the block at each field value, (len(h), dim, dim).
+    def h0_bands(self, h: float) -> BandMatrix:
+        """H0 restricted to the block at field h, tridiagonal."""
+        data = self._h0_free.data.copy()
+        data[1] -= 2.0 * h * self.m_diag
+        return BandMatrix(data)
 
-        The propagation loop calls this once per step; writing the three
-        diagonals as stride-(dim + 1) slices of the flattened blocks keeps the
-        call cheap.
-        """
-        diagonals = self.h0_diagonals(h_values)
-        out = np.zeros(diagonals.shape + (self.dim,))
-        flat = out.reshape(len(diagonals), -1)
-        stride = self.dim + 1
-        flat[:, ::stride] = diagonals
-        flat[:, 1::stride] = self.h0_off
-        flat[:, self.dim::stride] = self.h0_off
-        return out
-
-    def band_patterns(self, k: int) -> np.ndarray:
-        """Unit-coefficient matrices of bands 1..k, (k, dim, dim)."""
-        if k > self.params.n // 2:
+    def ansatz_bands(self, x) -> BandMatrix:
+        """The ansatz drive sum_b x_b P_b of bands 1..k = len(x), where P_b
+        is i on block band b and -i on band -b."""
+        if len(x) > self.params.n // 2:
             raise ValidationError(
-                f"{k} bands exceed floor(N/2) = {self.params.n // 2}")
-        pats = np.zeros((k, self.dim, self.dim), dtype=complex)
-        for b in range(1, k + 1):
-            place_band(pats[b - 1], b, 1j, -1j)
-        return pats
-
-    def truncation_mask(self, k: int) -> np.ndarray:
-        """Entries of bands 1..k."""
-        keep = np.zeros((self.dim, self.dim), dtype=bool)
-        for b in range(1, min(k, self.dim - 1) + 1):
-            place_band(keep, b, True, True)
-        return keep
+                f"{len(x)} bands exceed floor(N/2) = {self.params.n // 2}")
+        return BandMatrix.from_uppers(np.zeros(self.dim), [1j * xb for xb in x])
 
     def embed(self, sector_vecs: np.ndarray) -> np.ndarray:
         """Lift (..., dim) block vectors to the full basis."""

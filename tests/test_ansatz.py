@@ -9,6 +9,7 @@ from cdlmg import (
     ModelParams,
     RampSchedule,
     ValidationError,
+    build_h0,
     evaluate_fit,
     evolve,
     fit_harmonics,
@@ -24,10 +25,10 @@ def test_ansatz_matrix_structure():
     params = ModelParams(9, 0.0)
     for parity in (0, 1):
         frame = SectorFrame(params, parity)
-        mat = np.tensordot([0.3, -1.2, 0.7], frame.band_patterns(3), axes=(0, 0))
+        mat = frame.ansatz_bands([0.3, -1.2, 0.7]).dense()
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-14
     with pytest.raises(ValidationError):
-        SectorFrame(ModelParams(4, 0.0), 0).band_patterns(3)
+        SectorFrame(ModelParams(4, 0.0), 0).ansatz_bands([0.0, 0.0, 0.0])
 
 
 def test_band_coefficients_container():
@@ -82,18 +83,23 @@ def test_segment_gradient_matches_finite_differences(linear_ramp, k):
     params = ModelParams(8, 0.0, linear_ramp)
     run = _TrackedRun(params, 100)
     lo, hi = 45, 55
-    h0_segment, patterns = run.frame.h0_blocks(run.h_mid[lo:hi]), run.frame.band_patterns(k)
+    frame = run.frame
+    h0_segment = [frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]]
+    # the references: H0 and the band patterns from the dense spin matrices
+    h0_reference = [build_h0(params, h)[frame.ix] for h in run.h_mid[lo:hi]]
+    patterns = [(1j * np.eye(9, k=2 * b) - 1j * np.eye(9, k=-2 * b))[frame.ix]
+                for b in range(1, k + 1)]
     dt = run.times[1] - run.times[0]
     psi, target = run.grounds[lo].astype(complex), run.grounds[hi]
 
     def segment(x):
-        return _segment_infidelity(h0_segment, patterns, x, dt, psi, target)
+        return _segment_infidelity(h0_segment, frame.ansatz_bands, x, dt, psi, target)
 
     eps = 1e-5
     for x in (np.zeros(k), np.array([-0.9, 0.4])[:k]):
         value, gradient, psi_end = segment(x)
         expected = psi
-        for h0 in h0_segment:
+        for h0 in h0_reference:
             expected = expm(-1j * dt * (h0 + np.tensordot(x, patterns, axes=(0, 0)))) @ expected
         assert value == pytest.approx(1.0 - abs(np.vdot(target, expected)) ** 2, abs=1e-15)
         assert np.max(np.abs(psi_end - expected)) < 1e-14

@@ -264,19 +264,26 @@ def test_output_files_follow_umask(tmp_path):
 
 
 def test_preset_runs_every_protocol_on_the_calling_thread(monkeypatch):
-    import cdlmg.figures
+    # and on one tracked run: the ground series is solved once for the preset
+    import cdlmg.dynamics
     from cdlmg.figures import FIGURES, run_figure
 
-    evolve = cdlmg.figures.evolve
-    threads = []
+    propagate, ground_series = cdlmg.dynamics._propagate, cdlmg.dynamics.sector_ground_series
+    threads, solved = [], []
 
-    def recording_evolve(*args, **kwargs):
+    def recording_propagate(*args, **kwargs):
         threads.append(threading.get_ident())
-        return evolve(*args, **kwargs)
+        return propagate(*args, **kwargs)
 
-    monkeypatch.setattr(cdlmg.figures, "evolve", recording_evolve)
+    def counting_ground_series(*args, **kwargs):
+        solved.append(args)
+        return ground_series(*args, **kwargs)
+
+    monkeypatch.setattr(cdlmg.dynamics, "_propagate", recording_propagate)
+    monkeypatch.setattr(cdlmg.dynamics, "sector_ground_series", counting_ground_series)
     curves = run_figure("fig1a", steps=20)
     assert list(curves) == [p.label for p in FIGURES["fig1a"].protocols]
+    assert len(solved) == 1
     assert threads == [threading.get_ident()] * 4
 
 
@@ -306,7 +313,7 @@ def test_bug_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
-    monkeypatch.setattr(cdlmg.cli, "evolve", broken)
+    monkeypatch.setattr(cdlmg.cli, "evolve_protocols", broken)
     with pytest.raises(TypeError, match="injected"):
         run_cli(["evolve", "--n", 4, "--protocol", "bare",
                  "--ramp", "linear:0.75,0.5", "--out", tmp_path])

@@ -114,6 +114,12 @@ def test_exact_cd_eigenbasis_round_trip():
         assert np.max(np.abs(got - expected)) < 1e-10
 
 
+def _frame_h0(frame, h):
+    """The frame's H0 block as a dense matrix, from its diagonal and band 1."""
+    off = frame.h0_off
+    return np.diag(frame.h0_diagonals(h)[0]) + np.diag(off, 1) + np.diag(off, -1)
+
+
 def _dense_cd_reference(frame, h0, hdot):
     """sector_cd_block's term built from numpy's dense eigh, for a block with
     no degenerate levels to zero."""
@@ -134,7 +140,7 @@ def test_sector_cd_block_large_sector_matches_dense_reference(h):
     # reference builds the same term from numpy's dense eigh
     for n in (4, 20, 100, 300):
         frame = SectorFrame.tracked(ModelParams(n, 0.0))
-        h0, hdot = frame.h0_blocks(h)[0], 0.5
+        h0, hdot = _frame_h0(frame, h), 0.5
         assert np.min(np.diff(np.linalg.eigvalsh(h0))) > 0.1  # no degenerate cluster to zero
         got = sector_cd_block(frame, h, hdot)
         assert np.max(np.abs(got - _dense_cd_reference(frame, h0, hdot))) < 1e-12
@@ -153,7 +159,7 @@ def test_sector_cd_block_tridiagonal_path(kind, monkeypatch):
     assert frame.dim == dim
     if kind == "split":
         frame.h0_off[dim // 2] = 0.0
-    h0, hdot = frame.h0_blocks(1.1)[0], 0.5
+    h0, hdot = _frame_h0(frame, 1.1), 0.5
     assert np.count_nonzero(np.diagonal(h0, -1)) == {"split": dim - 2, "diagonal": 0}.get(
         kind, dim - 1)
     got = sector_cd_block(frame, 1.1, hdot)
@@ -242,7 +248,7 @@ def test_hp_correction_matrix_shape():
     full = sxsy_plus_sysx(40)
     for parity in (0, 1):
         frame = SectorFrame(params, parity)
-        b0 = frame.b0_block
+        b0 = frame.b0_bands.dense()
         assert np.max(np.abs(b0 - full[frame.ix])) < 1e-14
         assert np.max(np.abs(b0 - b0.conj().T)) <= 1e-12
 

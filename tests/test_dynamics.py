@@ -29,9 +29,10 @@ from cdlmg import (
     hp_coefficient,
     parse_protocol,
 )
-from cdlmg.dynamics import _chebyshev_step
+from cdlmg.counterdiabatic import sector_cd_bands, sector_cd_block
+from cdlmg.dynamics import _chebyshev_step, _gershgorin, evolve_protocols
 from cdlmg.spectrum import sector_ground_series
-from cdlmg.spin_algebra import SectorFrame, place_band
+from cdlmg.spin_algebra import BandMatrix, SectorFrame, parity_frames, place_band
 
 
 # --------------------------------------------------------------------------
@@ -109,45 +110,92 @@ def _tridiagonal(rng, dim, sub):
     return place_band(out, 1, np.conj(sub), sub)
 
 
+def _random_bands(rng, dim, w, real):
+    """Random Hermitian band matrix of width w."""
+    uppers = [rng.normal(size=dim - o) + (0 if real else 1j * rng.normal(size=dim - o))
+              for o in range(1, min(w, dim - 1) + 1)]
+    uppers += [np.zeros(0)] * (w - len(uppers))  # offsets past the matrix stay empty
+    return BandMatrix.from_uppers(rng.normal(size=dim), uppers)
+
+
+def _dense(h):
+    return h.dense() if isinstance(h, BandMatrix) else h
+
+
 @pytest.mark.parametrize("kind", ["real", "complex", "tridiagonal", "identity", "wide",
-                                  "block_triangular"])
+                                  "block_triangular", "bands", "bands_identity",
+                                  "bands_wide"])
 def test_chebyshev_step_matches_expm(kind):
     rng = np.random.default_rng(3)
     dim = 9
-    if kind == "tridiagonal":
+    if kind.startswith("bands"):
+        # band matrices of width 1..3, real and complex, 2 to 70 states
+        cases = [_random_bands(rng, dim, w, real) for dim in (2, 3, 9, 70)
+                 for w in (1, 2, 3) for real in (True, False)]
+        if kind == "bands_identity":  # a zero-width spectral interval
+            cases = [BandMatrix(np.vstack([np.zeros((w, dim)), np.full((1, dim), -0.6),
+                                           np.zeros((w, dim))]))
+                     for dim in (2, 9) for w in (1, 3)]
+        if kind == "bands_wide":
+            cases = [10.0 * h for h in cases]
+    elif kind == "tridiagonal":
         dim = 69
-        h = _tridiagonal(rng, dim, rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1))
+        cases = [_tridiagonal(rng, dim, rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1))]
     elif kind == "identity":  # a zero-width spectral interval
-        h = 1.7 * np.eye(dim)
+        cases = [1.7 * np.eye(dim)]
     elif kind == "block_triangular":
         # [[H, P_1], [0, H]], whose upper-right exponential block is the
         # derivative of exp(-i H dt) along P_1 (the optimizer's gradient)
-        frame = SectorFrame.tracked(ModelParams(40, 0.0))
-        pattern = frame.band_patterns(1)[0]
-        block = frame.h0_blocks(1.0)[0] + 0.4 * pattern
-        h = np.block([[block, pattern], [np.zeros_like(block), block]])
+        params = ModelParams(40, 0.0)
+        frame = SectorFrame.tracked(params)
+        pattern = (1j * np.eye(41, k=2) - 1j * np.eye(41, k=-2))[frame.ix]
+        block = build_h0(params, 1.0)[frame.ix] + 0.4 * pattern
+        cases = [np.block([[block, pattern], [np.zeros_like(block), block]])]
     else:
         raw = rng.normal(size=(dim, dim))
         if kind != "real":
             raw = raw + 1j * rng.normal(size=(dim, dim))
-        h = raw + raw.conj().T
-    dim = len(h)
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi /= np.linalg.norm(psi)
-    dts = {"wide": (3.0, -2.5), "block_triangular": (0.05, -0.03, 10.0)}.get(kind, (0.05, -0.03))
-    for dt in dts:
-        if kind == "wide":  # z, the spectral half-width times |dt|, beyond dim
-            energies = np.linalg.eigvalsh(h)
-            assert 0.5 * (energies[-1] - energies[0]) * abs(dt) > dim
-        got, terms = _chebyshev_step(h, dt, psi)
-        assert np.max(np.abs(got - expm(-1j * h * dt) @ psi)) < 1e-12
-        assert terms == 1 if kind == "identity" else terms > 1
+        cases = [raw + raw.conj().T]
+    dts = {"wide": (3.0, -2.5), "bands_wide": (3.0, -2.5),
+           "block_triangular": (0.05, -0.03, 10.0)}.get(kind, (0.05, -0.03))
+    for h in cases:
+        dense = _dense(h)
+        dim = len(dense)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        energies = np.linalg.eigvalsh(dense)
+        for dt in dts:
+            if kind == "wide" or (kind == "bands_wide" and dim > 3):
+                # z, the spectral half-width times |dt|, beyond dim
+                assert 0.5 * (energies[-1] - energies[0]) * abs(dt) > dim
+            got, terms = _chebyshev_step(h, dt, psi)
+            assert np.max(np.abs(got - expm(-1j * dense * dt) @ psi)) < 1e-12
+            assert terms == 1 if kind.endswith("identity") else terms > 1
+
+
+def test_gershgorin_interval_of_bands():
+    # a band matrix's interval is the dense Gershgorin formula's, and it holds
+    # the spectrum
+    rng = np.random.default_rng(11)
+    for dim in (2, 5, 51, 151):
+        for w in (1, 2, 3):
+            for real in (True, False):
+                bands = _random_bands(rng, dim, w, real)
+                dense = bands.dense()
+                diag = np.diagonal(dense).real
+                radius = np.abs(dense).sum(axis=1) - np.abs(diag)
+                lo, hi = _gershgorin(bands)
+                assert lo == pytest.approx(np.min(diag - radius), rel=1e-14, abs=1e-14)
+                assert hi == pytest.approx(np.max(diag + radius), rel=1e-14, abs=1e-14)
+                energies = np.linalg.eigvalsh(dense)
+                assert lo <= energies[0] and energies[-1] <= hi
 
 
 @pytest.mark.parametrize("protocol", ["bare", "hp", "truncated:1", "exact_cd",
                                       "decomposed:1", "ansatz"])
 def test_evolve_matches_eigh_steps(protocol, monkeypatch):
-    # evolve's Chebyshev steps against the same run stepped by expm
+    # evolve's Chebyshev steps against the same run stepped by expm of the
+    # step's block, made dense
     params = ModelParams(20, 0.0, RampSchedule.linear(0.75, 0.5))
     if protocol == "ansatz":
         protocol = AnsatzDrive(BandCoefficients(np.linspace(0, 1, 11),
@@ -155,10 +203,44 @@ def test_evolve_matches_eigh_steps(protocol, monkeypatch):
     traj = evolve(params, protocol, 200, store_states=True)
     assert traj.info["matvecs"] >= traj.info["steps"]
     monkeypatch.setattr("cdlmg.dynamics._chebyshev_step", lambda h, dt, psi: (
-        expm(-1j * h * dt) @ psi, 1))
+        expm(-1j * _dense(h) * dt) @ psi, 1))
     reference = evolve(params, protocol, 200, store_states=True)
     assert np.max(np.abs(traj.states - reference.states)) < 1e-12
     assert np.max(np.abs(traj.fidelity - reference.fidelity)) < 1e-12
+
+
+def test_evolve_protocols_share_one_run(monkeypatch):
+    # the same trajectories as one evolve per protocol, from one ground series
+    params = ModelParams(14, 0.0, RampSchedule.linear(0.75, 0.5))
+    protocols = ["bare", "hp", "truncated:2", "exact_cd"]
+    separate = {p: evolve(params, p, 60) for p in protocols}
+    import cdlmg.dynamics
+    solved = []
+    ground_series = cdlmg.dynamics.sector_ground_series
+    monkeypatch.setattr(cdlmg.dynamics, "sector_ground_series",
+                        lambda *a: solved.append(a) or ground_series(*a))
+    shared = evolve_protocols(params, protocols, 60)
+    assert len(solved) == 1
+    assert list(shared) == [traj.protocol for traj in separate.values()]
+    for traj in separate.values():
+        assert np.array_equal(shared[traj.protocol].fidelity, traj.fidelity)
+
+
+@pytest.mark.parametrize("n", [20, 100])
+def test_cd_bands_match_block_diagonals(n):
+    # the band-only extraction gives the diagonals of the whole block
+    params = ModelParams(n, 0.0)
+    for frame in parity_frames(params):
+        for h, hdot in ((0.8, 0.5), (1.0, -0.3), (1.3, 0.5)):
+            block = sector_cd_block(frame, h, hdot)
+            for k in (1, 2, 3):
+                bands = sector_cd_bands(frame, h, hdot, k)
+                assert bands.width == k
+                assert np.array_equal(bands.data[k], np.zeros(frame.dim))
+                for o in range(-k, k + 1):
+                    if o:
+                        got = np.diagonal(bands.dense(), o)
+                        assert np.max(np.abs(got - np.diagonal(block, o))) < 1e-14
 
 
 def test_constant_ramp_bare_is_stationary():

@@ -16,7 +16,7 @@ def test_diagonalize_h0_degenerate_pair():
     # N=2, gamma=0, h=0: the degenerate pair {-1, -1} of H0 = -Sx^2 lies
     # in different parity blocks
     params = ModelParams(2, 0.0)
-    even, odd = (np.linalg.eigvalsh(SectorFrame(params, p).h0_blocks(0.0)[0])
+    even, odd = (np.linalg.eigvalsh(SectorFrame(params, p).h0_bands(0.0).dense())
                  for p in (0, 1))
     assert np.allclose(even, [-1.0, 0.0], atol=1e-12)
     assert np.allclose(odd, [-1.0], atol=1e-12)
@@ -32,7 +32,7 @@ def test_reconstruction(n, h):
         rebuilt = np.zeros_like(full)
         for parity in (0, 1):
             frame = SectorFrame(params, parity)
-            rebuilt[frame.ix] = frame.h0_blocks(h)[0]
+            rebuilt[frame.ix] = frame.h0_bands(h).dense()
         floor = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(full)))
         assert np.max(np.abs(rebuilt - full)) <= floor
 

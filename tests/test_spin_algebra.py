@@ -11,7 +11,7 @@ from cdlmg import (
     build_h0,
     build_spin_ops,
 )
-from cdlmg.spin_algebra import SectorFrame
+from cdlmg.spin_algebra import BandMatrix, SectorFrame
 from conftest import even_projector
 
 
@@ -101,20 +101,45 @@ def test_model_params_validation():
 @pytest.mark.parametrize("n", [8, 9])
 def test_sector_frame_band_layout(n):
     # full-basis band b (offset 2b) is block band b (offset b) in each
-    # parity block; the truncation mask covers exactly bands 1..k, and
+    # parity block; the ansatz drive fills exactly bands 1..k, and
     # (SxSy+SySx) fills exactly band 1
     params = ModelParams(n, 0.0)
     k = 3
     for parity in (0, 1):
         frame = SectorFrame(params, parity)
-        patterns = frame.band_patterns(k)
         for b in range(1, k + 1):
             full = 1j * np.eye(n + 1, k=2 * b) - 1j * np.eye(n + 1, k=-2 * b)
-            assert np.array_equal(full[frame.ix], patterns[b - 1])
-        assert np.array_equal(frame.truncation_mask(k),
-                              np.any(patterns != 0, axis=0))
-        band1 = frame.truncation_mask(1)
-        assert np.all(frame.b0_block[~band1] == 0)
-        assert np.all(frame.b0_block[band1] != 0)
+            assert np.array_equal(full[frame.ix], frame.ansatz_bands(np.eye(k)[b - 1]).dense())
+        x = np.array([0.3, -1.2, 0.7])
+        drive = frame.ansatz_bands(x)
+        assert drive.width == k
+        offsets = np.subtract.outer(np.arange(frame.dim), np.arange(frame.dim))
+        band1 = np.abs(offsets) == 1
+        assert np.array_equal(drive.dense() != 0, (np.abs(offsets) >= 1) & (np.abs(offsets) <= k))
+        b0 = frame.b0_bands.dense()
+        assert np.all(b0[~band1] == 0)
+        assert np.all(b0[band1] != 0)
     with pytest.raises(ValidationError):
-        SectorFrame(params, 0).band_patterns(n // 2 + 1)
+        SectorFrame(params, 0).ansatz_bands(np.zeros(n // 2 + 1))
+
+
+def test_band_matrix_layout():
+    # row w + o of the stack holds offset o; sums widen, scaling and the dense
+    # form keep every entry
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3, 7):
+        for w in (0, 1, 2, 4):
+            diagonal = rng.normal(size=dim)
+            uppers = [rng.normal(size=max(dim - o, 0)) + 1j * rng.normal(size=max(dim - o, 0))
+                      for o in range(1, w + 1)]
+            band = BandMatrix.from_uppers(diagonal, uppers)
+            expected = np.diag(diagonal).astype(complex)
+            for o, upper in enumerate(uppers, 1):
+                if o < dim:
+                    expected += np.diag(upper, o) + np.diag(upper.conj(), -o)
+            assert band.data.shape == (2 * w + 1, dim)
+            assert np.array_equal(band.dense(), expected)
+            narrow = BandMatrix.from_uppers(rng.normal(size=dim), [rng.normal(size=dim - 1)])
+            assert np.array_equal((band + narrow).dense(), expected + narrow.dense())
+            assert np.array_equal((narrow + band).dense(), expected + narrow.dense())
+            assert np.array_equal((2.5 * band).dense(), 2.5 * expected)
