@@ -51,8 +51,8 @@ PROTOCOLS = ("bare", "hp", "truncated:1", "exact_cd")
 SIZES = {100: 200, 126: 200, 300: 60, 1000: 20}
 # With 3 rounds the medians could not resolve differences under about 25%.
 # Over 20 rounds (BENCH_16.json) every round put hp at N=300 below 1
-# (quartiles 0.37-0.46), and 15 of 20 put bare at N=100 below 1 (quartiles
-# 0.79-0.98): its timed runs, 200 steps of about 0.15 ms, are the shortest.
+# (quartiles 0.42-0.43), and 17 of 20 put bare at N=100 below 1 (quartiles
+# 0.77-0.82): its timed runs, 200 steps of about 0.18 ms, are the shortest.
 REPEATS = 20
 RUNS = 5
 FIG_STEPS = 1000

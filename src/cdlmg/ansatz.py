@@ -28,7 +28,8 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from . import output
-from .dynamics import DEFAULT_STEPS, AnsatzDrive, Trajectory, _chebyshev_step, _TrackedRun, evolve
+from .dynamics import (DEFAULT_STEPS, AnsatzDrive, TrackedRun, Trajectory, _chebyshev_step,
+                       evolve)
 from .errors import ValidationError
 from .spin_algebra import ModelParams
 
@@ -180,9 +181,9 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
                 [warm_start, np.zeros((segments, k - warm_start.shape[1]))])
         warm_start = warm_start[:, :k]
 
-    run = _TrackedRun(params, segments * opt_steps_per_segment)
+    run = TrackedRun(params, segments * opt_steps_per_segment)
     frame, times, grounds = run.frame, run.times, run.grounds
-    frame.ansatz_bands(np.zeros(k))  # rejects too many bands
+    frame.check_bands(k)
     dt = times[1] - times[0]
 
     psi = run.start_state

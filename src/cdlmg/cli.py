@@ -23,7 +23,7 @@ from . import __version__, output
 from .ansatz import DEFAULT_SEGMENTS, evaluate_fit, fit_harmonics, optimize
 from .band_operators import decompose_band, solve_first_band_beta
 from .counterdiabatic import band_table, exact_cd
-from .dynamics import DEFAULT_STEPS, evolve_protocols
+from .dynamics import DEFAULT_STEPS, TrackedRun, evolve, parse_protocol
 from .errors import (
     ConvergenceError,
     DecompositionError,
@@ -116,7 +116,9 @@ def _cmd_evolve(args) -> dict:
         params = _model(args)
         if not args.protocols:
             raise ValidationError("at least one --protocol is required")
-        trajectories = evolve_protocols(params, args.protocols, args.steps)
+        protocols = [parse_protocol(spec) for spec in args.protocols]
+        run = TrackedRun(params, args.steps)  # one ground series for every protocol
+        trajectories = {p.label: evolve(params, p, run) for p in protocols}
     files = []
     for label, traj in trajectories.items():
         path = outdir / f"trajectory_{_stem(label)}.csv"

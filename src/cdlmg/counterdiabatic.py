@@ -32,6 +32,7 @@ __all__ = [
     "BandTable",
     "exact_cd",
     "band_table",
+    "parity_band_table",
     "hp_coefficient",
     "analytic_cd",
     "HP_SWITCH_TOL",
@@ -159,6 +160,23 @@ def band_table(mat: np.ndarray) -> BandTable:
                 "expected purely imaginary band entries")
         bands[i] = diag.imag.copy()
     return BandTable(sector, bands)
+
+
+def parity_band_table(blocks) -> BandTable:
+    """The BandTable of a driving term given by the `BandMatrix` of each of
+    its parity blocks, as (frame, bands) pairs: block band b of a frame
+    fills every other entry of full-basis offset 2b."""
+    sector = blocks[0][0].params.sector
+    table: Dict[int, np.ndarray] = {}
+    for b in range(1, max(bands.width for _, bands in blocks) + 1):
+        x = np.zeros(sector.dim - 2 * b)
+        for frame, bands in blocks:
+            if b <= bands.width:
+                part = x[frame.idx[0]::2]
+                part[:] = bands.data[bands.width + b, :len(part)].imag
+        if np.any(x):
+            table[b] = x
+    return BandTable(sector, table)
 
 
 def hp_coefficient(n: int, gamma: float, h: float, hdot: float) -> float:

@@ -29,11 +29,11 @@ from scipy.special import jv
 
 from . import output
 from .band_operators import decomposition_gate
-from .counterdiabatic import (band_table, exact_cd, hp_coefficient, sector_cd_bands,
+from .counterdiabatic import (hp_coefficient, parity_band_table, sector_cd_bands,
                              sector_cd_block)
 from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
-from .spin_algebra import BandMatrix, ModelParams, SectorFrame, parity_frames
+from .spin_algebra import BandMatrix, ModelParams, SectorFrame
 
 __all__ = [
     "Bare",
@@ -43,8 +43,8 @@ __all__ = [
     "AnsatzDrive",
     "DecomposedDrive",
     "Trajectory",
+    "TrackedRun",
     "evolve",
-    "evolve_protocols",
     "fidelity",
     "parse_protocol",
 ]
@@ -147,17 +147,21 @@ def _step_operator(frame: SectorFrame, protocol: Protocol):
         return lambda t, h, hdot: frame.h0_bands(h).dense() + sector_cd_block(frame, h, hdot)
     if isinstance(protocol, Truncated):
         k = protocol.bands
-        if isinstance(protocol, DecomposedDrive):
-            check = decomposition_gate(frame.params.sector, k)
-            frames = parity_frames(frame.params)
-        else:
-            check = None
+        if not isinstance(protocol, DecomposedDrive):
+            return lambda t, h, hdot: frame.h0_bands(h) + sector_cd_bands(frame, h, hdot, k)
+        # the gate reads bands 1..k of both parity blocks; the tracked
+        # block's are the drive
+        check = decomposition_gate(frame.params.sector, k)
+        other = SectorFrame(frame.params, 1 - frame.idx[0])
 
-        def truncated(t, h, hdot):
-            if check is not None:
-                check(band_table(exact_cd(frame.params, h, hdot, frames=frames)))
-            return frame.h0_bands(h) + sector_cd_bands(frame, h, hdot, k)
-        return truncated
+        def decomposed(t, h, hdot):
+            drive = sector_cd_bands(frame, h, hdot, k)
+            blocks = [(frame, drive)]
+            if other.dim >= 2:
+                blocks.append((other, sector_cd_bands(other, h, hdot, k)))
+            check(parity_band_table(blocks))
+            return frame.h0_bands(h) + drive
+        return decomposed
     if isinstance(protocol, HPCorrection):
         def hp(t, h, hdot):
             c = hp_coefficient(frame.params.n, frame.params.gamma, h, hdot)
@@ -166,7 +170,7 @@ def _step_operator(frame: SectorFrame, protocol: Protocol):
         return hp
     if isinstance(protocol, AnsatzDrive):
         coefficients = protocol.coefficients
-        frame.ansatz_bands(np.zeros(coefficients.num_bands))  # rejects too many bands
+        frame.check_bands(coefficients.num_bands)
         return lambda t, h, hdot: frame.h0_bands(h) + frame.ansatz_bands(
             coefficients.values_at(t))
     raise ValidationError(f"unsupported protocol {protocol!r}")
@@ -298,14 +302,15 @@ def fidelity(state: np.ndarray, ground: np.ndarray) -> float:
     return float(abs(np.vdot(ground, state)) ** 2)
 
 
-class _TrackedRun:
-    """What the propagations of `evolve`, `evolve_protocols` and
-    `ansatz.optimize` share for one run of params.ramp on `grid`, an integer
+class TrackedRun:
+    """What the propagations of one run of params.ramp on `grid`, an integer
     step count (uniform grid) or an explicit 1-D array of at least two times
-    inside the ramp's domain: the tracked block, the field at the grid
-    points, the field and its rate at the step midpoints, and the
+    inside the ramp's domain, share: the tracked block, the field at the
+    grid points, the field and its rate at the step midpoints, and the
     sign-aligned ground series with its first vector as the start state.
-    Each step's H0 block is built when the step runs, from
+    `evolve` takes one in place of a grid, so that several protocols are
+    stepped on one ground series, as `ansatz.optimize` steps its segments
+    on one.  Each step's H0 block is built when the step runs, from
     ``frame.h0_bands(h_mid[k])``."""
 
     def __init__(self, params: ModelParams, grid):
@@ -332,7 +337,7 @@ class _TrackedRun:
         self.start_state = self.grounds[0].astype(complex)
 
 
-def _propagate(run: _TrackedRun, protocol: Protocol, store_states: bool,
+def _propagate(run: TrackedRun, protocol: Protocol, store_states: bool,
                t0: float) -> Trajectory:
     """Step the protocol along the run; ``info["wall_time_s"]`` counts from t0."""
     operator = _step_operator(run.frame, protocol)
@@ -378,43 +383,38 @@ def _propagate(run: _TrackedRun, protocol: Protocol, store_states: bool,
     )
 
 
-def evolve_protocols(params: ModelParams, protocols, grid=DEFAULT_STEPS) -> dict:
-    """`evolve` for each of several protocols on one tracked run, whose
-    ground series is solved once; returns the trajectories keyed by label.
-    The first trajectory's ``wall_time_s`` includes the run's set-up."""
-    protocols = [parse_protocol(p) for p in protocols]
-    t0 = _time.perf_counter()
-    run = _TrackedRun(params, grid)
-    out = {}
-    for protocol in protocols:
-        out[protocol.label] = _propagate(run, protocol, False, t0)
-        t0 = _time.perf_counter()
-    return out
-
-
 def evolve(params: ModelParams, protocol, grid=DEFAULT_STEPS, *,
            store_states: bool = False, converge: bool = False) -> Trajectory:
     """Propagate the tracked ground state of H0(h(t_start)) along params.ramp.
 
-    `grid` is an integer step count (uniform grid) or an explicit time
-    array.  With ``store_states=True`` the trajectory keeps the state at
-    every grid point (full basis).  With ``converge=True`` the step count is doubled until
-    the final fidelity changes by less than CONVERGENCE_TOL, at most
-    MAX_REFINEMENTS times, and the converged run is returned; failure to
-    converge raises ConvergenceError with a suggested step size.  A state
-    norm drifting from 1 by more than NORM_TOL raises NormError.
+    `grid` is an integer step count (uniform grid), an explicit time array,
+    or a `TrackedRun` built from these params, which several protocols can
+    share; ``info["wall_time_s"]`` counts the run's set-up only when this
+    call builds the run.  With ``store_states=True`` the trajectory keeps
+    the state at every grid point (full basis).  With ``converge=True`` the
+    step count is doubled until the final fidelity changes by less than
+    CONVERGENCE_TOL, at most MAX_REFINEMENTS times, and the converged run is
+    returned; failure to converge raises ConvergenceError with a suggested
+    step size.  A state norm drifting from 1 by more than NORM_TOL raises
+    NormError.
     """
     protocol = parse_protocol(protocol)
     if converge and not np.isscalar(grid):
         raise ValidationError("converge=True requires an integer step count")
     t0 = _time.perf_counter()
-    traj = _propagate(_TrackedRun(params, grid), protocol, store_states, t0)
+    if isinstance(grid, TrackedRun):
+        if grid.params != params:
+            raise ValidationError("the tracked run was built for other model parameters")
+        run = grid
+    else:
+        run = TrackedRun(params, grid)
+    traj = _propagate(run, protocol, store_states, t0)
     if not converge:
         return traj
     steps = traj.info["steps"]
     for _ in range(MAX_REFINEMENTS):
         t0 = _time.perf_counter()
-        finer = _propagate(_TrackedRun(params, 2 * steps), protocol, store_states, t0)
+        finer = _propagate(TrackedRun(params, 2 * steps), protocol, store_states, t0)
         delta = abs(finer.final_fidelity - traj.final_fidelity)
         if delta < CONVERGENCE_TOL:
             finer.info["converged"] = True

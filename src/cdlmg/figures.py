@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .ansatz import DEFAULT_SEGMENTS, OptimizeResult, optimize
-from .dynamics import (DEFAULT_STEPS, Bare, ExactCD, HPCorrection, Trajectory, Truncated,
-                       evolve_protocols)
+from .dynamics import (DEFAULT_STEPS, Bare, ExactCD, HPCorrection, TrackedRun, Trajectory,
+                       Truncated, evolve)
 from .errors import ValidationError
 from .ramps import RampSchedule
 from .spin_algebra import ModelParams
@@ -77,7 +77,8 @@ def run_figure(figure_id: str, *, steps: int = DEFAULT_STEPS,
 
     if spec.kind == "protocols":
         params = ModelParams(spec.n, spec.gamma, spec.ramp)
-        return evolve_protocols(params, spec.protocols, steps)
+        run = TrackedRun(params, steps)
+        return {p.label: evolve(params, p, run) for p in spec.protocols}
 
     if spec.kind == "band_sweep":
         params = ModelParams(spec.n, spec.gamma, spec.ramp)

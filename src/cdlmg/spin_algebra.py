@@ -231,7 +231,6 @@ class SectorFrame:
         s, n, gamma = sector.spin, params.n, params.gamma
         self.h0_diag = -((1.0 + gamma) / n) * (s * (s + 1) - self.m_diag ** 2)
         self.h0_off = -((1.0 - gamma) / (2 * n)) * pair
-        self._h0_free = BandMatrix.from_uppers(self.h0_diag, [self.h0_off])
         self.b0_bands = BandMatrix.from_uppers(np.zeros(self.dim), [0.5j * pair])
 
     @classmethod
@@ -246,17 +245,23 @@ class SectorFrame:
         return self.h0_diag - 2.0 * h_values[:, None] * self.m_diag
 
     def h0_bands(self, h: float) -> BandMatrix:
-        """H0 restricted to the block at field h, tridiagonal."""
-        data = self._h0_free.data.copy()
-        data[1] -= 2.0 * h * self.m_diag
+        """H0 restricted to the block at field h, tridiagonal: row
+        ``h0_diagonals(h)[0]`` and ``h0_off`` above and below it."""
+        data = np.zeros((3, self.dim))
+        data[1] = self.h0_diag - 2.0 * h * self.m_diag
+        data[2, :-1] = data[0, 1:] = self.h0_off
         return BandMatrix(data)
+
+    def check_bands(self, k: int) -> None:
+        """Raise ValidationError unless the ansatz can have k bands: the
+        block has bands 1..floor(N/2)."""
+        if k > self.params.n // 2:
+            raise ValidationError(f"{k} bands exceed floor(N/2) = {self.params.n // 2}")
 
     def ansatz_bands(self, x) -> BandMatrix:
         """The ansatz drive sum_b x_b P_b of bands 1..k = len(x), where P_b
         is i on block band b and -i on band -b."""
-        if len(x) > self.params.n // 2:
-            raise ValidationError(
-                f"{len(x)} bands exceed floor(N/2) = {self.params.n // 2}")
+        self.check_bands(len(x))
         return BandMatrix.from_uppers(np.zeros(self.dim), [1j * xb for xb in x])
 
     def embed(self, sector_vecs: np.ndarray) -> np.ndarray:

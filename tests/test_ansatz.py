@@ -16,7 +16,7 @@ from cdlmg import (
     optimize,
 )
 from cdlmg.ansatz import _segment_infidelity
-from cdlmg.dynamics import _TrackedRun
+from cdlmg.dynamics import TrackedRun
 from cdlmg.spin_algebra import SectorFrame
 
 
@@ -81,7 +81,7 @@ def test_segment_gradient_matches_finite_differences(linear_ramp, k):
     # a segment across the transition (h from 0.975 to 1.025), at zero drive
     # and at a generic point; the value and end state against steps of expm
     params = ModelParams(8, 0.0, linear_ramp)
-    run = _TrackedRun(params, 100)
+    run = TrackedRun(params, 100)
     lo, hi = 45, 55
     frame = run.frame
     h0_segment = [frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]]

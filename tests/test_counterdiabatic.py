@@ -18,7 +18,7 @@ from cdlmg import (
     hp_coefficient,
 )
 from cdlmg.band_operators import _bj
-from cdlmg.counterdiabatic import sector_cd_block
+from cdlmg.counterdiabatic import parity_band_table, sector_cd_bands, sector_cd_block
 from cdlmg.spin_algebra import SectorFrame, parity_frames, parity_indices
 from conftest import block_angle_rate_fd, even_projector
 
@@ -206,6 +206,19 @@ def test_band_table_round_trip(n, h):
     term = exact_cd(ModelParams(n, 0.0), h, 0.5)
     rebuilt = band_table(term).reconstruct()
     assert np.max(np.abs(rebuilt - term)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 9, 20])
+def test_parity_band_table_matches_exact_table(n):
+    # the bands of both parity blocks interleave into exact_cd's band table
+    params = ModelParams(n, 0.0)
+    frames = [f for f in parity_frames(params) if f.dim >= 2]
+    for h, hdot in ((0.8, 0.5), (1.0, -0.3), (1.3, 0.5)):
+        reference = band_table(exact_cd(params, h, hdot)).bands
+        got = parity_band_table([(f, sector_cd_bands(f, h, hdot, 3)) for f in frames]).bands
+        assert set(got) == set(range(1, min(3, n // 2) + 1))
+        for b, x in got.items():
+            assert np.max(np.abs(x - reference[b])) < 1e-14
 
 
 # --------------------------------------------------------------------------

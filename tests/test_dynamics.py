@@ -30,7 +30,7 @@ from cdlmg import (
     parse_protocol,
 )
 from cdlmg.counterdiabatic import sector_cd_bands, sector_cd_block
-from cdlmg.dynamics import _chebyshev_step, _gershgorin, evolve_protocols
+from cdlmg.dynamics import TrackedRun, _chebyshev_step, _gershgorin
 from cdlmg.spectrum import sector_ground_series
 from cdlmg.spin_algebra import BandMatrix, SectorFrame, parity_frames, place_band
 
@@ -209,7 +209,7 @@ def test_evolve_matches_eigh_steps(protocol, monkeypatch):
     assert np.max(np.abs(traj.fidelity - reference.fidelity)) < 1e-12
 
 
-def test_evolve_protocols_share_one_run(monkeypatch):
+def test_protocols_share_one_tracked_run(monkeypatch):
     # the same trajectories as one evolve per protocol, from one ground series
     params = ModelParams(14, 0.0, RampSchedule.linear(0.75, 0.5))
     protocols = ["bare", "hp", "truncated:2", "exact_cd"]
@@ -219,11 +219,14 @@ def test_evolve_protocols_share_one_run(monkeypatch):
     ground_series = cdlmg.dynamics.sector_ground_series
     monkeypatch.setattr(cdlmg.dynamics, "sector_ground_series",
                         lambda *a: solved.append(a) or ground_series(*a))
-    shared = evolve_protocols(params, protocols, 60)
+    run = TrackedRun(params, 60)
+    for p in protocols:
+        assert np.array_equal(evolve(params, p, run).fidelity, separate[p].fidelity)
     assert len(solved) == 1
-    assert list(shared) == [traj.protocol for traj in separate.values()]
-    for traj in separate.values():
-        assert np.array_equal(shared[traj.protocol].fidelity, traj.fidelity)
+    with pytest.raises(ValidationError, match="other model parameters"):
+        evolve(ModelParams(14, 0.5, params.ramp), "bare", run)
+    with pytest.raises(ValidationError, match="integer step count"):
+        evolve(params, "bare", run, converge=True)
 
 
 @pytest.mark.parametrize("n", [20, 100])
@@ -317,6 +320,16 @@ def test_decomposition_gate_checks_every_midpoint():
     params = ModelParams(26, 0.0, RampSchedule.linear(1.25, -0.5))
     with pytest.raises(DecompositionError, match="band-1"):
         evolve(params, "decomposed:1", 100)
+
+
+def test_decomposed_solves_each_block_once_per_midpoint(monkeypatch):
+    # the tracked block's bands are both the drive and half the gate's table
+    import cdlmg.counterdiabatic
+    solve, solved = cdlmg.counterdiabatic.eigh_tridiagonal, []
+    monkeypatch.setattr(cdlmg.counterdiabatic, "eigh_tridiagonal",
+                        lambda *a, **kw: solved.append(a) or solve(*a, **kw))
+    evolve(ModelParams(20, 0.0, RampSchedule.linear(0.75, 0.5)), "decomposed:2", 100)
+    assert len(solved) == 200
 
 
 def test_time_reversal_round_trip():
