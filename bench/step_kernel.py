@@ -1,5 +1,5 @@
-"""Cost of one ``evolve`` step and of the fig1a preset, before and after a
-change to the step or to the CD eigensolve.
+"""Cost of one ``evolve`` step, of the fig1a preset and of a gap table,
+before and after a change to the step, the CD eigensolve or the spectra.
 
     python3 bench/step_kernel.py --src <other checkout>/src --out <record>.json
 
@@ -25,6 +25,12 @@ side's times.  Writes one JSON record:
   states per block) at FIG_STEPS steps, the fastest of FIG_RUNS runs in
   each of FIG_REPEATS interpreters per side, their median, and the same
   ``ratio`` summary;
+- ``gaps``: microseconds per field point of ``gap_series`` on GAP_POINTS
+  fields in [0.5, 1.5] at each N of GAP_SIZES, the fastest of RUNS runs
+  in each of GAP_REPEATS interpreters per side, their median and the
+  ``ratio`` summary;
+- every row holds each side's ``peak_rss_mb``: the median over its
+  interpreters of the peak resident memory, imports included;
 - ``environment``: versions, BLAS build and thread settings, from
   ``perfbench/env.py``.
 """
@@ -58,13 +64,28 @@ RUNS = 5
 FIG_STEPS = 1000
 FIG_REPEATS = 10
 FIG_RUNS = 3
+# N -> the large_sector benchmark's spectrum size (151 states per block) and
+# 501 states
+GAP_SIZES = (300, 1000)
+GAP_POINTS = 50
+GAP_REPEATS = 10
 
 CHILD = """
-import json, sys, time
+import json, resource, sys, time
+import numpy as np
 task = json.loads(sys.argv[1])
-from cdlmg import ModelParams, RampSchedule, evolve
+from cdlmg import ModelParams, RampSchedule, evolve, gap_series
 from cdlmg.figures import run_figure
-if task["kind"] == "step":
+if task["kind"] == "gap":
+    params, grid = ModelParams(task["n"], 0.0), np.linspace(0.5, 1.5, task["points"])
+    gap_series(params, grid)
+    walls = []
+    for _ in range(task["runs"]):
+        start = time.perf_counter()
+        gap_series(params, grid)
+        walls.append(time.perf_counter() - start)
+    out = {"us_per_point": 1e6 * min(walls) / task["points"]}
+elif task["kind"] == "step":
     params = ModelParams(task["n"], 0.0, RampSchedule.parse(task["ramp"]))
     evolve(params, task["protocol"], 2)
     runs = [evolve(params, task["protocol"], task["steps"]) for _ in range(task["runs"])]
@@ -79,6 +100,7 @@ else:
         run_figure("fig1a", steps=task["steps"])
         walls.append(time.perf_counter() - start)
     out = {"wall_s": min(walls)}
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
 """
 
@@ -122,7 +144,8 @@ def step_table(sides: dict) -> list:
                     "us_per_step": statistics.median(r["us_per_step"] for r in rs),
                     "us_per_step_runs": [r["us_per_step"] for r in rs],
                     "final_fidelity": rs[0]["final_fidelity"],
-                    "max_norm_error": max(r["max_norm_error"] for r in rs)}
+                    "max_norm_error": max(r["max_norm_error"] for r in rs),
+                    "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs)}
             row["ratio"] = ratio_summary(row["parent"]["us_per_step_runs"],
                                          row["change"]["us_per_step_runs"])
             rows.append(row)
@@ -138,10 +161,30 @@ def fig1a_row(sides: dict) -> dict:
     row = {"steps": FIG_STEPS, "runs_per_interpreter": FIG_RUNS}
     for name, rs in runs.items():
         walls = [r["wall_s"] for r in rs]
-        row[name] = {"wall_s": statistics.median(walls), "wall_s_runs": walls}
+        row[name] = {"wall_s": statistics.median(walls), "wall_s_runs": walls,
+                     "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs)}
     row["ratio"] = ratio_summary(row["parent"]["wall_s_runs"], row["change"]["wall_s_runs"])
     print(json.dumps(row), flush=True)
     return row
+
+
+def gap_table(sides: dict) -> list:
+    rows = []
+    for n in GAP_SIZES:
+        runs = alternate(sides, {"kind": "gap", "n": n, "points": GAP_POINTS, "runs": RUNS},
+                         GAP_REPEATS)
+        row = {"n": n, "block_states": n // 2 + 1, "points": GAP_POINTS}
+        for name, rs in runs.items():
+            per_point = [r["us_per_point"] for r in rs]
+            row[name] = {"us_per_point": statistics.median(per_point),
+                         "us_per_point_runs": per_point,
+                         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs)}
+        row["ratio"] = ratio_summary(row["parent"]["us_per_point_runs"],
+                                     row["change"]["us_per_point_runs"])
+        print(json.dumps({"n": n}), {name: round(row[name]["us_per_point"]) for name in runs},
+              "ratio {median:.3f} [{q1:.3f}, {q3:.3f}]".format(**row["ratio"]), flush=True)
+        rows.append(row)
+    return rows
 
 
 def main(argv=None) -> int:
@@ -163,6 +206,7 @@ def main(argv=None) -> int:
         "threads": {"OPENBLAS_NUM_THREADS": 1, "OMP_NUM_THREADS": 1},
         "steps": step_table(sides),
         "fig1a": fig1a_row(sides),
+        "gaps": gap_table(sides),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

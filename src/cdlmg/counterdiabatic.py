@@ -72,9 +72,8 @@ def _cd_factors(frame: SectorFrame, h: float, hdot: float):
     m = vectors.T @ (frame.m_diag[:, None] * vectors) * (-2.0 * hdot)
     de = energies[None, :] - energies[:, None]
     tol = DEGENERACY_TOL_FACTOR * max(np.max(np.abs(energies)), 1.0)
-    safe = np.abs(de) > tol
-    w = np.where(safe, m / np.where(safe, de, 1.0), 0.0)
-    np.fill_diagonal(w, 0.0)
+    # zero within a cluster of levels, the diagonal included
+    w = np.divide(m, de, out=np.zeros_like(m), where=np.abs(de) > tol)
     return vectors, w
 
 

@@ -10,7 +10,15 @@ it on the drive's block, and the optimizer's search (`ansatz`) on a block
 upper-triangular extension of it that carries the gradient along.  A step's
 block is a `BandMatrix` (H0 with the hp, truncated or ansatz drive), whose
 products cost O(w dim); two blocks stay dense matrices: exact_cd's, whose
-drive fills the block, and the optimizer's extension.  Both the
+drive fills the block, and the optimizer's extension.
+
+At band sizes a step costs little more than its products, so `evolve`
+plans its steps a chunk of up to CHUNK_STEPS at a time (`_StepPlan`): the
+chunk's blocks are written into one stack, and one pass over the chunk
+gives every step's Gershgorin interval, term count, Bessel coefficients
+and scaled block; each step then runs only its recurrence
+(`_planned_step`), with the same arithmetic as a step planned alone.  Chunks bound the
+stack's memory, which a whole run's stack would not.  Both the
 bare Hamiltonian and every driving protocol here preserve excitation-number
 parity, and the initial state is the tracked ground state (parity-pure), so
 the evolution is carried out inside that parity block; this is an exact
@@ -53,6 +61,10 @@ DEFAULT_STEPS = 4000
 CONVERGENCE_TOL = 1e-6
 MAX_REFINEMENTS = 3
 NORM_TOL = 1e-8
+# Steps planned in one pass by `_propagate`.  On bare and hp at 51 and 151
+# states, 32 ran within 10% of 64 and 128 per step, and peaked at about 60%
+# and 35% of their memory.
+CHUNK_STEPS = 32
 _LOG_EPS = math.log(np.finfo(float).eps)
 
 
@@ -137,109 +149,210 @@ def parse_protocol(spec) -> Protocol:
 # --------------------------------------------------------------------------
 # drive assembly and the step kernel
 
-def _step_operator(frame: SectorFrame, protocol: Protocol):
-    """Set a protocol up for one run.  Returns operator(t_mid, h, hdot), the
-    step's Hamiltonian block H0 + drive at one midpoint: a `BandMatrix`, or a
-    dense matrix for exact_cd, the one drive that fills the block."""
+def _step_operators(run: "TrackedRun", protocol: Protocol):
+    """Set a protocol up for one run.  Returns (chunk, operators), where
+    operators(lo, hi), for hi - lo <= chunk, gives the Hamiltonian blocks
+    H0 + drive of steps lo..hi-1 at their midpoints, in a new array that
+    the step planner scales in place: a complex `BandMatrix` stacking them,
+    (hi - lo, 2w+1, dim), or for exact_cd, the one drive that fills the
+    block, a dense (1, dim, dim) block, one step at a time."""
+    frame, t_mid, h_mid, hd_mid = run.frame, run.t_mid, run.h_mid, run.hd_mid
+
+    def h0_stack(lo, hi, w):
+        data = np.zeros((hi - lo, 2 * w + 1, frame.dim), dtype=complex)
+        data[:, w] = frame.h0_diagonals(h_mid[lo:hi])
+        data[:, w + 1, :-1] = data[:, w - 1, 1:] = frame.h0_off
+        return data
+
     if isinstance(protocol, Bare):
-        return lambda t, h, hdot: frame.h0_bands(h)
+        return CHUNK_STEPS, lambda lo, hi: BandMatrix(h0_stack(lo, hi, 1))
     if isinstance(protocol, ExactCD):
-        return lambda t, h, hdot: frame.h0_bands(h).dense() + sector_cd_block(frame, h, hdot)
+        return 1, lambda lo, hi: (frame.h0_bands(h_mid[lo]).dense()
+                                  + sector_cd_block(frame, h_mid[lo], hd_mid[lo]))[None]
     if isinstance(protocol, Truncated):
         k = protocol.bands
-        if not isinstance(protocol, DecomposedDrive):
-            return lambda t, h, hdot: frame.h0_bands(h) + sector_cd_bands(frame, h, hdot, k)
-        # the gate reads bands 1..k of both parity blocks; the tracked
-        # block's are the drive
-        check = decomposition_gate(frame.params.sector, k)
-        other = SectorFrame(frame.params, 1 - frame.idx[0])
 
-        def decomposed(t, h, hdot):
-            drive = sector_cd_bands(frame, h, hdot, k)
-            blocks = [(frame, drive)]
-            if other.dim >= 2:
-                blocks.append((other, sector_cd_bands(other, h, hdot, k)))
-            check(parity_band_table(blocks))
-            return frame.h0_bands(h) + drive
-        return decomposed
+        def drive(h, hdot):
+            return sector_cd_bands(frame, h, hdot, k)
+        if isinstance(protocol, DecomposedDrive):
+            # the gate reads bands 1..k of both parity blocks; the tracked
+            # block's are the drive
+            check = decomposition_gate(frame.params.sector, k)
+            other = SectorFrame(frame.params, 1 - frame.idx[0])
+
+            def drive(h, hdot):
+                bands = sector_cd_bands(frame, h, hdot, k)
+                blocks = [(frame, bands)]
+                if other.dim >= 2:
+                    blocks.append((other, sector_cd_bands(other, h, hdot, k)))
+                check(parity_band_table(blocks))
+                return bands
+
+        def truncated(lo, hi):
+            data = h0_stack(lo, hi, min(k, frame.dim - 1))  # sector_cd_bands' width
+            for row, h, hdot in zip(data, h_mid[lo:hi], hd_mid[lo:hi]):
+                row += drive(h, hdot).data
+            return BandMatrix(data)
+        return CHUNK_STEPS, truncated
     if isinstance(protocol, HPCorrection):
-        def hp(t, h, hdot):
-            c = hp_coefficient(frame.params.n, frame.params.gamma, h, hdot)
-            h0 = frame.h0_bands(h)
-            return h0 if c == 0.0 else h0 + c * frame.b0_bands
-        return hp
+        n, gamma = frame.params.n, frame.params.gamma
+
+        def hp(lo, hi):
+            c = [hp_coefficient(n, gamma, h, hdot) for h, hdot in zip(h_mid[lo:hi], hd_mid[lo:hi])]
+            data = h0_stack(lo, hi, 1)
+            data += np.array(c)[:, None, None] * frame.b0_bands.data
+            return BandMatrix(data)
+        return CHUNK_STEPS, hp
     if isinstance(protocol, AnsatzDrive):
         coefficients = protocol.coefficients
-        frame.check_bands(coefficients.num_bands)
-        return lambda t, h, hdot: frame.h0_bands(h) + frame.ansatz_bands(
-            coefficients.values_at(t))
+        k = coefficients.num_bands
+        frame.check_bands(k)
+
+        def ansatz(lo, hi):
+            w = max(k, 1)
+            data = h0_stack(lo, hi, w)
+            data[:, w - k:w + k + 1] += frame.ansatz_bands(
+                coefficients.values[coefficients.segment_of(t_mid[lo:hi])]).data
+            return BandMatrix(data)
+        return CHUNK_STEPS, ansatz
     raise ValidationError(f"unsupported protocol {protocol!r}")
 
 
 def _gershgorin(h) -> tuple:
     """Interval holding the spectrum of the Hermitian h, a `BandMatrix` or a
     dense matrix, from Gershgorin's discs: its diagonal plus and minus the
-    absolute off-diagonal row sums."""
+    absolute off-diagonal row sums.  A stack of matrices (leading axes)
+    gives one interval each."""
     if isinstance(h, BandMatrix):
-        diag, rows = h.data[h.width].real, np.add.reduce(np.abs(h.data), axis=0)
+        diag, rows = h.data[..., h.width, :].real, np.add.reduce(np.abs(h.data), axis=-2)
     else:
-        diag, rows = np.diagonal(h).real, np.abs(h).sum(axis=1)
+        diag, rows = np.diagonal(h, axis1=-2, axis2=-1).real, np.abs(h).sum(axis=-1)
     radius = rows - np.abs(diag)
-    return (diag - radius).min(), (diag + radius).max()
+    return (diag - radius).min(axis=-1), (diag + radius).max(axis=-1)
 
 
-def _dense_terms(h, scale, shift, psi, terms):
-    """The Chebyshev terms' array, term 0 set, its rows as a list of views,
-    and product(src, dst), which writes 2x times row src to row dst for
-    2x = scale*h - shift."""
-    two_x = np.asarray(h, dtype=complex) * scale
-    two_x.flat[::len(psi) + 1] -= shift
-    work = np.empty((terms, len(psi)), dtype=complex)
-    work[0] = psi
-    rows = list(work)
-    return work, rows, lambda src, dst: np.matmul(two_x, rows[src], out=rows[dst])
+def _term_count(z: float) -> int:
+    """Chebyshev terms summed for z = r dt: terms are added until the bound
+    (|z|/2)^k / k! on |J_k(z)| falls below machine epsilon."""
+    terms, log_bound = 0, 0.0  # log of the bound on |J_terms(z)|
+    while _LOG_EPS <= log_bound < math.inf:  # a NaN or infinite z stops at once
+        terms += 1
+        log_bound += math.log(0.5 * abs(z) / terms) if z else -math.inf
+    return terms
 
 
-def _band_terms(h, scale, shift, psi, terms):
-    """`_dense_terms` for a `BandMatrix` of width w.  The rows are padded by
-    w zeros on each side, so that row src seen through a sliding window of
-    width dim holds, in window w + o, the entries x[i + o] that offset o
-    multiplies: a product is one multiply of the stack by those windows and
-    one sum over the 2w+1 offsets.  The stack is made complex even when
-    real: complex products measured faster than mixed real-complex ones at
-    51 to 501 states, and than real ones on split real and imaginary parts
-    at 51."""
-    w, dim = h.width, len(psi)
-    two_x = h.data * complex(scale)
-    two_x[w] -= shift
-    padded = np.zeros((terms, dim + 2 * w), dtype=complex)
-    stride, step = padded.strides
-    windows = list(np.ndarray((terms, 2 * w + 1, dim), complex, padded, 0,
-                              (stride, step, step)))
-    work = padded[:, w:w + dim]
-    work[0] = psi
-    rows = list(work)
-    scratch = np.empty((2 * w + 1, dim), dtype=complex)
+class _StepPlan:
+    """The Chebyshev steps exp(-i h_j dt_j) of a batch of operators h_j, a
+    complex `BandMatrix` stack (steps, 2w+1, dim) or complex dense blocks
+    (steps, D, D), planned together (`_chebyshev_step` gives the method):
+    the Gershgorin intervals in one vectorized pass; each step's term count
+    ``terms[j]`` and its coefficients ``coeffs[ends[j] - terms[j]:ends[j]]``,
+    all from one `jv` call; the scaled operators 2x_j = scale_j h_j -
+    shift_j, written over the h_j in place; and one term buffer, sized by
+    the batch's largest term count, with ``product(two_x, src, dst)``,
+    which writes 2x times term row src to row dst.  `_planned_step` then
+    runs the recurrence of one step."""
 
-    def product(src, dst):
-        np.multiply(two_x, windows[src], out=scratch)
-        np.add.reduce(scratch, axis=0, out=rows[dst])
-    return work, rows, product
+    def __init__(self, h, dts: np.ndarray):
+        lo, hi = _gershgorin(h)
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        z = half * dts
+        # term counts by a scalar loop per step: for a batch of one, as
+        # exact_cd and the optimizer plan, it took 2 us against 14 us for a
+        # vectorized count at 51 states
+        self.terms, self.ends, total = [], [], 0
+        for x in z.tolist():
+            self.terms.append(_term_count(x))
+            total += self.terms[-1]
+            self.ends.append(total)
+        terms, most = self.terms, max(self.terms)
+        k = np.concatenate([np.arange(most)[:t] for t in terms])
+        self.coeffs = (np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, np.repeat(z, terms))
+                       * np.repeat(np.exp(-1j * centre * dts), terms))
+        if most == 1:
+            return
+        # a one-term step's zero half-width scales its block to inf or NaN,
+        # which no product reads
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale, shift = 2.0 / half, 2.0 * centre / half
+            if isinstance(h, BandMatrix):
+                self._band_terms(h, scale, shift, most)
+            else:
+                self._dense_terms(h, scale, shift, most)
+
+    def _dense_terms(self, h, scale, shift, terms):
+        count, dim = h.shape[0], h.shape[-1]
+        self.two_x = np.multiply(h, scale.astype(complex)[:, None, None], out=h)
+        self.two_x.reshape(count, -1)[:, ::dim + 1] -= shift[:, None]
+        self.work = np.empty((terms, dim), dtype=complex)
+        self.rows = rows = list(self.work)
+
+        def product(two_x, src, dst):
+            np.matmul(two_x, rows[src], out=rows[dst])
+        self.product = product
+
+    def _band_terms(self, h, scale, shift, terms):
+        """The term rows are padded by w zeros on each side, so that row src
+        seen through a sliding window of width dim holds, in window w + o,
+        the entries x[i + o] that offset o multiplies: a product is one
+        multiply of the step's stack by those windows and one sum over the
+        2w+1 offsets.  The scaled stack is complex even when real: complex
+        products measured faster than mixed real-complex ones at 51 to 501
+        states, and than real ones on split real and imaginary parts at
+        51."""
+        w, dim = h.width, h.data.shape[-1]
+        self.two_x = np.multiply(h.data, scale.astype(complex)[:, None, None], out=h.data)
+        self.two_x[:, w] -= shift[:, None]
+        padded = np.zeros((terms, dim + 2 * w), dtype=complex)
+        stride, step = padded.strides
+        windows = list(np.ndarray((terms, 2 * w + 1, dim), complex, padded, 0,
+                                  (stride, step, step)))
+        self.work = padded[:, w:w + dim]
+        self.rows = rows = list(self.work)
+        scratch = np.empty((2 * w + 1, dim), dtype=complex)
+
+        def product(two_x, src, dst):
+            np.multiply(two_x, windows[src], out=scratch)
+            np.add.reduce(scratch, axis=0, out=rows[dst])
+        self.product = product
+
+
+def _planned_step(plan: _StepPlan, j: int, psi: np.ndarray):
+    """Step j of the plan applied to psi: exp(-i h_j dt_j) psi by the
+    recurrence T_k = 2x T_{k-1} - T_{k-2}, and the number of terms summed."""
+    terms, end = plan.terms[j], plan.ends[j]
+    coeffs = plan.coeffs[end - terms:end]
+    if terms == 1:
+        return coeffs[0] * psi, terms
+    two_x, rows, product = plan.two_x[j], plan.rows, plan.product
+    rows[0][:] = psi
+    product(two_x, 0, 1)
+    rows[1] *= 0.5
+    for i in range(2, terms):
+        product(two_x, i - 1, i)
+        rows[i] -= rows[i - 2]
+    return coeffs @ plan.work[:terms], terms
 
 
 def _chebyshev_step(h, dt: float, psi: np.ndarray):
     """exp(-i h dt) psi for a Hermitian h, a `BandMatrix` or a dense matrix,
     and the number of Chebyshev terms summed (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967 (1984)).
+    Phys. 81, 3967 (1984)): the plan of a batch of one step.
 
     Gershgorin discs put the spectrum inside [c - r, c + r].  With
     x = (h - c)/r and z = r dt,
     exp(-i h dt) = exp(-i c dt) sum_k e_k (-i)^k J_k(z) T_k(x), e_0 = 1 and
     e_k = 2, which holds for z of either sign.  Since |T_k(x) psi| <= |psi| and
     |J_k(z)| <= (|z|/2)^k / k!, terms are added until that bound falls below
-    machine epsilon; h = c*I takes the zeroth term alone.  The operator
-    supplies the interval (`_gershgorin`) and the products of the recurrence
-    T_k = 2x T_{k-1} - T_{k-2} (`_band_terms`, `_dense_terms`).
+    machine epsilon (`_term_count`); h = c*I takes the zeroth term alone.
+    The operator supplies the interval (`_gershgorin`) and the products of
+    the recurrence T_k = 2x T_{k-1} - T_{k-2}.
+
+    `evolve` plans a chunk of up to CHUNK_STEPS steps of a band protocol in
+    one `_StepPlan`, exact_cd's dense block one step at a time, and runs
+    each step's recurrence by `_planned_step`; the optimizer's block comes
+    here.  Each step's arithmetic is the same in a batch as alone, so a
+    planned step equals this one bitwise.
 
     A dense h may also be block upper-triangular with one Hermitian H on
     every diagonal block, as in the optimizer's gradient (`ansatz`).  Its
@@ -248,25 +361,9 @@ def _chebyshev_step(h, dt: float, psi: np.ndarray):
     (Markov's inequality), far slower than the bound on J_k falls, so the
     same stopping rule holds.
     """
-    lo, hi = _gershgorin(h)
-    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    z = half * dt
-    terms, log_bound = 0, 0.0  # log of the bound on |J_terms(z)|
-    while _LOG_EPS <= log_bound < math.inf:  # a NaN or infinite z stops at once
-        terms += 1
-        log_bound += math.log(0.5 * abs(z) / terms) if z else -math.inf
-    k = np.arange(terms)
-    coeffs = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, z) * np.exp(-1j * centre * dt)
-    if terms == 1:
-        return coeffs[0] * psi, terms
-    recurrence = _band_terms if isinstance(h, BandMatrix) else _dense_terms
-    work, rows, product = recurrence(h, 2.0 / half, 2.0 * centre / half, psi, terms)
-    product(0, 1)
-    rows[1] *= 0.5
-    for j in range(2, terms):
-        product(j - 1, j)
-        rows[j] -= rows[j - 2]
-    return coeffs @ work, terms
+    batch = (BandMatrix(h.data.astype(complex)[None]) if isinstance(h, BandMatrix)
+             else np.array(h, dtype=complex)[None])
+    return _planned_step(_StepPlan(batch, np.array([dt])), 0, psi)
 
 
 # --------------------------------------------------------------------------
@@ -310,8 +407,8 @@ class TrackedRun:
     sign-aligned ground series with its first vector as the start state.
     `evolve` takes one in place of a grid, so that several protocols are
     stepped on one ground series, as `ansatz.optimize` steps its segments
-    on one.  Each step's H0 block is built when the step runs, from
-    ``frame.h0_bands(h_mid[k])``."""
+    on one.  A chunk's H0 blocks are built when the chunk runs, from
+    ``frame.h0_diagonals(h_mid[lo:hi])``."""
 
     def __init__(self, params: ModelParams, grid):
         ramp = params.ramp
@@ -340,9 +437,10 @@ class TrackedRun:
 def _propagate(run: TrackedRun, protocol: Protocol, store_states: bool,
                t0: float) -> Trajectory:
     """Step the protocol along the run; ``info["wall_time_s"]`` counts from t0."""
-    operator = _step_operator(run.frame, protocol)
+    chunk, operators = _step_operators(run, protocol)
     times = run.times
     dts = np.diff(times)
+    steps = len(dts)
 
     psi = run.start_state
     fid = np.empty(len(times))
@@ -352,21 +450,23 @@ def _propagate(run: TrackedRun, protocol: Protocol, store_states: bool,
         states[0] = psi
     norm_err = 0.0
     matvecs = 0
-    for k in range(len(run.t_mid)):
-        h = operator(run.t_mid[k], run.h_mid[k], run.hd_mid[k])
-        psi, terms = _chebyshev_step(h, dts[k], psi)
-        matvecs += terms
-        fid[k + 1] = fidelity(psi, run.grounds[k + 1])
-        err = abs(np.linalg.norm(psi) - 1.0)
-        if not err <= NORM_TOL:  # a NaN norm fails too
-            raise NormError(f"state norm drifted by {err:.2e} > {NORM_TOL:.0e} "
-                            f"at step {k + 1} of {len(run.t_mid)}")
-        norm_err = max(norm_err, err)
-        if store_states:
-            states[k + 1] = psi
+    for lo in range(0, steps, chunk):
+        hi = min(lo + chunk, steps)
+        plan = _StepPlan(operators(lo, hi), dts[lo:hi])
+        for k in range(lo, hi):
+            psi, terms = _planned_step(plan, k - lo, psi)
+            matvecs += terms
+            fid[k + 1] = fidelity(psi, run.grounds[k + 1])
+            err = abs(np.linalg.norm(psi) - 1.0)
+            if not err <= NORM_TOL:  # a NaN norm fails too
+                raise NormError(f"state norm drifted by {err:.2e} > {NORM_TOL:.0e} "
+                                f"at step {k + 1} of {steps}")
+            norm_err = max(norm_err, err)
+            if store_states:
+                states[k + 1] = psi
 
     info = {
-        "steps": len(run.t_mid),
+        "steps": steps,
         "dt": float(np.max(np.abs(dts))),
         "max_norm_error": norm_err,
         "matvecs": matvecs,

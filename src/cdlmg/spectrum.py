@@ -9,7 +9,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dstebz, dstein
 
 from . import output
@@ -76,7 +75,8 @@ def gap_series(params: ModelParams, h_grid: Sequence[float]) -> GapTable:
     DEFAULT_GAP_PAIRS that fit in the spectrum.
 
     The spectrum at each field value is the merged spectra of the two parity
-    blocks, which H0 does not couple.
+    blocks, which H0 does not couple; only the levels the pairs reach are
+    solved in each block.
     """
     h_grid = np.asarray(h_grid, dtype=float)
     if h_grid.ndim != 1:
@@ -88,10 +88,20 @@ def gap_series(params: ModelParams, h_grid: Sequence[float]) -> GapTable:
     if np.any(np.diff(h_grid) < 0):
         raise ValidationError("h grid must be sorted ascending")
     pairs = tuple(p for p in DEFAULT_GAP_PAIRS if p[1] < params.sector.dim)
-    frames = parity_frames(params)
-    energies = np.sort([
-        np.concatenate([eigvalsh_tridiagonal(frame.h0_diagonals(h)[0], frame.h0_off)
-                        for frame in frames])
-        for h in h_grid], axis=1)
+    levels = max(j for _, j in pairs) + 1
+    # the lowest `levels` of each block hold the lowest `levels` overall
+    blocks = []
+    for frame in parity_frames(params):
+        count = min(levels, frame.dim)
+        off = frame.h0_off if frame.dim > 1 else np.zeros(1)  # the wrapper wants one entry
+        block = np.empty((len(h_grid), count))
+        for row, diagonal, h in zip(block, frame.h0_diagonals(h_grid), h_grid):
+            # the lowest levels by bisection, solved by index
+            _, energy, _, _, info = dstebz(diagonal, off, 2, 0.0, 0.0, 1, count, 0.0, "E")
+            if info != 0:
+                raise LinAlgError(f"tridiagonal levels at h = {h} failed (LAPACK info {info})")
+            row[:] = energy[:count]
+        blocks.append(block)
+    energies = np.sort(np.hstack(blocks), axis=1)
     gaps = np.stack([energies[:, j] - energies[:, i] for i, j in pairs], axis=1)
     return GapTable(h_grid, pairs, gaps)

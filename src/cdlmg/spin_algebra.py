@@ -152,7 +152,9 @@ class BandMatrix:
     ``data`` has shape (2w+1, dim): row w + o holds offset o, so
     data[w + o, i] = A[i, i + o], and entries whose i + o falls outside the
     matrix are zero.  A product with a vector and the Gershgorin discs then
-    cost O(w dim) (`dynamics._chebyshev_step`).
+    cost O(w dim) (`dynamics._chebyshev_step`).  Leading axes, as in
+    (steps, 2w+1, dim), stack matrices of one width: `dynamics` plans a
+    chunk of steps on one such stack.  ``dense`` and ``+`` take 2-D stacks.
     """
 
     __slots__ = ("data",)
@@ -163,18 +165,22 @@ class BandMatrix:
     @classmethod
     def from_uppers(cls, diagonal, uppers) -> "BandMatrix":
         """The matrix with this diagonal and superdiagonals 1..w (arrays or
-        scalars), and their conjugates below: Hermitian by construction."""
-        dim, w = len(diagonal), len(uppers)
-        data = np.zeros((2 * w + 1, dim), dtype=np.result_type(diagonal, *uppers))
-        data[w] = diagonal
+        scalars), and their conjugates below: Hermitian by construction.
+        The diagonal's leading axes, which the uppers broadcast against,
+        stack matrices."""
+        diagonal = np.asarray(diagonal)
+        dim, w = diagonal.shape[-1], len(uppers)
+        data = np.zeros(diagonal.shape[:-1] + (2 * w + 1, dim),
+                        dtype=np.result_type(diagonal, *uppers))
+        data[..., w, :] = diagonal
         for o, upper in enumerate(uppers, 1):
-            data[w + o, :max(dim - o, 0)] = upper
-            data[w - o, o:] = np.conj(upper)
+            data[..., w + o, :max(dim - o, 0)] = upper
+            data[..., w - o, o:] = np.conj(upper)
         return cls(data)
 
     @property
     def width(self) -> int:
-        return len(self.data) // 2
+        return self.data.shape[-2] // 2
 
     def __add__(self, other: "BandMatrix") -> "BandMatrix":
         wide, narrow = sorted((self.data, other.data), key=len, reverse=True)
@@ -187,7 +193,8 @@ class BandMatrix:
         return BandMatrix(scalar * self.data)
 
     def dense(self) -> np.ndarray:
-        """The (dim, dim) matrix, its diagonals written as strided slices."""
+        """The (dim, dim) matrix of a 2-D stack, its diagonals written as
+        strided slices."""
         w, dim = self.width, self.data.shape[1]
         out = np.zeros((dim, dim), dtype=self.data.dtype)
         flat = out.reshape(-1)
@@ -260,9 +267,12 @@ class SectorFrame:
 
     def ansatz_bands(self, x) -> BandMatrix:
         """The ansatz drive sum_b x_b P_b of bands 1..k = len(x), where P_b
-        is i on block band b and -i on band -b."""
-        self.check_bands(len(x))
-        return BandMatrix.from_uppers(np.zeros(self.dim), [1j * xb for xb in x])
+        is i on block band b and -i on band -b.  Rows of a 2-D x, as
+        (steps, k), give the stack of their drives."""
+        x = np.asarray(x, dtype=float)
+        self.check_bands(x.shape[-1])
+        return BandMatrix.from_uppers(np.zeros(x.shape[:-1] + (self.dim,)),
+                                      [1j * xb[..., None] for xb in np.moveaxis(x, -1, 0)])
 
     def embed(self, sector_vecs: np.ndarray) -> np.ndarray:
         """Lift (..., dim) block vectors to the full basis."""

@@ -295,13 +295,13 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
     # a state norm drifting beyond NORM_TOL
-    from cdlmg.dynamics import _chebyshev_step
+    from cdlmg.dynamics import _planned_step
 
-    def drifting(h, dt, psi):
-        psi, terms = _chebyshev_step(h, dt, psi)
+    def drifting(plan, j, psi):
+        psi, terms = _planned_step(plan, j, psi)
         return psi * (1 + 1e-6), terms
 
-    monkeypatch.setattr("cdlmg.dynamics._chebyshev_step", drifting)
+    monkeypatch.setattr("cdlmg.dynamics._planned_step", drifting)
     code = run_cli(["evolve", "--n", 6, "--protocol", "bare",
                     "--ramp", "linear:0.75,0.5", "--steps", 20, "--out", tmp_path])
     assert code == 2

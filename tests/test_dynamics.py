@@ -30,7 +30,9 @@ from cdlmg import (
     parse_protocol,
 )
 from cdlmg.counterdiabatic import sector_cd_bands, sector_cd_block
-from cdlmg.dynamics import TrackedRun, _chebyshev_step, _gershgorin
+import cdlmg.dynamics
+from cdlmg.dynamics import (CHUNK_STEPS, TrackedRun, _chebyshev_step, _gershgorin,
+                            _planned_step, _StepPlan)
 from cdlmg.spectrum import sector_ground_series
 from cdlmg.spin_algebra import BandMatrix, SectorFrame, parity_frames, place_band
 
@@ -173,6 +175,72 @@ def test_chebyshev_step_matches_expm(kind):
             assert terms == 1 if kind.endswith("identity") else terms > 1
 
 
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_planned_steps_equal_single_steps(w):
+    # a batch mixing term counts (one-term identities, wide spectra, steps
+    # of either sign) planned in one pass gives each step bitwise as
+    # `_chebyshev_step` does alone: term count, coefficients and state
+    rng = np.random.default_rng(20 + w)
+    dim = 40
+    blocks = [_random_bands(rng, dim, w, real) for real in (True, False, False)]
+    blocks += [10.0 * h for h in blocks]
+    blocks.insert(2, BandMatrix(np.vstack([np.zeros((w, dim)), np.full((1, dim), -0.6),
+                                           np.zeros((w, dim))])))
+    dts = rng.choice([0.05, -0.03, 3.0, -2.5], len(blocks))
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    plan = _StepPlan(BandMatrix(np.stack([h.data.astype(complex) for h in blocks])), dts)
+    assert len(set(plan.terms)) >= 4 and 1 in plan.terms
+    for j, (h, dt) in enumerate(zip(blocks, dts)):
+        single = _StepPlan(BandMatrix(h.data.astype(complex)[None]), np.array([dt]))
+        end, terms = plan.ends[j], plan.terms[j]
+        assert single.terms == [terms]
+        assert np.array_equal(plan.coeffs[end - terms:end], single.coeffs)
+        got, got_terms = _planned_step(plan, j, psi)
+        want, want_terms = _chebyshev_step(h, dt, psi)
+        assert got_terms == want_terms == terms
+        assert np.array_equal(got, want)
+
+
+def test_chunk_sized_by_its_own_steps():
+    # near h = 1 at N=300 one hp step takes 79 terms where its chunk's others
+    # take 16 to 40: the chunk's coefficients hold each step's own count, one
+    # term buffer serves the chunk, and every step equals the step alone
+    params = ModelParams(300, 0.0, RampSchedule.linear(0.75, 0.5))
+    run = TrackedRun(params, 250)
+    chunk, operators = cdlmg.dynamics._step_operators(run, HPCorrection())
+    lo, hi = 96, 96 + chunk
+    dts = np.diff(run.times)[lo:hi]
+    plan = _StepPlan(operators(lo, hi), dts)
+    assert max(plan.terms) == 79 and sorted(plan.terms)[-2] <= 40
+    assert len(plan.coeffs) == sum(plan.terms)
+    assert plan.work.shape == (79, run.frame.dim)
+    blocks = operators(lo, hi).data
+    psi = run.grounds[lo].astype(complex)
+    for j, (data, dt) in enumerate(zip(blocks, dts)):
+        want = _chebyshev_step(BandMatrix(data), dt, psi)
+        got = _planned_step(plan, j, psi)
+        assert got[1] == want[1] and np.array_equal(got[0], want[0])
+        psi = want[0]
+
+
+def test_chunk_edges(monkeypatch):
+    # runs of 1, C-1, C, C+1 and 2C+1 steps, C = CHUNK_STEPS, give the
+    # trajectories of stepping one step per chunk
+    params = ModelParams(30, 0.0, RampSchedule.linear(0.75, 0.5))
+    protocols = ["bare", "hp", "truncated:2",
+                 AnsatzDrive(BandCoefficients(np.linspace(0, 1, 8),
+                                              np.linspace(-0.3, 0.3, 21).reshape(7, 3)))]
+    lengths = (1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 1)
+    chunked = [evolve(params, p, n, store_states=True) for p in protocols for n in lengths]
+    monkeypatch.setattr(cdlmg.dynamics, "CHUNK_STEPS", 1)
+    single = [evolve(params, p, n, store_states=True) for p in protocols for n in lengths]
+    for a, b in zip(chunked, single):
+        assert np.array_equal(a.fidelity, b.fidelity)
+        assert np.array_equal(a.states, b.states)
+        assert a.info["matvecs"] == b.info["matvecs"]
+
+
 def test_gershgorin_interval_of_bands():
     # a band matrix's interval is the dense Gershgorin formula's, and it holds
     # the spectrum
@@ -191,6 +259,15 @@ def test_gershgorin_interval_of_bands():
                 assert lo <= energies[0] and energies[-1] <= hi
 
 
+class _ExpmPlan:
+    """Stands in for `_StepPlan`: each step of the batch by expm of its
+    block, made dense."""
+
+    def __init__(self, h, dts):
+        blocks = [BandMatrix(d) for d in h.data] if isinstance(h, BandMatrix) else h
+        self.steps = [expm(-1j * _dense(b) * dt) for b, dt in zip(blocks, dts)]
+
+
 @pytest.mark.parametrize("protocol", ["bare", "hp", "truncated:1", "exact_cd",
                                       "decomposed:1", "ansatz"])
 def test_evolve_matches_eigh_steps(protocol, monkeypatch):
@@ -202,8 +279,9 @@ def test_evolve_matches_eigh_steps(protocol, monkeypatch):
                                                 np.linspace(-0.3, 0.3, 20).reshape(10, 2)))
     traj = evolve(params, protocol, 200, store_states=True)
     assert traj.info["matvecs"] >= traj.info["steps"]
-    monkeypatch.setattr("cdlmg.dynamics._chebyshev_step", lambda h, dt, psi: (
-        expm(-1j * _dense(h) * dt) @ psi, 1))
+    monkeypatch.setattr(cdlmg.dynamics, "_StepPlan", _ExpmPlan)
+    monkeypatch.setattr(cdlmg.dynamics, "_planned_step",
+                        lambda plan, j, psi: (plan.steps[j] @ psi, 1))
     reference = evolve(params, protocol, 200, store_states=True)
     assert np.max(np.abs(traj.states - reference.states)) < 1e-12
     assert np.max(np.abs(traj.fidelity - reference.fidelity)) < 1e-12
@@ -373,7 +451,7 @@ def test_evolve_validation():
 
 
 def test_run_holds_one_step_block_at_a_time():
-    # a run builds each step's H0 block when the step runs: at N=100 over 4000
+    # a run builds its steps' H0 blocks a chunk at a time: at N=100 over 4000
     # steps it must peak far below one (steps, 51, 51) float64 stack, 83.2 MB
     params = ModelParams(100, 0.0, RampSchedule.linear(0.75, 0.5))
     stack_bytes = 4000 * 51 * 51 * 8
@@ -404,13 +482,29 @@ def test_norm_drift_raises(monkeypatch):
     # a drifting norm and a state that turns NaN both stop the run
     params = ModelParams(6, 0.0, RampSchedule.linear(0.75, 0.5))
     for factor in (1 + 1e-6, np.nan):
-        def drifting(h, dt, psi):
-            psi, terms = _chebyshev_step(h, dt, psi)
+        def drifting(plan, j, psi):
+            psi, terms = _planned_step(plan, j, psi)
             return psi * factor, terms
 
-        monkeypatch.setattr("cdlmg.dynamics._chebyshev_step", drifting)
+        monkeypatch.setattr("cdlmg.dynamics._planned_step", drifting)
         with pytest.raises(NormError, match="at step 1 of 20"):
             evolve(params, "bare", 20)
+
+
+def test_non_finite_operator_stops_at_its_step(monkeypatch):
+    # a NaN block takes one term whose coefficient is NaN: the run ends in
+    # NormError at that step, while the rest of its chunk plans as usual
+    params = ModelParams(6, 0.0, RampSchedule.linear(0.75, 0.5))
+    bad_h = TrackedRun(params, 20).h_mid[2]
+    coefficient = cdlmg.dynamics.hp_coefficient
+    monkeypatch.setattr(cdlmg.dynamics, "hp_coefficient", lambda n, gamma, h, hdot: (
+        np.nan if h == bad_h else coefficient(n, gamma, h, hdot)))
+    with pytest.raises(NormError, match="at step 3 of 20"):
+        evolve(params, "hp", 20)
+    h = SectorFrame.tracked(params).h0_bands(1.1)
+    h.data[1, 1] = np.nan
+    psi, terms = _chebyshev_step(h, 0.01, np.ones(h.data.shape[1], dtype=complex))
+    assert terms == 1 and np.all(np.isnan(psi))
 
 
 def test_norm_preserved_over_full_ramp():

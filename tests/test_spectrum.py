@@ -91,7 +91,8 @@ def test_gap_series_validation_and_export(tmp_path):
     assert len(lines) == 12
 
 
-@pytest.mark.parametrize("n,gamma", [(2, 0.0), (3, 0.0), (4, 0.0), (41, 0.0), (40, 0.3)])
+@pytest.mark.parametrize("n,gamma", [(2, 0.0), (3, 0.0), (4, 0.0), (9, 0.0), (41, 0.0),
+                                     (40, 0.3)])
 def test_gap_series_matches_full_spectrum(n, gamma):
     # merged parity-block spectra against the full-basis H0, for the default
     # level pairs that fit in the N+1 levels
