@@ -6,13 +6,13 @@ piecewise constant over time segments and chosen greedily: holding earlier
 segments fixed, each segment's coefficients maximize the fidelity with the
 tracked ground state at the segment's end time, searched with one L-BFGS-B
 run on the exact gradient of that fidelity.  The gradient is carried forward
-with the state through the segment by the same step kernel as `evolve`
-(`dynamics._chebyshev_step`), and the segment's end state is carried on to
-the next segment.  The ansatz drive is a band matrix
-(``SectorFrame.ansatz_bands``), but the block that carries the gradient is
-built dense from it and from H0's band matrix: at the optimizer's sizes
-(21 to 41 states) one dense product of that block costs less than the
-banded products it would take.
+with the state through the segment by `evolve`'s own stepping loop
+(`dynamics._steps`), which plans the segment's steps a chunk at a time, and
+the segment's end state is carried on to the next segment.  The ansatz
+drive is a band matrix (``SectorFrame.ansatz_bands``), but the block that
+carries the gradient is built dense from it and from H0's band matrix: at
+the optimizer's sizes (21 to 41 states) one dense product of that block
+costs less than the banded products it would take.
 
 The optimization itself runs on a coarsened grid (a few propagation steps
 per segment); the returned trajectory re-evaluates the optimized schedule on
@@ -28,8 +28,8 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from . import output
-from .dynamics import (DEFAULT_STEPS, AnsatzDrive, TrackedRun, Trajectory, _chebyshev_step,
-                       evolve)
+from .dynamics import (DEFAULT_STEPS, AnsatzDrive, TrackedRun, Trajectory, _chunk_steps,
+                       _steps, evolve)
 from .errors import ValidationError
 from .spin_algebra import ModelParams
 
@@ -122,29 +122,39 @@ def _segment_infidelity(h0_segment: np.ndarray, ansatz, x: np.ndarray, dt: float
                         psi: np.ndarray, target: np.ndarray):
     """1 - |a|^2, its gradient in x and psi_end, for a = <target|psi_end> after
     the segment's steps exp(-i dt H_j), H_j = H0_j + sum_b x_b P_b, applied to
-    psi.  h0_segment holds the H0_j as dense blocks, and ansatz(x) gives
+    psi.  h0_segment stacks the H0_j as dense blocks, and ansatz(x) gives
     sum_b x_b P_b as a band matrix (``SectorFrame.ansatz_bands``).
 
     The gradient is exact, in forward mode (as in GOAT): the stacked vector
-    [d psi/dx_1; ...; d psi/dx_k; psi] is stepped by `_chebyshev_step` on the
-    block upper-triangular matrix with H_j on every diagonal block and P_b in
-    the last block column of block row b, since the upper-right block of
-    exp(-i dt [[H, P], [0, H]]) is the derivative of exp(-i dt H) along P
-    (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  Then
+    [d psi/dx_1; ...; d psi/dx_k; psi] is stepped by `evolve`'s loop
+    (`dynamics._steps`) on the block upper-triangular matrices with H_j on
+    every diagonal block and P_b in the last block column of block row b,
+    written a chunk at a time into a new stack, since the upper-right block
+    of exp(-i dt [[H, P], [0, H]]) is the derivative of exp(-i dt H) along
+    P (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  Then
     d|a|^2/dx_b = 2 Re(conj(a) <target|d psi_end/dx_b>).
     """
     k, dim = len(x), len(psi)
-    drive = ansatz(x).dense()
-    block = np.zeros(((k + 1) * dim,) * 2, dtype=complex)
-    for b, unit in enumerate(np.eye(k)):
-        block[b * dim:(b + 1) * dim, k * dim:] = ansatz(unit).dense()
-    state = np.zeros((k + 1) * dim, dtype=complex)
-    state[k * dim:] = psi
-    for h0 in h0_segment:
-        h = h0 + drive
+    h = h0_segment + ansatz(x).dense()
+    patterns = np.array([ansatz(unit).dense() for unit in np.eye(k)])
+
+    chunk = _chunk_steps(((k + 1) * dim) ** 2 * 16)
+    # one stack serves every chunk (a plan is done with it once the next
+    # chunk is asked for): a new one per chunk faulted its pages in again,
+    # 150 page faults and 20% more time per evaluation at N=80, k=2
+    stack = np.empty((min(chunk, len(h)), k + 1, dim, k + 1, dim), dtype=complex)
+
+    def operators(lo, hi):
+        blocks = stack[:hi - lo]
+        blocks[:] = 0
         for b in range(k + 1):
-            block[b * dim:(b + 1) * dim, b * dim:(b + 1) * dim] = h
-        state, _ = _chebyshev_step(block, dt, state)
+            blocks[:, b, :, b] = h[lo:hi]
+        blocks[:, :k, :, k] = patterns
+        return blocks.reshape(hi - lo, (k + 1) * dim, (k + 1) * dim)
+
+    state = np.concatenate([np.zeros(k * dim, dtype=complex), psi])
+    for state, _ in _steps(operators, np.full(len(h), dt), state, chunk):
+        pass  # the loop carries the stacked state to the segment's end
     states = state.reshape(k + 1, dim)
     overlaps = states @ target.conj()
     a = overlaps[-1]
@@ -193,7 +203,7 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
     prev = np.zeros(k)
     for s in range(segments):
         lo, hi = s * opt_steps_per_segment, (s + 1) * opt_steps_per_segment
-        h0_segment = [frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]]
+        h0_segment = np.array([frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]])
         target = grounds[hi]
 
         def segment(x):

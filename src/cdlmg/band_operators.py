@@ -10,9 +10,10 @@ S_z powers.  For the first band the dressing family reduces to
 and the coefficients expressing each elementary band pattern in this family
 follow from a small linear solve.
 
-``_band_family`` builds band b's dressing family, from one set of spin
-matrices, for ``decompose_band``, ``solve_first_band_beta`` and
-``decomposition_gate``.
+``_band_family`` gives band b's dressing family as the family's entries on
+that band, in closed form from the ladder coefficients, for
+``decompose_band``, ``solve_first_band_beta`` and ``decomposition_gate``;
+a term's operator is built from its band only when asked for.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import List
 import numpy as np
 
 from .errors import DecompositionError, ValidationError
-from .spin_algebra import DickeSector, SpinOperators, build_spin_ops
+from .spin_algebra import DickeSector, _ladder_coefficients, place_band
 
 __all__ = [
     "DecompositionTerm",
@@ -39,9 +40,18 @@ BETA_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DecompositionTerm:
+    """A dressed operator: i*column on its offset superdiagonal, -i*column below."""
+
     coefficient: float
-    operator: np.ndarray
+    column: np.ndarray = field(repr=False)
     label: str
+    offset: int
+
+    @property
+    def operator(self) -> np.ndarray:
+        dim = len(self.column) + self.offset
+        return place_band(np.zeros((dim, dim), dtype=complex), self.offset,
+                          1j * self.column, -1j * self.column)
 
 
 @dataclass(frozen=True)
@@ -63,53 +73,33 @@ class OperatorDecomposition:
         return [{"label": t.label, "coefficient": t.coefficient} for t in self.terms]
 
 
-def _matrix_power(mat: np.ndarray, p: int) -> np.ndarray:
-    return np.linalg.matrix_power(mat, p) if p else np.eye(len(mat))
-
-
-def _dressed(zmat: np.ndarray, core: np.ndarray, j: int) -> np.ndarray:
-    """Sz^{j/2} core Sz^{j/2} (j even), Sz^lo core Sz^hi + Sz^hi core Sz^lo
-    with lo, hi = (j-1)/2, (j+1)/2 (j odd)."""
-    if j % 2 == 0:
-        zp = _matrix_power(zmat, j // 2)
-        return zp @ core @ zp
-    zlo, zhi = _matrix_power(zmat, j // 2), _matrix_power(zmat, j // 2 + 1)
-    return zlo @ core @ zhi + zhi @ core @ zlo
-
-
-def _bj(ops: SpinOperators, j: int) -> np.ndarray:
-    if j % 2 == 0:
-        return _dressed(ops.sz, ops.sxsy_plus_sysx(), j)
-    zlo, zhi = _matrix_power(ops.sz, j // 2), _matrix_power(ops.sz, j // 2 + 1)
-    return zlo @ ops.sx @ ops.sy @ zhi + zhi @ ops.sy @ ops.sx @ zlo
-
-
-def _generator(ops: SpinOperators, b: int) -> np.ndarray:
-    return 1j * (_matrix_power(ops.sminus, 2 * b) - _matrix_power(ops.splus, 2 * b))
-
-
 def _sz(p: int) -> str:
     return "" if p == 0 else "Sz" if p == 1 else f"Sz^{p}"
 
 
 def _band_family(sector: DickeSector, b: int):
-    """Band b's dressing operators, their labels, and the design matrix whose
-    column j is operator j's offset-2b band (imaginary parts).  For b=1 the
+    """Band b's dressing labels and design matrix, whose column j is the
+    imaginary part of dressing j's offset-2b superdiagonal, in closed form:
+    with g_i = c_i ... c_{i+2b-1} (ladder coefficients) and m_i = i - N/2,
+    Sz^p G_b Sz^q carries i g_i m_i^p m_{i+2b}^q at (i, i+2b).  For b=1 the
     dressings of G_1 coincide with the B_j up to normalization; the B_j are
-    used, under their first-band labels."""
-    spin = build_spin_ops(sector)
+    used, under their first-band labels: (SxSy+SySx) is G_1/2, and SxSy and
+    SySx each carry i g_i/4 at (i, i+2)."""
+    rows = sector.dim - 2 * b
+    ladder = _ladder_coefficients(sector.n)
+    g = np.prod([ladder[o:o + rows] for o in range(2 * b)], axis=0)
+    lo, hi = sector.m_values[:rows, None], sector.m_values[2 * b:, None]
+    p, odd_j = np.arange(rows) // 2, np.arange(rows) % 2 == 1
+    dressing = np.where(odd_j, lo ** p * hi ** (p + 1) + lo ** (p + 1) * hi ** p, (lo * hi) ** p)
+    design = (np.where(odd_j, 0.25, 0.5) if b == 1 else 1.0) * g[:, None] * dressing
     if b == 1:
-        ops = [_bj(spin, j) for j in range(sector.n - 1)]
         even, odd = "{0}(SxSy+SySx){0}", "{0}SxSy{1}+{1}SySx{0}"
     else:
-        gen = _generator(spin, b)
-        ops = [_dressed(spin.sz, gen, j) for j in range(sector.n - 2 * b + 1)]
-        g = f"i(S-^{2*b}-S+^{2*b})"
-        even, odd = "{0}" + g + "{0}", "{0}" + g + "{1}+sym"
+        gen = f"i(S-^{2*b}-S+^{2*b})"
+        even, odd = "{0}" + gen + "{0}", "{0}" + gen + "{1}+sym"
     labels = [(odd if j % 2 else even).format(_sz(j // 2), _sz(j // 2 + 1))
-              for j in range(len(ops))]
-    design = np.column_stack([np.diagonal(op, 2 * b).imag for op in ops])
-    return ops, labels, design
+              for j in range(rows)]
+    return labels, design
 
 
 def _scaled_lstsq(design: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -134,7 +124,7 @@ def solve_first_band_beta(sector: DickeSector):
     """
     if sector.n < 2:
         raise ValidationError("first-band solve needs N >= 2")
-    design = _band_family(sector, 1)[2]
+    design = _band_family(sector, 1)[1]
     rows = design.shape[0]
     beta, residuals = np.zeros((rows, design.shape[1])), np.zeros(rows)
     for i in range(rows):
@@ -180,10 +170,10 @@ def decompose_band(table, b: int) -> OperatorDecomposition:
             f"band {b} has {len(target_vec)} entries, expected {sector.dim - 2 * b}")
     if np.max(np.abs(target_vec)) <= RECONSTRUCTION_TOL:
         return OperatorDecomposition(sector, b, [], 0.0)
-    ops, labels, design = _band_family(sector, b)
+    labels, design = _band_family(sector, b)
     coeffs, residual = _fit_band(design, target_vec, b, sector.n)
-    terms = [DecompositionTerm(float(c), o, lab)
-             for c, o, lab in zip(coeffs, ops, labels)]
+    terms = [DecompositionTerm(float(c), column, label, 2 * b)
+             for c, column, label in zip(coeffs, design.T, labels)]
     return OperatorDecomposition(sector, b, terms, residual)
 
 
@@ -191,7 +181,7 @@ def decomposition_gate(sector: DickeSector, k: int):
     """Build the design matrices of bands 1..k once; returns check(table),
     which raises DecompositionError, as decompose_band would, when a band of
     the BandTable is not rebuilt by its dressing family."""
-    designs = {b: _band_family(sector, b)[2] for b in range(1, min(k, sector.n // 2) + 1)}
+    designs = {b: _band_family(sector, b)[1] for b in range(1, min(k, sector.n // 2) + 1)}
 
     def check(table) -> None:
         for b, design in designs.items():

@@ -11,6 +11,7 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import subprocess
 import sys
@@ -59,6 +60,7 @@ def _stem(label: str) -> str:
     return label.replace("(", "_").replace(")", "").replace("=", "")
 
 
+@functools.cache  # git is asked once per process
 def _code_version() -> str:
     try:
         described = subprocess.run(

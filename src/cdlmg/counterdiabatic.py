@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dstevd
 
 from .errors import StructureError, ValidationError
 from .spin_algebra import (BandMatrix, DickeSector, ModelParams, SectorFrame, parity_frames,
@@ -66,9 +67,10 @@ class BandTable:
 def _cd_factors(frame: SectorFrame, h: float, hdot: float):
     """Eigenvectors V of the H0 block at field h and the real antisymmetric
     W with sector_cd_block = i V W V^T.  The tridiagonal block is solved by
-    LAPACK stevd on its diagonal and ``frame.h0_off``."""
-    energies, vectors = eigh_tridiagonal(frame.h0_diagonals(h)[0], frame.h0_off,
-                                         lapack_driver="stevd")
+    LAPACK stevd, called directly, on its diagonal and ``frame.h0_off``."""
+    energies, vectors, info = dstevd(frame.h0_diagonals(h)[0], frame.h0_off)
+    if info != 0:
+        raise LinAlgError(f"tridiagonal block at h = {h} failed (LAPACK info {info})")
     m = vectors.T @ (frame.m_diag[:, None] * vectors) * (-2.0 * hdot)
     de = energies[None, :] - energies[:, None]
     tol = DEGENERACY_TOL_FACTOR * max(np.max(np.abs(energies)), 1.0)

@@ -4,25 +4,24 @@ state.
 
 The integrator steps with the midpoint propagator exp(-i H(t_mid) dt),
 applied to the state through a Chebyshev expansion summed to machine
-precision (`_chebyshev_step`), which needs only products of the step's block
-with a vector and no eigensolve.  It is the one step kernel: `evolve` runs
-it on the drive's block, and the optimizer's search (`ansatz`) on a block
-upper-triangular extension of it that carries the gradient along.  A step's
-block is a `BandMatrix` (H0 with the hp, truncated or ansatz drive), whose
-products cost O(w dim); two blocks stay dense matrices: exact_cd's, whose
-drive fills the block, and the optimizer's extension.
+precision (`_StepPlan`), which needs only products of the step's block with
+a vector and no eigensolve.  One stepping loop (`_steps`) runs it for
+`evolve`, on the drive's blocks, and for the optimizer's search (`ansatz`),
+on a block upper-triangular extension of them that carries the gradient
+along.  A step's block is a `BandMatrix` (H0 with the hp, truncated or
+ansatz drive), whose products cost O(w dim); exact_cd's, whose drive fills
+the block, and the optimizer's extension stay dense.
 
-At band sizes a step costs little more than its products, so `evolve`
-plans its steps a chunk of up to CHUNK_STEPS at a time (`_StepPlan`): the
-chunk's blocks are written into one stack, and one pass over the chunk
-gives every step's Gershgorin interval, term count, Bessel coefficients
-and scaled block; each step then runs only its recurrence
-(`_planned_step`), with the same arithmetic as a step planned alone.  Chunks bound the
-stack's memory, which a whole run's stack would not.  Both the
-bare Hamiltonian and every driving protocol here preserve excitation-number
-parity, and the initial state is the tracked ground state (parity-pure), so
-the evolution is carried out inside that parity block; this is an exact
-reduction, not an approximation.
+The loop plans a run's steps a chunk at a time: the chunk's blocks are
+written into one stack, and one pass gives every step's Gershgorin
+interval, term count, Bessel coefficients and scaled block; each step then
+runs only its recurrence (`_planned_step`), with the same arithmetic as a
+step planned alone.  One rule sizes every chunk (`_chunk_steps`): at most
+CHUNK_STEPS steps and CHUNK_BYTES of blocks.  Both the bare Hamiltonian
+and every driving protocol here preserve excitation-number parity, and the
+initial state is the tracked ground state (parity-pure), so the evolution
+is carried out inside that parity block; this is an exact reduction, not
+an approximation.
 """
 
 from __future__ import annotations
@@ -61,10 +60,13 @@ DEFAULT_STEPS = 4000
 CONVERGENCE_TOL = 1e-6
 MAX_REFINEMENTS = 3
 NORM_TOL = 1e-8
-# Steps planned in one pass by `_propagate`.  On bare and hp at 51 and 151
-# states, 32 ran within 10% of 64 and 128 per step, and peaked at about 60%
-# and 35% of their memory.
+# A chunk of steps planned in one pass (`_steps`) holds at most CHUNK_STEPS
+# steps and CHUNK_BYTES of stacked blocks.  On bare and hp at 51 and 151
+# states, 32 steps ran within 10% of 64 and 128 per step, and peaked at about
+# 60% and 35% of their memory.  The byte bound caps the dense blocks of
+# exact_cd and of the optimizer's gradient.
 CHUNK_STEPS = 32
+CHUNK_BYTES = 256 * 1024
 _LOG_EPS = math.log(np.finfo(float).eps)
 
 
@@ -149,13 +151,18 @@ def parse_protocol(spec) -> Protocol:
 # --------------------------------------------------------------------------
 # drive assembly and the step kernel
 
+def _chunk_steps(block_bytes: int) -> int:
+    """Steps per chunk for blocks of block_bytes each, one at least."""
+    return max(1, min(CHUNK_STEPS, CHUNK_BYTES // block_bytes))
+
+
 def _step_operators(run: "TrackedRun", protocol: Protocol):
     """Set a protocol up for one run.  Returns (chunk, operators), where
-    operators(lo, hi), for hi - lo <= chunk, gives the Hamiltonian blocks
-    H0 + drive of steps lo..hi-1 at their midpoints, in a new array that
-    the step planner scales in place: a complex `BandMatrix` stacking them,
-    (hi - lo, 2w+1, dim), or for exact_cd, the one drive that fills the
-    block, a dense (1, dim, dim) block, one step at a time."""
+    operators(lo, hi), for hi - lo <= chunk (`_chunk_steps`), gives the
+    Hamiltonian blocks H0 + drive of steps lo..hi-1 at their midpoints, in
+    a new array that the step planner scales in place: a complex
+    `BandMatrix` stacking them, (hi - lo, 2w+1, dim), or for exact_cd,
+    whose drive fills the block, dense blocks (hi - lo, dim, dim)."""
     frame, t_mid, h_mid, hd_mid = run.frame, run.t_mid, run.h_mid, run.hd_mid
 
     def h0_stack(lo, hi, w):
@@ -164,13 +171,23 @@ def _step_operators(run: "TrackedRun", protocol: Protocol):
         data[:, w + 1, :-1] = data[:, w - 1, 1:] = frame.h0_off
         return data
 
+    def band_chunk(w):
+        return _chunk_steps((2 * w + 1) * frame.dim * 16)
+
     if isinstance(protocol, Bare):
-        return CHUNK_STEPS, lambda lo, hi: BandMatrix(h0_stack(lo, hi, 1))
+        return band_chunk(1), lambda lo, hi: BandMatrix(h0_stack(lo, hi, 1))
     if isinstance(protocol, ExactCD):
-        return 1, lambda lo, hi: (frame.h0_bands(h_mid[lo]).dense()
-                                  + sector_cd_block(frame, h_mid[lo], hd_mid[lo]))[None]
+        def exact(lo, hi):
+            blocks = [frame.h0_bands(h).dense() + sector_cd_block(frame, h, hdot)
+                      for h, hdot in zip(h_mid[lo:hi], hd_mid[lo:hi])]
+            # a block planned alone is not copied into a stack: at N=300 the
+            # copy made the heap fault its pages in again every step (7600
+            # to 11600 page faults per 60 steps against 370) and cost 10%
+            return np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
+        return _chunk_steps(frame.dim ** 2 * 16), exact
     if isinstance(protocol, Truncated):
         k = protocol.bands
+        w = min(k, frame.dim - 1)  # sector_cd_bands' width
 
         def drive(h, hdot):
             return sector_cd_bands(frame, h, hdot, k)
@@ -189,11 +206,11 @@ def _step_operators(run: "TrackedRun", protocol: Protocol):
                 return bands
 
         def truncated(lo, hi):
-            data = h0_stack(lo, hi, min(k, frame.dim - 1))  # sector_cd_bands' width
+            data = h0_stack(lo, hi, w)
             for row, h, hdot in zip(data, h_mid[lo:hi], hd_mid[lo:hi]):
                 row += drive(h, hdot).data
             return BandMatrix(data)
-        return CHUNK_STEPS, truncated
+        return band_chunk(w), truncated
     if isinstance(protocol, HPCorrection):
         n, gamma = frame.params.n, frame.params.gamma
 
@@ -202,19 +219,19 @@ def _step_operators(run: "TrackedRun", protocol: Protocol):
             data = h0_stack(lo, hi, 1)
             data += np.array(c)[:, None, None] * frame.b0_bands.data
             return BandMatrix(data)
-        return CHUNK_STEPS, hp
+        return band_chunk(1), hp
     if isinstance(protocol, AnsatzDrive):
         coefficients = protocol.coefficients
         k = coefficients.num_bands
         frame.check_bands(k)
+        w = max(k, 1)
 
         def ansatz(lo, hi):
-            w = max(k, 1)
             data = h0_stack(lo, hi, w)
             data[:, w - k:w + k + 1] += frame.ansatz_bands(
                 coefficients.values[coefficients.segment_of(t_mid[lo:hi])]).data
             return BandMatrix(data)
-        return CHUNK_STEPS, ansatz
+        return band_chunk(w), ansatz
     raise ValidationError(f"unsupported protocol {protocol!r}")
 
 
@@ -242,23 +259,37 @@ def _term_count(z: float) -> int:
 
 
 class _StepPlan:
-    """The Chebyshev steps exp(-i h_j dt_j) of a batch of operators h_j, a
-    complex `BandMatrix` stack (steps, 2w+1, dim) or complex dense blocks
-    (steps, D, D), planned together (`_chebyshev_step` gives the method):
-    the Gershgorin intervals in one vectorized pass; each step's term count
-    ``terms[j]`` and its coefficients ``coeffs[ends[j] - terms[j]:ends[j]]``,
-    all from one `jv` call; the scaled operators 2x_j = scale_j h_j -
-    shift_j, written over the h_j in place; and one term buffer, sized by
-    the batch's largest term count, with ``product(two_x, src, dst)``,
-    which writes 2x times term row src to row dst.  `_planned_step` then
-    runs the recurrence of one step."""
+    """The Chebyshev steps exp(-i h_j dt_j) (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)) of a batch of Hermitian h_j, a complex
+    `BandMatrix` stack (steps, 2w+1, dim) or dense blocks (steps, D, D).
+
+    Gershgorin discs put the spectrum of h inside [c - r, c + r].  With
+    x = (h - c)/r and z = r dt, exp(-i h dt) = exp(-i c dt) sum_k e_k
+    (-i)^k J_k(z) T_k(x), e_0 = 1 and e_k = 2, for z of either sign.
+    Since |T_k(x) psi| <= |psi| and |J_k(z)| <= (|z|/2)^k / k!, terms are
+    added until that bound falls below machine epsilon (`_term_count`);
+    h = c*I takes the zeroth term alone.  A dense h may also be block
+    upper-triangular with one Hermitian H on every diagonal block, as in
+    the optimizer's gradient (`ansatz`).  Its spectrum is H's, so the
+    Gershgorin interval of the whole matrix still bounds it.  The
+    off-diagonal blocks of T_k(x) grow at most as k^2 (Markov's
+    inequality), far slower than the bound on J_k falls, so the same
+    stopping rule holds.
+
+    The plan holds each step's term count ``terms[j]`` and coefficients
+    ``coeffs[ends[j] - terms[j]:ends[j]]``, all from one `jv` call; the
+    scaled operators 2x_j = scale_j h_j - shift_j, written over the h_j in
+    place; and one term buffer, sized by the largest term count, with
+    ``product(two_x, src, dst)``, which writes 2x times term row src to row
+    dst.  `_planned_step` runs one step's recurrence, with the arithmetic
+    of that step planned alone, so results do not depend on the chunks."""
 
     def __init__(self, h, dts: np.ndarray):
         lo, hi = _gershgorin(h)
         centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         z = half * dts
         # term counts by a scalar loop per step: for a batch of one, as
-        # exact_cd and the optimizer plan, it took 2 us against 14 us for a
+        # large dense blocks are planned, it took 2 us against 14 us for a
         # vectorized count at 51 states
         self.terms, self.ends, total = [], [], 0
         for x in z.tolist():
@@ -334,36 +365,18 @@ def _planned_step(plan: _StepPlan, j: int, psi: np.ndarray):
     return coeffs @ plan.work[:terms], terms
 
 
-def _chebyshev_step(h, dt: float, psi: np.ndarray):
-    """exp(-i h dt) psi for a Hermitian h, a `BandMatrix` or a dense matrix,
-    and the number of Chebyshev terms summed (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967 (1984)): the plan of a batch of one step.
-
-    Gershgorin discs put the spectrum inside [c - r, c + r].  With
-    x = (h - c)/r and z = r dt,
-    exp(-i h dt) = exp(-i c dt) sum_k e_k (-i)^k J_k(z) T_k(x), e_0 = 1 and
-    e_k = 2, which holds for z of either sign.  Since |T_k(x) psi| <= |psi| and
-    |J_k(z)| <= (|z|/2)^k / k!, terms are added until that bound falls below
-    machine epsilon (`_term_count`); h = c*I takes the zeroth term alone.
-    The operator supplies the interval (`_gershgorin`) and the products of
-    the recurrence T_k = 2x T_{k-1} - T_{k-2}.
-
-    `evolve` plans a chunk of up to CHUNK_STEPS steps of a band protocol in
-    one `_StepPlan`, exact_cd's dense block one step at a time, and runs
-    each step's recurrence by `_planned_step`; the optimizer's block comes
-    here.  Each step's arithmetic is the same in a batch as alone, so a
-    planned step equals this one bitwise.
-
-    A dense h may also be block upper-triangular with one Hermitian H on
-    every diagonal block, as in the optimizer's gradient (`ansatz`).  Its
-    spectrum is H's, so the Gershgorin interval of the whole matrix still
-    bounds it.  The off-diagonal blocks of T_k(x) grow at most as k^2
-    (Markov's inequality), far slower than the bound on J_k falls, so the
-    same stopping rule holds.
-    """
-    batch = (BandMatrix(h.data.astype(complex)[None]) if isinstance(h, BandMatrix)
-             else np.array(h, dtype=complex)[None])
-    return _planned_step(_StepPlan(batch, np.array([dt])), 0, psi)
+def _steps(operators, dts: np.ndarray, psi: np.ndarray, chunk: int):
+    """Yield the state and the terms summed after each step exp(-i h_j dt_j)
+    of psi; operators(lo, hi) writes steps lo..hi-1, `chunk` at a time, into
+    an array that their `_StepPlan` overwrites and drops at the next chunk."""
+    # a plan is kept until the next one is built: freeing it first had the
+    # allocator hand the stack back to the system between chunks
+    for lo in range(0, len(dts), chunk):
+        hi = min(lo + chunk, len(dts))
+        plan = _StepPlan(operators(lo, hi), dts[lo:hi])
+        for j in range(hi - lo):
+            psi, terms = _planned_step(plan, j, psi)
+            yield psi, terms
 
 
 # --------------------------------------------------------------------------
@@ -407,8 +420,7 @@ class TrackedRun:
     sign-aligned ground series with its first vector as the start state.
     `evolve` takes one in place of a grid, so that several protocols are
     stepped on one ground series, as `ansatz.optimize` steps its segments
-    on one.  A chunk's H0 blocks are built when the chunk runs, from
-    ``frame.h0_diagonals(h_mid[lo:hi])``."""
+    on one."""
 
     def __init__(self, params: ModelParams, grid):
         ramp = params.ramp
@@ -450,20 +462,16 @@ def _propagate(run: TrackedRun, protocol: Protocol, store_states: bool,
         states[0] = psi
     norm_err = 0.0
     matvecs = 0
-    for lo in range(0, steps, chunk):
-        hi = min(lo + chunk, steps)
-        plan = _StepPlan(operators(lo, hi), dts[lo:hi])
-        for k in range(lo, hi):
-            psi, terms = _planned_step(plan, k - lo, psi)
-            matvecs += terms
-            fid[k + 1] = fidelity(psi, run.grounds[k + 1])
-            err = abs(np.linalg.norm(psi) - 1.0)
-            if not err <= NORM_TOL:  # a NaN norm fails too
-                raise NormError(f"state norm drifted by {err:.2e} > {NORM_TOL:.0e} "
-                                f"at step {k + 1} of {steps}")
-            norm_err = max(norm_err, err)
-            if store_states:
-                states[k + 1] = psi
+    for k, (psi, terms) in enumerate(_steps(operators, dts, psi, chunk), 1):
+        matvecs += terms
+        fid[k] = fidelity(psi, run.grounds[k])
+        err = abs(np.linalg.norm(psi) - 1.0)
+        if not err <= NORM_TOL:  # a NaN norm fails too
+            raise NormError(f"state norm drifted by {err:.2e} > {NORM_TOL:.0e} "
+                            f"at step {k} of {steps}")
+        norm_err = max(norm_err, err)
+        if store_states:
+            states[k] = psi
 
     info = {
         "steps": steps,

@@ -74,11 +74,6 @@ class SpinOperators:
     splus: np.ndarray
     sminus: np.ndarray
 
-    def sxsy_plus_sysx(self) -> np.ndarray:
-        """(SxSy + SySx): the first-band operator B_0 and the harmonic-limit
-        driving term."""
-        return self.sx @ self.sy + self.sy @ self.sx
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -152,7 +147,7 @@ class BandMatrix:
     ``data`` has shape (2w+1, dim): row w + o holds offset o, so
     data[w + o, i] = A[i, i + o], and entries whose i + o falls outside the
     matrix are zero.  A product with a vector and the Gershgorin discs then
-    cost O(w dim) (`dynamics._chebyshev_step`).  Leading axes, as in
+    cost O(w dim) (`dynamics._StepPlan`).  Leading axes, as in
     (steps, 2w+1, dim), stack matrices of one width: `dynamics` plans a
     chunk of steps on one such stack.  ``dense`` and ``+`` take 2-D stacks.
     """
@@ -223,7 +218,7 @@ class SectorFrame:
     the exact CD block (`counterdiabatic.sector_cd_block`), which fills the
     whole block, and the optimizer's gradient block (`ansatz`), built from
     these band matrices because at its sizes one dense product costs less
-    than the banded products it replaces.
+    than the banded products it replaces; one loop steps both (`dynamics`).
     """
 
     def __init__(self, params: ModelParams, parity: int):

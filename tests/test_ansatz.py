@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import cdlmg.ansatz
+import cdlmg.dynamics
 from cdlmg import (
     AnsatzDrive,
     BandCoefficients,
@@ -84,7 +85,7 @@ def test_segment_gradient_matches_finite_differences(linear_ramp, k):
     run = TrackedRun(params, 100)
     lo, hi = 45, 55
     frame = run.frame
-    h0_segment = [frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]]
+    h0_segment = np.array([frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]])
     # the references: H0 and the band patterns from the dense spin matrices
     h0_reference = [build_h0(params, h)[frame.ix] for h in run.h_mid[lo:hi]]
     patterns = [(1j * np.eye(9, k=2 * b) - 1j * np.eye(9, k=-2 * b))[frame.ix]
@@ -106,6 +107,27 @@ def test_segment_gradient_matches_finite_differences(linear_ramp, k):
         central = np.array([(segment(x + eps * e)[0] - segment(x - eps * e)[0]) / (2 * eps)
                             for e in np.eye(k)])
         assert np.max(np.abs(gradient - central)) <= 1e-6 * np.max(np.abs(gradient))
+
+
+def test_segment_split_into_chunks_equals_single_steps(linear_ramp, monkeypatch):
+    # at N=40, k=2 a segment's ten 63-state blocks outgrow CHUNK_BYTES, so
+    # its steps are planned in several chunks: value, gradient and end state
+    # equal bitwise those of planning one block at a time
+    params = ModelParams(40, 0.0, linear_ramp)
+    run = TrackedRun(params, 100)
+    lo, hi = 45, 55
+    frame = run.frame
+    h0_segment = np.array([frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]])
+    dt = run.times[1] - run.times[0]
+    psi, target = run.grounds[lo].astype(complex), run.grounds[hi]
+    x = np.array([-0.9, 0.4])
+    assert 1 < cdlmg.dynamics._chunk_steps((3 * frame.dim) ** 2 * 16) < hi - lo
+    chunked = _segment_infidelity(h0_segment, frame.ansatz_bands, x, dt, psi, target)
+    monkeypatch.setattr(cdlmg.dynamics, "CHUNK_STEPS", 1)
+    single = _segment_infidelity(h0_segment, frame.ansatz_bands, x, dt, psi, target)
+    assert chunked[0] == single[0]
+    assert np.array_equal(chunked[1], single[1])
+    assert np.array_equal(chunked[2], single[2])
 
 
 def test_optimize_small_system(linear_ramp):

@@ -12,7 +12,7 @@ from cdlmg import (
     exact_cd,
     solve_first_band_beta,
 )
-from cdlmg.band_operators import _bj, _generator
+from cdlmg.band_operators import _band_family
 from conftest import block_angle_rate_fd, even_projector
 
 
@@ -21,40 +21,83 @@ def spin_products(n):
     return ops.sx, ops.sy, ops.sz
 
 
+# dense references for the closed-form band family, from the spin matrices
+
+def _power(mat, p):
+    return np.linalg.matrix_power(mat, p)
+
+
+def dense_bj(ops, j):
+    """B_j: Sz^{j/2} (SxSy+SySx) Sz^{j/2} (j even), Sz^p SxSy Sz^q +
+    Sz^q SySx Sz^p with p, q = (j-1)/2, (j+1)/2 (j odd)."""
+    zlo = _power(ops.sz, j // 2)
+    if j % 2 == 0:
+        return zlo @ (ops.sx @ ops.sy + ops.sy @ ops.sx) @ zlo
+    zhi = _power(ops.sz, j // 2 + 1)
+    return zlo @ ops.sx @ ops.sy @ zhi + zhi @ ops.sy @ ops.sx @ zlo
+
+
+def dense_generator(ops, b):
+    """G_b = i(S-^{2b} - S+^{2b})."""
+    return 1j * (_power(ops.sminus, 2 * b) - _power(ops.splus, 2 * b))
+
+
+def dense_dressing(ops, b, j):
+    """Sz^{j/2} G_b Sz^{j/2} (j even), Sz^p G_b Sz^q + Sz^q G_b Sz^p (j odd)."""
+    gen, zlo = dense_generator(ops, b), _power(ops.sz, j // 2)
+    if j % 2 == 0:
+        return zlo @ gen @ zlo
+    zhi = _power(ops.sz, j // 2 + 1)
+    return zlo @ gen @ zhi + zhi @ gen @ zlo
+
+
+def assert_column_matches(column, dense, b):
+    # the closed-form column is the dense operator's offset-2b band
+    band = np.diagonal(dense, 2 * b).imag
+    assert np.max(np.abs(column - band)) <= 1e-14 * np.max(np.abs(band))
+
+
 def test_bj_definitions():
     sx, sy, sz = spin_products(5)
-    ops = build_spin_ops(DickeSector(5))
-    assert np.allclose(_bj(ops, 0), sx @ sy + sy @ sx)
-    assert np.allclose(_bj(ops, 1), sx @ sy @ sz + sz @ sy @ sx)
-    assert np.allclose(_bj(ops, 2), sz @ (sx @ sy + sy @ sx) @ sz)
+    design = _band_family(DickeSector(5), 1)[1]
+    assert_column_matches(design[:, 0], sx @ sy + sy @ sx, 1)
+    assert_column_matches(design[:, 1], sx @ sy @ sz + sz @ sy @ sx, 1)
+    assert_column_matches(design[:, 2], sz @ (sx @ sy + sy @ sx) @ sz, 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 9])
 def test_bj_hermitian_single_band(n):
+    # every B_j is one Hermitian, parity-preserving band, which its column
+    # holds
     ops = build_spin_ops(DickeSector(n))
     pi_e = even_projector(n)
+    design = _band_family(DickeSector(n), 1)[1]
+    assert design.shape == (n - 1, n - 1)
     for j in range(n - 1):
-        bj = _bj(ops, j)
+        bj = dense_bj(ops, j)
         assert np.max(np.abs(bj - bj.conj().T)) <= 1e-12
         assert np.max(np.abs(bj @ pi_e - pi_e @ bj)) <= 1e-10
         table = band_table(bj)
         assert set(table.bands) <= {1}
+        assert_column_matches(design[:, j], bj, 1)
 
 
 def test_band_generator_small_cases():
-    # b=1, N=2: i(S-^2 - S+^2) = 2 (SxSy + SySx)
+    # b=1, N=2: i(S-^2 - S+^2) = 2 (SxSy + SySx), the B_0 column doubled
     sx, sy, _ = spin_products(2)
-    gen = _generator(build_spin_ops(DickeSector(2)), 1)
+    gen = dense_generator(build_spin_ops(DickeSector(2)), 1)
     assert np.allclose(gen, 2 * (sx @ sy + sy @ sx))
+    assert_column_matches(2 * _band_family(DickeSector(2), 1)[1][:, 0], gen, 1)
     # b=2, N=4: single offset-4 entry of magnitude 24
-    gen4 = _generator(build_spin_ops(DickeSector(4)), 2)
+    gen4 = dense_generator(build_spin_ops(DickeSector(4)), 2)
     assert gen4[0, 4] == pytest.approx(24j)
-    assert np.max(np.abs(gen4 / 24 - gen4 / 24)) == 0
+    assert _band_family(DickeSector(4), 2)[1][0, 0] == pytest.approx(24)
 
 
 @pytest.mark.parametrize("n,b", [(4, 1), (4, 2), (7, 3), (10, 5)])
 def test_band_generator_structure(n, b):
-    gen = _generator(build_spin_ops(DickeSector(n)), b)
+    ops = build_spin_ops(DickeSector(n))
+    gen = dense_generator(ops, b)
     assert np.max(np.abs(gen - gen.conj().T)) <= 1e-12
     pi_e = even_projector(n)
     assert np.max(np.abs(gen @ pi_e - pi_e @ gen)) <= 1e-10
@@ -63,6 +106,21 @@ def test_band_generator_structure(n, b):
     mat[rows, rows + 2 * b] = 0
     mat[rows + 2 * b, rows] = 0
     assert np.max(np.abs(mat)) == 0.0  # only offset-2b diagonals populated
+    if b >= 2:  # band 1 takes the B_j (test_bj_hermitian_single_band)
+        design = _band_family(DickeSector(n), b)[1]
+        for j in range(n - 2 * b + 1):
+            assert_column_matches(design[:, j], dense_dressing(ops, b, j), b)
+
+
+@pytest.mark.parametrize("n", [12, 17, 24])
+def test_band_family_matches_dense_dressings(n):
+    # the closed-form columns of bands 1..3 against the dense products
+    ops = build_spin_ops(DickeSector(n))
+    for b in (1, 2, 3):
+        design = _band_family(DickeSector(n), b)[1]
+        for j in range(design.shape[1]):
+            dense = dense_bj(ops, j) if b == 1 else dense_dressing(ops, b, j)
+            assert_column_matches(design[:, j], dense, b)
 
 
 def test_first_band_beta_three_particles():
@@ -86,7 +144,7 @@ def test_first_band_beta_two_particles():
     params = ModelParams(2, 0.0)
     rate = block_angle_rate_fd(params, 0.8, 0.5, idx=[0, 2])
     term = exact_cd(params, 0.8, 0.5)
-    b0 = _bj(build_spin_ops(DickeSector(2)), 0)
+    b0 = dense_bj(build_spin_ops(DickeSector(2)), 0)
     assert np.max(np.abs(term - rate * beta[0, 0] * b0)) < 1e-6
 
 

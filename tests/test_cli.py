@@ -31,6 +31,22 @@ def test_evolve_two_particle_exact(tmp_path, capsys):
     assert manifest["final_fidelity"]["exact_cd"] >= 0.9999
 
 
+def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
+    # the manifest's version asks git once, whatever the number of commands
+    import cdlmg.cli
+    run, calls = cdlmg.cli.subprocess.run, []
+    monkeypatch.setattr(cdlmg.cli.subprocess, "run",
+                        lambda *a, **kw: calls.append(a) or run(*a, **kw))
+    cdlmg.cli._code_version.cache_clear()
+    versions = []
+    for name in ("first", "second"):
+        assert run_cli(["evolve", "--n", 2, "--protocol", "bare", "--ramp", "linear:0.75,0.5",
+                        "--steps", 10, "--out", tmp_path / name]) == 0
+        versions.append(json.loads((tmp_path / name / "manifest.json").read_text())["version"])
+    assert len(calls) == 1
+    assert versions[0] == versions[1] and versions[0].startswith("cdlmg ")
+
+
 def test_evolve_figure_preset(tmp_path):
     out = tmp_path / "preset"
     code = run_cli(["evolve", "--figure", "fig1a", "--steps", 600, "--out", out])

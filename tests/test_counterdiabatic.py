@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 
 from cdlmg import (
     DickeSector,
@@ -17,7 +18,6 @@ from cdlmg import (
     exact_cd,
     hp_coefficient,
 )
-from cdlmg.band_operators import _bj
 from cdlmg.counterdiabatic import parity_band_table, sector_cd_bands, sector_cd_block
 from cdlmg.spin_algebra import SectorFrame, parity_frames, parity_indices
 from conftest import block_angle_rate_fd, even_projector
@@ -62,7 +62,8 @@ def test_exact_cd_three_particles_two_rotations():
     rate_even = block_angle_rate_fd(params, h, hdot, idx=[0, 2])
     rate_odd = block_angle_rate_fd(params, h, hdot, idx=[1, 3])
     ops = build_spin_ops(DickeSector(3))
-    b0, b1 = _bj(ops, 0), _bj(ops, 1)
+    sx, sy, sz = ops.sx, ops.sy, ops.sz
+    b0, b1 = sx @ sy + sy @ sx, sx @ sy @ sz + sz @ sy @ sx
     combo = ((rate_even + rate_odd) / (2 * np.sqrt(3)) * b0
              + (rate_odd - rate_even) / np.sqrt(3) * b1)
     term = exact_cd(params, h, hdot)
@@ -152,8 +153,8 @@ def test_sector_cd_block_tridiagonal_path(kind, monkeypatch):
     # its diagonal and frame.h0_off, also where that subdiagonal splits the
     # block or vanishes (gamma = 1)
     solved = []
-    monkeypatch.setattr("cdlmg.counterdiabatic.eigh_tridiagonal",
-                        lambda *a, **kw: solved.append(kw) or eigh_tridiagonal(*a, **kw))
+    monkeypatch.setattr("cdlmg.counterdiabatic.dstevd",
+                        lambda *a, **kw: solved.append(a) or dstevd(*a, **kw))
     dim = {"small": 11, "two": 2}.get(kind, 69)
     frame = SectorFrame.tracked(ModelParams(2 * dim - 2, 1.0 if kind == "diagonal" else 0.0))
     assert frame.dim == dim
@@ -164,7 +165,15 @@ def test_sector_cd_block_tridiagonal_path(kind, monkeypatch):
         kind, dim - 1)
     got = sector_cd_block(frame, 1.1, hdot)
     assert np.max(np.abs(got - _dense_cd_reference(frame, h0, hdot))) < 1e-12
-    assert solved == [{"lapack_driver": "stevd"}]
+    assert len(solved) == 1 and solved[0][1] is frame.h0_off
+
+
+def test_failed_tridiagonal_solve_raises(monkeypatch):
+    # a nonzero LAPACK info is an error, not a spectrum
+    monkeypatch.setattr("cdlmg.counterdiabatic.dstevd",
+                        lambda d, e: (np.zeros(len(d)), np.eye(len(d)), 3))
+    with pytest.raises(LinAlgError, match="LAPACK info 3"):
+        sector_cd_block(SectorFrame.tracked(ModelParams(10, 0.0)), 1.1, 0.5)
 
 
 # --------------------------------------------------------------------------

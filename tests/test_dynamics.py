@@ -31,8 +31,8 @@ from cdlmg import (
 )
 from cdlmg.counterdiabatic import sector_cd_bands, sector_cd_block
 import cdlmg.dynamics
-from cdlmg.dynamics import (CHUNK_STEPS, TrackedRun, _chebyshev_step, _gershgorin,
-                            _planned_step, _StepPlan)
+from cdlmg.dynamics import (CHUNK_BYTES, CHUNK_STEPS, TrackedRun, _gershgorin, _planned_step,
+                            _StepPlan)
 from cdlmg.spectrum import sector_ground_series
 from cdlmg.spin_algebra import BandMatrix, SectorFrame, parity_frames, place_band
 
@@ -124,6 +124,14 @@ def _dense(h):
     return h.dense() if isinstance(h, BandMatrix) else h
 
 
+def _single_step(h, dt, psi):
+    """exp(-i h dt) psi and its term count from a plan of this one step, on a
+    complex copy of h (a `BandMatrix` or a dense matrix)."""
+    batch = (BandMatrix(h.data.astype(complex)[None]) if isinstance(h, BandMatrix)
+             else np.array(h, dtype=complex)[None])
+    return _planned_step(_StepPlan(batch, np.array([dt])), 0, psi)
+
+
 @pytest.mark.parametrize("kind", ["real", "complex", "tridiagonal", "identity", "wide",
                                   "block_triangular", "bands", "bands_identity",
                                   "bands_wide"])
@@ -170,7 +178,7 @@ def test_chebyshev_step_matches_expm(kind):
             if kind == "wide" or (kind == "bands_wide" and dim > 3):
                 # z, the spectral half-width times |dt|, beyond dim
                 assert 0.5 * (energies[-1] - energies[0]) * abs(dt) > dim
-            got, terms = _chebyshev_step(h, dt, psi)
+            got, terms = _single_step(h, dt, psi)
             assert np.max(np.abs(got - expm(-1j * dense * dt) @ psi)) < 1e-12
             assert terms == 1 if kind.endswith("identity") else terms > 1
 
@@ -178,8 +186,8 @@ def test_chebyshev_step_matches_expm(kind):
 @pytest.mark.parametrize("w", [1, 2, 3])
 def test_planned_steps_equal_single_steps(w):
     # a batch mixing term counts (one-term identities, wide spectra, steps
-    # of either sign) planned in one pass gives each step bitwise as
-    # `_chebyshev_step` does alone: term count, coefficients and state
+    # of either sign) planned in one pass gives each step bitwise as a plan
+    # of that step alone does: term count, coefficients and state
     rng = np.random.default_rng(20 + w)
     dim = 40
     blocks = [_random_bands(rng, dim, w, real) for real in (True, False, False)]
@@ -197,7 +205,7 @@ def test_planned_steps_equal_single_steps(w):
         assert single.terms == [terms]
         assert np.array_equal(plan.coeffs[end - terms:end], single.coeffs)
         got, got_terms = _planned_step(plan, j, psi)
-        want, want_terms = _chebyshev_step(h, dt, psi)
+        want, want_terms = _single_step(h, dt, psi)
         assert got_terms == want_terms == terms
         assert np.array_equal(got, want)
 
@@ -218,7 +226,7 @@ def test_chunk_sized_by_its_own_steps():
     blocks = operators(lo, hi).data
     psi = run.grounds[lo].astype(complex)
     for j, (data, dt) in enumerate(zip(blocks, dts)):
-        want = _chebyshev_step(BandMatrix(data), dt, psi)
+        want = _single_step(BandMatrix(data), dt, psi)
         got = _planned_step(plan, j, psi)
         assert got[1] == want[1] and np.array_equal(got[0], want[0])
         psi = want[0]
@@ -228,7 +236,7 @@ def test_chunk_edges(monkeypatch):
     # runs of 1, C-1, C, C+1 and 2C+1 steps, C = CHUNK_STEPS, give the
     # trajectories of stepping one step per chunk
     params = ModelParams(30, 0.0, RampSchedule.linear(0.75, 0.5))
-    protocols = ["bare", "hp", "truncated:2",
+    protocols = ["bare", "hp", "truncated:2", "exact_cd",
                  AnsatzDrive(BandCoefficients(np.linspace(0, 1, 8),
                                               np.linspace(-0.3, 0.3, 21).reshape(7, 3)))]
     lengths = (1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 2 * CHUNK_STEPS + 1)
@@ -393,8 +401,8 @@ def test_decomposed_matches_truncated():
 
 
 def test_decomposition_gate_checks_every_midpoint():
-    # on the reversed ramp at N=26 the band-1 residual is 2.8e-15 at the first
-    # midpoint and first exceeds RECONSTRUCTION_TOL at midpoint 84 of 100
+    # on the reversed ramp at N=26 the band-1 residual is 4.5e-15 at the first
+    # midpoint and first exceeds RECONSTRUCTION_TOL at the 88th of 100
     params = ModelParams(26, 0.0, RampSchedule.linear(1.25, -0.5))
     with pytest.raises(DecompositionError, match="band-1"):
         evolve(params, "decomposed:1", 100)
@@ -403,8 +411,8 @@ def test_decomposition_gate_checks_every_midpoint():
 def test_decomposed_solves_each_block_once_per_midpoint(monkeypatch):
     # the tracked block's bands are both the drive and half the gate's table
     import cdlmg.counterdiabatic
-    solve, solved = cdlmg.counterdiabatic.eigh_tridiagonal, []
-    monkeypatch.setattr(cdlmg.counterdiabatic, "eigh_tridiagonal",
+    solve, solved = cdlmg.counterdiabatic.dstevd, []
+    monkeypatch.setattr(cdlmg.counterdiabatic, "dstevd",
                         lambda *a, **kw: solved.append(a) or solve(*a, **kw))
     evolve(ModelParams(20, 0.0, RampSchedule.linear(0.75, 0.5)), "decomposed:2", 100)
     assert len(solved) == 200
@@ -464,6 +472,24 @@ def test_run_holds_one_step_block_at_a_time():
     assert peak < stack_bytes / 4
 
 
+def test_exact_cd_run_holds_two_chunks_at_most():
+    # exact_cd's dense blocks are planned CHUNK_BYTES at a time: at N=100 over
+    # 1000 steps the run holds a chunk's plan while the next chunk is built,
+    # far below its (steps, 51, 51) complex stack, 41.6 MB, and below the
+    # CHUNK_STEPS blocks, 2.7 MB, that a plan and its successor would hold
+    # without the byte bound
+    params = ModelParams(100, 0.0, RampSchedule.linear(0.75, 0.5))
+    run = TrackedRun(params, 1000)
+    assert CHUNK_STEPS * 51 * 51 * 16 > CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        evolve(params, "exact_cd", run)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * CHUNK_BYTES
+
+
 def test_trajectory_export(tmp_path):
     ramp = RampSchedule.linear(0.75, 0.5)
     traj = evolve(ModelParams(6, 0.0, ramp), "bare", 50)
@@ -503,7 +529,7 @@ def test_non_finite_operator_stops_at_its_step(monkeypatch):
         evolve(params, "hp", 20)
     h = SectorFrame.tracked(params).h0_bands(1.1)
     h.data[1, 1] = np.nan
-    psi, terms = _chebyshev_step(h, 0.01, np.ones(h.data.shape[1], dtype=complex))
+    psi, terms = _single_step(h, 0.01, np.ones(h.data.shape[1], dtype=complex))
     assert terms == 1 and np.all(np.isnan(psi))
 
 
