@@ -5,20 +5,22 @@ to its per-segment search.
 
 Runs the sources under ``--src`` (recorded as "parent") and this checkout's
 ``src/`` (recorded as "change"), each run in a fresh interpreter with
-OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1, alternating which side runs
-first, and writes one JSON record:
+OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1, in REPEATS alternating rounds
+(``bench/rounds.py``), and writes one JSON record:
 
 - ``fit``: the configuration of the benchmark's ``fit`` job (N=40, k=2,
-  10 segments, 200 evaluation steps, linear ramp), REPEATS runs per
-  side.  Each run records the objective evaluations (``nfev``), the seconds
-  spent inside ``ansatz.minimize`` (``search_s``), the whole ``optimize``
-  call (``optimize_s``, which adds the zero-drive baselines, the segment
-  carry and the final re-propagation), the min fidelity and the schedule;
-  the record holds the medians, every run's times, whether every run wrote
-  the same schedule, and the largest |dx| between the two sides' schedules;
+  10 segments, 200 evaluation steps, linear ramp).  Each run records the
+  objective evaluations (``nfev``), the seconds spent inside
+  ``ansatz.minimize`` (``search_s``), the whole ``optimize`` call
+  (``optimize_s``, which adds the zero-drive baselines, the segment carry
+  and the final re-propagation), the min fidelity and the schedule; the
+  record holds per k each side's medians, every run's times, whether every
+  run wrote the same schedule, the largest |dx| between the two sides'
+  schedules, and ``search_s_ratio`` and ``optimize_s_ratio``: the median,
+  quartiles and range of the rounds' change/parent ratios;
 - ``fig2``: the ``fig2`` band sweep (N=80, k = 1..4, 40 segments, each k
-  warm-started from the previous optimum, 4000 evaluation steps), once per
-  side: per k the same quantities, plus the sweep's wall time;
+  warm-started from the previous optimum, 4000 evaluation steps): per k the
+  same quantities, plus the sweep's wall time and its ratio summary;
 - ``environment``: versions, BLAS build and thread settings, from
   ``perfbench/env.py``.
 """
@@ -29,9 +31,10 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
+
+from rounds import alternate, ratio_summary
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -41,7 +44,10 @@ import env  # noqa: E402  (perfbench/env.py)
 RAMP = "linear:0.75,0.5"
 FIT = {"n": 40, "bands": [2], "segments": 10, "eval_steps": 200, "ramp": RAMP}
 FIG2 = {"n": 80, "bands": [1, 2, 3, 4], "segments": 40, "eval_steps": 4000, "ramp": RAMP}
-REPEATS = 3
+# Three fit runs and one fig2 run per side could not resolve differences:
+# two invocations against one parent read the fit search's median as 0.151
+# -> 0.078 s and 0.088 -> 0.086 s.
+REPEATS = 10
 
 CHILD = """
 import json, sys, time
@@ -78,26 +84,9 @@ print(json.dumps({"runs": runs, "wall_s": time.perf_counter() - sweep_start}))
 """
 
 
-def measure(src: Path, task: dict) -> dict:
-    """Run one optimizer task in a fresh interpreter on the sources under `src`."""
-    child_env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-                     OMP_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(task)], env=child_env,
-                         capture_output=True, text=True, timeout=3600, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def alternate(sides: dict, task: dict, repeats: int) -> dict:
-    """`repeats` runs per side, the order of the sides rotating each round."""
-    names = list(sides)
-    runs = {name: [] for name in names}
-    for r in range(repeats):
-        for name in names[r % len(names):] + names[:r % len(names)]:
-            runs[name].append(measure(sides[name], task))
-            print(name, json.dumps([{key: run[key] for key in
-                                     ("k", "nfev", "search_s", "min_fidelity")}
-                                    for run in runs[name][-1]["runs"]]), flush=True)
-    return runs
+def report(name: str, result: dict) -> None:
+    print(name, json.dumps([{key: run[key] for key in ("k", "nfev", "search_s", "min_fidelity")}
+                            for run in result["runs"]]), flush=True)
 
 
 def max_abs_dx(a: list, b: list) -> float:
@@ -105,8 +94,9 @@ def max_abs_dx(a: list, b: list) -> float:
 
 
 def table(sides: dict, task: dict, repeats: int) -> dict:
-    """Per band count: each side's medians and runs, and the schedules' gap."""
-    measured = alternate(sides, task, repeats)
+    """Per band count: each side's medians and runs, the schedules' gap and
+    the rounds' ratios."""
+    measured = alternate(CHILD, sides, task, repeats, report)
     rows = []
     for i, k in enumerate(task["bands"]):
         row = {"k": k}
@@ -127,10 +117,15 @@ def table(sides: dict, task: dict, repeats: int) -> dict:
         row["max_abs_dx_change_vs_parent"] = max_abs_dx(
             measured["parent"][0]["runs"][i]["schedule"],
             measured["change"][0]["runs"][i]["schedule"])
+        for key in ("search_s", "optimize_s"):
+            row[f"{key}_ratio"] = ratio_summary(row["parent"][f"{key}_runs"],
+                                                row["change"][f"{key}_runs"])
         rows.append(row)
-    walls = {name: statistics.median(rep["wall_s"] for rep in reps)
-             for name, reps in measured.items()}
-    return {"config": task, "repeats": repeats, "by_k": rows, "wall_s": walls}
+    walls = {name: [rep["wall_s"] for rep in reps] for name, reps in measured.items()}
+    return {"config": task, "repeats": repeats, "by_k": rows,
+            "wall_s": {name: statistics.median(w) for name, w in walls.items()},
+            "wall_s_runs": walls,
+            "wall_s_ratio": ratio_summary(walls["parent"], walls["change"])}
 
 
 def main(argv=None) -> int:
@@ -150,7 +145,7 @@ def main(argv=None) -> int:
         "environment": env.record(),
         "threads": {"OPENBLAS_NUM_THREADS": 1, "OMP_NUM_THREADS": 1},
         "fit": table(sides, FIT, REPEATS),
-        "fig2": table(sides, FIG2, 1),
+        "fig2": table(sides, FIG2, REPEATS),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -5,11 +5,8 @@ before and after a change to the step, the CD eigensolve or the spectra.
 
 Times the sources under ``--src`` (recorded as "parent") and this checkout's
 ``src/`` (recorded as "change"), each measurement in a fresh interpreter with
-OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1.  A round runs one interpreter
-per side, the side that goes first alternating from round to round, and
-the round's change/parent ratio compares two runs made seconds apart: on a
-shared host, whose load comes in phases, that ratio is steadier than either
-side's times.  Writes one JSON record:
+OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1, in alternating rounds
+(``bench/rounds.py``).  Writes one JSON record:
 
 - ``steps``: microseconds per step of ``evolve`` (its ``wall_time_s``, the
   tracked-run setup included, over the step count) for bare, hp,
@@ -30,7 +27,12 @@ side's times.  Writes one JSON record:
   in each of GAP_REPEATS interpreters per side, their median and the
   ``ratio`` summary;
 - every row holds each side's ``peak_rss_mb``: the median over its
-  interpreters of the peak resident memory, imports included;
+  interpreters of the peak resident memory, imports included, and
+  ``minor_faults_runs``: each interpreter's minor page faults over its timed
+  runs (``getrusage`` before and after), with their median ``minor_faults``.
+  A run that gives its heap back to the system between steps faults its
+  pages in again, and shows here as thousands of faults where a few hundred
+  are usual;
 - ``environment``: versions, BLAS build and thread settings, from
   ``perfbench/env.py``.
 """
@@ -41,9 +43,10 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
+
+from rounds import alternate, ratio_summary
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -76,9 +79,14 @@ import numpy as np
 task = json.loads(sys.argv[1])
 from cdlmg import ModelParams, RampSchedule, evolve, gap_series
 from cdlmg.figures import run_figure
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
 if task["kind"] == "gap":
     params, grid = ModelParams(task["n"], 0.0), np.linspace(0.5, 1.5, task["points"])
     gap_series(params, grid)
+    faults = minor_faults()
     walls = []
     for _ in range(task["runs"]):
         start = time.perf_counter()
@@ -88,56 +96,40 @@ if task["kind"] == "gap":
 elif task["kind"] == "step":
     params = ModelParams(task["n"], 0.0, RampSchedule.parse(task["ramp"]))
     evolve(params, task["protocol"], 2)
+    faults = minor_faults()
     runs = [evolve(params, task["protocol"], task["steps"]) for _ in range(task["runs"])]
     traj = runs[-1]
     out = {"us_per_step": 1e6 * min(r.info["wall_time_s"] for r in runs) / task["steps"],
            "final_fidelity": traj.final_fidelity,
            "max_norm_error": traj.info["max_norm_error"]}
 else:
+    faults = minor_faults()
     walls = []
     for _ in range(task["runs"]):
         start = time.perf_counter()
         run_figure("fig1a", steps=task["steps"])
         walls.append(time.perf_counter() - start)
     out = {"wall_s": min(walls)}
+out["minor_faults"] = minor_faults() - faults
 out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps(out))
 """
 
 
-def measure(src: Path, task: dict) -> dict:
-    """Run one task in a fresh interpreter on the sources under `src`."""
-    child_env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-                     OMP_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(task)], env=child_env,
-                         capture_output=True, text=True, timeout=1800, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def alternate(sides: dict, task: dict, repeats: int) -> dict:
-    """`repeats` runs per side, the order of the sides rotating each round."""
-    names = list(sides)
-    runs = {name: [] for name in names}
-    for r in range(repeats):
-        for name in names[r % len(names):] + names[:r % len(names)]:
-            runs[name].append(measure(sides[name], task))
-    return runs
-
-
-def ratio_summary(parent: list, change: list) -> dict:
-    """Median, quartiles and range of the rounds' change/parent ratios."""
-    ratios = [c / p for p, c in zip(parent, change)]
-    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "min": min(ratios), "max": max(ratios),
-            "rounds": ratios}
+def memory(runs: list) -> dict:
+    """A side's median peak memory and each interpreter's minor faults."""
+    faults = [r["minor_faults"] for r in runs]
+    return {"peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            "minor_faults": statistics.median(faults), "minor_faults_runs": faults}
 
 
 def step_table(sides: dict) -> list:
     rows = []
     for n, steps in SIZES.items():
         for protocol in PROTOCOLS:
-            runs = alternate(sides, {"kind": "step", "n": n, "ramp": RAMP, "protocol": protocol,
-                                     "steps": steps, "runs": RUNS}, REPEATS)
+            task = {"kind": "step", "n": n, "ramp": RAMP, "protocol": protocol,
+                    "steps": steps, "runs": RUNS}
+            runs = alternate(CHILD, sides, task, REPEATS)
             row = {"n": n, "block_states": n // 2 + 1, "protocol": protocol, "steps": steps}
             for name, rs in runs.items():
                 row[name] = {
@@ -145,7 +137,7 @@ def step_table(sides: dict) -> list:
                     "us_per_step_runs": [r["us_per_step"] for r in rs],
                     "final_fidelity": rs[0]["final_fidelity"],
                     "max_norm_error": max(r["max_norm_error"] for r in rs),
-                    "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs)}
+                    **memory(rs)}
             row["ratio"] = ratio_summary(row["parent"]["us_per_step_runs"],
                                          row["change"]["us_per_step_runs"])
             rows.append(row)
@@ -156,13 +148,12 @@ def step_table(sides: dict) -> list:
 
 
 def fig1a_row(sides: dict) -> dict:
-    runs = alternate(sides, {"kind": "fig1a", "steps": FIG_STEPS, "runs": FIG_RUNS},
+    runs = alternate(CHILD, sides, {"kind": "fig1a", "steps": FIG_STEPS, "runs": FIG_RUNS},
                      FIG_REPEATS)
     row = {"steps": FIG_STEPS, "runs_per_interpreter": FIG_RUNS}
     for name, rs in runs.items():
         walls = [r["wall_s"] for r in rs]
-        row[name] = {"wall_s": statistics.median(walls), "wall_s_runs": walls,
-                     "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs)}
+        row[name] = {"wall_s": statistics.median(walls), "wall_s_runs": walls, **memory(rs)}
     row["ratio"] = ratio_summary(row["parent"]["wall_s_runs"], row["change"]["wall_s_runs"])
     print(json.dumps(row), flush=True)
     return row
@@ -171,14 +162,13 @@ def fig1a_row(sides: dict) -> dict:
 def gap_table(sides: dict) -> list:
     rows = []
     for n in GAP_SIZES:
-        runs = alternate(sides, {"kind": "gap", "n": n, "points": GAP_POINTS, "runs": RUNS},
-                         GAP_REPEATS)
+        task = {"kind": "gap", "n": n, "points": GAP_POINTS, "runs": RUNS}
+        runs = alternate(CHILD, sides, task, GAP_REPEATS)
         row = {"n": n, "block_states": n // 2 + 1, "points": GAP_POINTS}
         for name, rs in runs.items():
             per_point = [r["us_per_point"] for r in rs]
             row[name] = {"us_per_point": statistics.median(per_point),
-                         "us_per_point_runs": per_point,
-                         "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs)}
+                         "us_per_point_runs": per_point, **memory(rs)}
         row["ratio"] = ratio_summary(row["parent"]["us_per_point_runs"],
                                      row["change"]["us_per_point_runs"])
         print(json.dumps({"n": n}), {name: round(row[name]["us_per_point"]) for name in runs},

@@ -87,9 +87,6 @@ class BandCoefficients:
         return np.clip(np.searchsorted(self.boundaries, t, side="right") - 1,
                        0, self.segments - 1)
 
-    def values_at(self, t: float) -> np.ndarray:
-        return self.values[int(self.segment_of(t))]
-
     def band_series(self, band: int = 1):
         """(segment midpoints, x_band values) for one band."""
         if not 1 <= band <= self.num_bands:
@@ -123,20 +120,20 @@ def _segment_infidelity(h0_segment: np.ndarray, ansatz, x: np.ndarray, dt: float
     """1 - |a|^2, its gradient in x and psi_end, for a = <target|psi_end> after
     the segment's steps exp(-i dt H_j), H_j = H0_j + sum_b x_b P_b, applied to
     psi.  h0_segment stacks the H0_j as dense blocks, and ansatz(x) gives
-    sum_b x_b P_b as a band matrix (``SectorFrame.ansatz_bands``).
+    sum_b x_b P_b as a band matrix, stacked for the rows of a 2-D x.
 
     The gradient is exact, in forward mode (as in GOAT): the stacked vector
     [d psi/dx_1; ...; d psi/dx_k; psi] is stepped by `evolve`'s loop
     (`dynamics._steps`) on the block upper-triangular matrices with H_j on
     every diagonal block and P_b in the last block column of block row b,
-    written a chunk at a time into a new stack, since the upper-right block
-    of exp(-i dt [[H, P], [0, H]]) is the derivative of exp(-i dt H) along
-    P (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  Then
+    written a chunk at a time into one reused stack, since the upper-right
+    block of exp(-i dt [[H, P], [0, H]]) is the derivative of exp(-i dt H)
+    along P (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  Then
     d|a|^2/dx_b = 2 Re(conj(a) <target|d psi_end/dx_b>).
     """
     k, dim = len(x), len(psi)
     h = h0_segment + ansatz(x).dense()
-    patterns = np.array([ansatz(unit).dense() for unit in np.eye(k)])
+    patterns = ansatz(np.eye(k)).dense()
 
     chunk = _chunk_steps(((k + 1) * dim) ** 2 * 16)
     # one stack serves every chunk (a plan is done with it once the next
@@ -203,7 +200,7 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
     prev = np.zeros(k)
     for s in range(segments):
         lo, hi = s * opt_steps_per_segment, (s + 1) * opt_steps_per_segment
-        h0_segment = np.array([frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]])
+        h0_segment = frame.h0_bands(run.h_mid[lo:hi]).dense()
         target = grounds[hi]
 
         def segment(x):

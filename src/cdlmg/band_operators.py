@@ -13,7 +13,7 @@ follow from a small linear solve.
 ``_band_family`` gives band b's dressing family as the family's entries on
 that band, in closed form from the ladder coefficients, for
 ``decompose_band``, ``solve_first_band_beta`` and ``decomposition_gate``;
-a term's operator is built from its band only when asked for.
+a decomposition's operator is built from its band only when asked for.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import List
 import numpy as np
 
 from .errors import DecompositionError, ValidationError
-from .spin_algebra import DickeSector, _ladder_coefficients, place_band
+from .counterdiabatic import BandTable
+from .spin_algebra import DickeSector, _ladder_coefficients
 
 __all__ = [
     "DecompositionTerm",
@@ -40,18 +41,11 @@ BETA_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DecompositionTerm:
-    """A dressed operator: i*column on its offset superdiagonal, -i*column below."""
+    """A dressed operator: i*column on its band's offset 2b, -i*column on -2b."""
 
     coefficient: float
     column: np.ndarray = field(repr=False)
     label: str
-    offset: int
-
-    @property
-    def operator(self) -> np.ndarray:
-        dim = len(self.column) + self.offset
-        return place_band(np.zeros((dim, dim), dtype=complex), self.offset,
-                          1j * self.column, -1j * self.column)
 
 
 @dataclass(frozen=True)
@@ -64,10 +58,9 @@ class OperatorDecomposition:
     residual: float = 0.0
 
     def reconstruct(self) -> np.ndarray:
-        mat = np.zeros((self.sector.dim, self.sector.dim), dtype=complex)
-        for term in self.terms:
-            mat += term.coefficient * term.operator
-        return mat
+        """The driving term of the one band sum_j c_j column_j."""
+        band = np.sum([t.coefficient * t.column for t in self.terms], axis=0)
+        return BandTable(self.sector, {self.band: band}).reconstruct()
 
     def to_json_list(self) -> list[dict]:
         return [{"label": t.label, "coefficient": t.coefficient} for t in self.terms]
@@ -172,7 +165,7 @@ def decompose_band(table, b: int) -> OperatorDecomposition:
         return OperatorDecomposition(sector, b, [], 0.0)
     labels, design = _band_family(sector, b)
     coeffs, residual = _fit_band(design, target_vec, b, sector.n)
-    terms = [DecompositionTerm(float(c), column, label, 2 * b)
+    terms = [DecompositionTerm(float(c), column, label)
              for c, column, label in zip(coeffs, design.T, labels)]
     return OperatorDecomposition(sector, b, terms, residual)
 

@@ -19,15 +19,14 @@ purely imaginary entries; band i is read off as x[i][j] = Im(H1[j-1, j-1+2i]).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dstevd
 
 from .errors import StructureError, ValidationError
-from .spin_algebra import (BandMatrix, DickeSector, ModelParams, SectorFrame, parity_frames,
-                           place_band)
+from .spin_algebra import BandMatrix, DickeSector, ModelParams, SectorFrame, parity_frames
 
 __all__ = [
     "BandTable",
@@ -56,12 +55,11 @@ class BandTable:
     bands: Dict[int, np.ndarray] = field(repr=False)
 
     def reconstruct(self) -> np.ndarray:
-        """The driving term these bands describe."""
-        dim = self.sector.dim
-        mat = np.zeros((dim, dim), dtype=complex)
+        """The driving term: i x_i on offset 2i, -i x_i on -2i, zero elsewhere."""
+        uppers = [0.0] * (2 * max(self.bands, default=0))
         for i, x in self.bands.items():
-            place_band(mat, 2 * i, 1j * x, -1j * x)
-        return mat
+            uppers[2 * i - 1] = 1j * x
+        return BandMatrix.from_uppers(np.zeros(self.sector.dim, dtype=complex), uppers).dense()
 
 
 def _cd_factors(frame: SectorFrame, h: float, hdot: float):
@@ -111,22 +109,12 @@ def _from_parity_blocks(frames: tuple, block) -> np.ndarray:
     return mat
 
 
-def exact_cd(params: ModelParams, h: float, hdot: float, *,
-             frames: Optional[tuple] = None) -> np.ndarray:
-    """Exact transitionless driving term at field h with ramp rate hdot.
-
-    A caller that builds the term at many fields passes
-    ``frames=parity_frames(params)``, built once, instead of having every
-    call build them.
-    """
-    if frames is None:
-        frames = parity_frames(params)
-    elif (frames[0].params.n, frames[0].params.gamma) != (params.n, params.gamma):
-        raise ValidationError("frames were built for another N or anisotropy")
+def exact_cd(params: ModelParams, h: float, hdot: float) -> np.ndarray:
+    """Exact transitionless driving term at field h with ramp rate hdot."""
     if hdot == 0.0:
         dim = params.sector.dim
         return np.zeros((dim, dim), dtype=complex)
-    return _from_parity_blocks(frames, lambda frame: sector_cd_block(frame, h, hdot))
+    return _from_parity_blocks(parity_frames(params), lambda f: sector_cd_block(f, h, hdot))
 
 
 def band_table(mat: np.ndarray) -> BandTable:

@@ -167,8 +167,7 @@ def _step_operators(run: "TrackedRun", protocol: Protocol):
 
     def h0_stack(lo, hi, w):
         data = np.zeros((hi - lo, 2 * w + 1, frame.dim), dtype=complex)
-        data[:, w] = frame.h0_diagonals(h_mid[lo:hi])
-        data[:, w + 1, :-1] = data[:, w - 1, 1:] = frame.h0_off
+        data[:, w - 1:w + 2] = frame.h0_bands(h_mid[lo:hi]).data
         return data
 
     def band_chunk(w):

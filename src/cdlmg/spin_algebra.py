@@ -31,7 +31,6 @@ __all__ = [
     "build_spin_ops",
     "build_h0",
     "parity_indices",
-    "place_band",
     "BandMatrix",
     "SectorFrame",
     "parity_frames",
@@ -132,15 +131,6 @@ def parity_indices(sector: DickeSector, parity: int) -> np.ndarray:
     return np.arange(parity, sector.dim, 2)
 
 
-def place_band(out: np.ndarray, offset: int, upper, lower) -> np.ndarray:
-    """Write `upper` on the offset superdiagonal and `lower` on the offset
-    subdiagonal of the last two axes of `out`; returns `out`."""
-    rows = np.arange(out.shape[-1] - offset)
-    out[..., rows, rows + offset] = upper
-    out[..., rows + offset, rows] = lower
-    return out
-
-
 class BandMatrix:
     """A Hermitian band matrix held as its centred diagonal stack.
 
@@ -148,8 +138,8 @@ class BandMatrix:
     data[w + o, i] = A[i, i + o], and entries whose i + o falls outside the
     matrix are zero.  A product with a vector and the Gershgorin discs then
     cost O(w dim) (`dynamics._StepPlan`).  Leading axes, as in
-    (steps, 2w+1, dim), stack matrices of one width: `dynamics` plans a
-    chunk of steps on one such stack.  ``dense`` and ``+`` take 2-D stacks.
+    (steps, 2w+1, dim), stack matrices of one width, as `dynamics` plans a
+    chunk of steps; only ``from_uppers`` and ``dense`` write the layout.
     """
 
     __slots__ = ("data",)
@@ -177,26 +167,16 @@ class BandMatrix:
     def width(self) -> int:
         return self.data.shape[-2] // 2
 
-    def __add__(self, other: "BandMatrix") -> "BandMatrix":
-        wide, narrow = sorted((self.data, other.data), key=len, reverse=True)
-        w, v = len(wide) // 2, len(narrow) // 2
-        out = wide.astype(np.result_type(wide, narrow))
-        out[w - v:w + v + 1] += narrow
-        return BandMatrix(out)
-
-    def __rmul__(self, scalar) -> "BandMatrix":
-        return BandMatrix(scalar * self.data)
-
     def dense(self) -> np.ndarray:
-        """The (dim, dim) matrix of a 2-D stack, its diagonals written as
-        strided slices."""
-        w, dim = self.width, self.data.shape[1]
-        out = np.zeros((dim, dim), dtype=self.data.dtype)
-        flat = out.reshape(-1)
+        """The (..., dim, dim) matrices of the stack, their diagonals written
+        as strided slices."""
+        w, lead, dim = self.width, self.data.shape[:-2], self.data.shape[-1]
+        out = np.zeros(lead + (dim, dim), dtype=self.data.dtype)
+        flat = out.reshape(lead + (-1,))
         for o in range(-min(w, dim - 1), min(w, dim - 1) + 1):
             lo, count = max(0, -o), dim - abs(o)
             start = lo * (dim + 1) + o
-            flat[start:start + count * (dim + 1):dim + 1] = self.data[w + o, lo:lo + count]
+            flat[..., start::dim + 1][..., :count] = self.data[..., w + o, lo:lo + count]
         return out
 
 
@@ -214,11 +194,12 @@ class SectorFrame:
     c_k c_{k+1}.  The frame holds each as a `BandMatrix`: H0 as
     ``h0_bands(h)`` from its field-free diagonal ``h0_diag`` and block band
     1 ``h0_off``, the (SxSy+SySx) block as ``b0_bands``, and the ansatz
-    drive as ``ansatz_bands(x)``.  Two blocks are dense matrices instead:
-    the exact CD block (`counterdiabatic.sector_cd_block`), which fills the
-    whole block, and the optimizer's gradient block (`ansatz`), built from
-    these band matrices because at its sizes one dense product costs less
-    than the banded products it replaces; one loop steps both (`dynamics`).
+    drive as ``ansatz_bands(x)``, each stacked for many fields or rows of x.
+    Two blocks are dense matrices instead: the exact CD block
+    (`counterdiabatic.sector_cd_block`), which fills the whole block, and the
+    optimizer's gradient block (`ansatz`), built from the ``dense()`` stacks
+    because at its sizes one dense product costs less than the banded
+    products it replaces; one loop steps both (`dynamics`).
     """
 
     def __init__(self, params: ModelParams, parity: int):
@@ -246,13 +227,11 @@ class SectorFrame:
         h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
         return self.h0_diag - 2.0 * h_values[:, None] * self.m_diag
 
-    def h0_bands(self, h: float) -> BandMatrix:
-        """H0 restricted to the block at field h, tridiagonal: row
-        ``h0_diagonals(h)[0]`` and ``h0_off`` above and below it."""
-        data = np.zeros((3, self.dim))
-        data[1] = self.h0_diag - 2.0 * h * self.m_diag
-        data[2, :-1] = data[0, 1:] = self.h0_off
-        return BandMatrix(data)
+    def h0_bands(self, h) -> BandMatrix:
+        """H0 on the block at field h, tridiagonal: ``h0_diag - 2h m_diag`` with
+        ``h0_off`` beside it; an array of fields gives the stack of these."""
+        h = np.asarray(h, dtype=float)[..., None]
+        return BandMatrix.from_uppers(self.h0_diag - 2.0 * h * self.m_diag, [self.h0_off])
 
     def check_bands(self, k: int) -> None:
         """Raise ValidationError unless the ansatz can have k bands: the

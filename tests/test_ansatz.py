@@ -38,8 +38,8 @@ def test_band_coefficients_container():
     coeffs = BandCoefficients(bounds, values)
     assert coeffs.segments == 5
     assert coeffs.num_bands == 2
-    assert np.allclose(coeffs.values_at(0.05), [0.0, 1.0])
-    assert np.allclose(coeffs.values_at(0.99), [8.0, 9.0])
+    assert np.allclose(coeffs.values[coeffs.segment_of(0.05)], [0.0, 1.0])
+    assert np.allclose(coeffs.values[coeffs.segment_of(0.99)], [8.0, 9.0])
     times, series = coeffs.band_series(2)
     assert np.allclose(series, [1, 3, 5, 7, 9])
     assert np.allclose(times, bounds[:-1] + 0.1)

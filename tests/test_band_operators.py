@@ -5,6 +5,7 @@ from cdlmg import (
     BandTable,
     DickeSector,
     ModelParams,
+    OperatorDecomposition,
     ValidationError,
     band_table,
     build_spin_ops,
@@ -208,10 +209,16 @@ def test_decompose_higher_band_self_consistency():
     target = BandTable(table.sector, {2: table.bands[2]}).reconstruct()
     dec = decompose_band(table, 2)
     assert dec.residual < 1e-10
-    assert np.max(np.abs(dec.reconstruct() - target)) < 1e-10
+    rebuilt = dec.reconstruct()
+    assert np.max(np.abs(rebuilt - target)) < 1e-10
     pi_e = even_projector(6)
-    for t in dec.terms:
-        assert np.max(np.abs(t.operator @ pi_e - pi_e @ t.operator)) <= 1e-10
+    assert np.max(np.abs(rebuilt @ pi_e - pi_e @ rebuilt)) <= 1e-10
+
+
+def test_empty_decomposition_reconstructs_to_zeros():
+    sector = DickeSector(6)
+    dec = OperatorDecomposition(sector, 2, [])
+    assert np.array_equal(dec.reconstruct(), np.zeros((7, 7), dtype=complex))
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -44,15 +44,6 @@ def test_exact_cd_zero_rate_is_zero():
     assert np.max(np.abs(term)) == 0.0
 
 
-def test_exact_cd_reuses_given_frames():
-    params = ModelParams(9, 0.3)
-    frames = parity_frames(params)
-    assert np.array_equal(exact_cd(params, 0.9, 0.5, frames=frames),
-                          exact_cd(params, 0.9, 0.5))
-    with pytest.raises(ValidationError):
-        exact_cd(ModelParams(9, 0.0), 0.9, 0.5, frames=frames)
-
-
 def test_exact_cd_three_particles_two_rotations():
     # two independent 2x2 rotations; collective-operator combination has
     # weights (rate_even + rate_odd)/(2*sqrt(3)) on B0 and

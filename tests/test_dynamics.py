@@ -34,7 +34,7 @@ import cdlmg.dynamics
 from cdlmg.dynamics import (CHUNK_BYTES, CHUNK_STEPS, TrackedRun, _gershgorin, _planned_step,
                             _StepPlan)
 from cdlmg.spectrum import sector_ground_series
-from cdlmg.spin_algebra import BandMatrix, SectorFrame, parity_frames, place_band
+from cdlmg.spin_algebra import BandMatrix, SectorFrame, parity_frames
 
 
 # --------------------------------------------------------------------------
@@ -108,8 +108,7 @@ def test_fidelity_basic_cases():
 
 def _tridiagonal(rng, dim, sub):
     """Hermitian tridiagonal matrix: random diagonal, subdiagonal `sub`."""
-    out = np.diag(rng.normal(size=dim)).astype(np.result_type(sub, float))
-    return place_band(out, 1, np.conj(sub), sub)
+    return BandMatrix.from_uppers(rng.normal(size=dim), [np.conj(sub)]).dense()
 
 
 def _random_bands(rng, dim, w, real):
@@ -147,7 +146,7 @@ def test_chebyshev_step_matches_expm(kind):
                                            np.zeros((w, dim))]))
                      for dim in (2, 9) for w in (1, 3)]
         if kind == "bands_wide":
-            cases = [10.0 * h for h in cases]
+            cases = [BandMatrix(10.0 * h.data) for h in cases]
     elif kind == "tridiagonal":
         dim = 69
         cases = [_tridiagonal(rng, dim, rng.normal(size=dim - 1) + 1j * rng.normal(size=dim - 1))]
@@ -191,7 +190,7 @@ def test_planned_steps_equal_single_steps(w):
     rng = np.random.default_rng(20 + w)
     dim = 40
     blocks = [_random_bands(rng, dim, w, real) for real in (True, False, False)]
-    blocks += [10.0 * h for h in blocks]
+    blocks += [BandMatrix(10.0 * h.data) for h in blocks]
     blocks.insert(2, BandMatrix(np.vstack([np.zeros((w, dim)), np.full((1, dim), -0.6),
                                            np.zeros((w, dim))])))
     dts = rng.choice([0.05, -0.03, 3.0, -2.5], len(blocks))

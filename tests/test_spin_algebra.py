@@ -124,8 +124,8 @@ def test_sector_frame_band_layout(n):
 
 
 def test_band_matrix_layout():
-    # row w + o of the stack holds offset o; sums widen, scaling and the dense
-    # form keep every entry
+    # row w + o of the stack holds offset o; the dense form keeps every
+    # entry, and a stack of two matrices gives the stack of their dense forms
     rng = np.random.default_rng(5)
     for dim in (1, 2, 3, 7):
         for w in (0, 1, 2, 4):
@@ -139,7 +139,18 @@ def test_band_matrix_layout():
                     expected += np.diag(upper, o) + np.diag(upper.conj(), -o)
             assert band.data.shape == (2 * w + 1, dim)
             assert np.array_equal(band.dense(), expected)
-            narrow = BandMatrix.from_uppers(rng.normal(size=dim), [rng.normal(size=dim - 1)])
-            assert np.array_equal((band + narrow).dense(), expected + narrow.dense())
-            assert np.array_equal((narrow + band).dense(), expected + narrow.dense())
-            assert np.array_equal((2.5 * band).dense(), 2.5 * expected)
+            other = BandMatrix.from_uppers(
+                rng.normal(size=dim), [rng.normal(size=max(dim - o, 0)) for o in range(1, w + 1)])
+            pair = BandMatrix(np.stack([band.data, other.data]))
+            assert np.array_equal(pair.dense(), np.stack([expected, other.dense()]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 21])
+def test_h0_bands_of_many_fields_stack_single_fields(n):
+    # an array of fields gives, bitwise, the stack of the one-field matrices
+    # and of their dense forms
+    h = np.array([0.3, 1.0, 1.7])
+    for frame in (SectorFrame(ModelParams(n, 0.4), parity) for parity in (0, 1)):
+        stack = frame.h0_bands(h)
+        assert np.array_equal(stack.data, np.stack([frame.h0_bands(x).data for x in h]))
+        assert np.array_equal(stack.dense(), np.stack([frame.h0_bands(x).dense() for x in h]))
