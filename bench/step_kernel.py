@@ -1,5 +1,6 @@
-"""Cost of one ``evolve`` step, of the fig1a preset and of a gap table,
-before and after a change to the step, the CD eigensolve or the spectra.
+"""Cost of one ``evolve`` step, of a shared CD run, of the fig1a preset and
+of a gap table, before and after a change to the step, the CD eigensolve or
+the spectra.
 
     python3 bench/step_kernel.py --src <other checkout>/src --out <record>.json
 
@@ -18,6 +19,13 @@ OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1, in alternating rounds
   range of the rounds' change/parent ratios.  Only truncated:1 and
   exact_cd solve an eigenproblem per step (the H0 block inside the CD
   term);
+- ``shared``: microseconds per step of exact_cd and truncated:1 run
+  together on one tracked run (``evolve_all``, the wall time of the whole
+  call over the step count; sources without it run ``evolve`` per
+  protocol on one ``TrackedRun``) at each N of SHARED_SIZES, as the
+  ``steps`` rows are timed, with both final fidelities.  At N=300 the
+  dense chunk is one step, where the heap has been seen to give pages
+  back between chunks;
 - ``fig1a``: wall time of the fig1a preset (four protocols at N=100, 51
   states per block) at FIG_STEPS steps, the fastest of FIG_RUNS runs in
   each of FIG_REPEATS interpreters per side, their median, and the same
@@ -64,6 +72,8 @@ SIZES = {100: 200, 126: 200, 300: 60, 1000: 20}
 # 0.77-0.82): its timed runs, 200 steps of about 0.18 ms, are the shortest.
 REPEATS = 20
 RUNS = 5
+SHARED_PROTOCOLS = ("exact_cd", "truncated:1")
+SHARED_SIZES = {100: 200, 300: 60}
 FIG_STEPS = 1000
 FIG_REPEATS = 10
 FIG_RUNS = 3
@@ -102,6 +112,26 @@ elif task["kind"] == "step":
     out = {"us_per_step": 1e6 * min(r.info["wall_time_s"] for r in runs) / task["steps"],
            "final_fidelity": traj.final_fidelity,
            "max_norm_error": traj.info["max_norm_error"]}
+elif task["kind"] == "shared":
+    try:
+        from cdlmg import evolve_all
+    except ImportError:  # sources from before it: evolve per protocol on one run
+        from cdlmg.dynamics import TrackedRun
+
+        def evolve_all(params, protocols, steps):
+            run = TrackedRun(params, steps)
+            return {p: evolve(params, p, run) for p in protocols}
+    params = ModelParams(task["n"], 0.0, RampSchedule.parse(task["ramp"]))
+    evolve_all(params, task["protocols"], 2)
+    faults = minor_faults()
+    walls = []
+    for _ in range(task["runs"]):
+        start = time.perf_counter()
+        curves = evolve_all(params, task["protocols"], task["steps"])
+        walls.append(time.perf_counter() - start)
+    out = {"us_per_step": 1e6 * min(walls) / task["steps"],
+           "final_fidelity": [traj.final_fidelity for traj in curves.values()],
+           "max_norm_error": max(traj.info["max_norm_error"] for traj in curves.values())}
 else:
     faults = minor_faults()
     walls = []
@@ -123,28 +153,38 @@ def memory(runs: list) -> dict:
             "minor_faults": statistics.median(faults), "minor_faults_runs": faults}
 
 
+def step_row(sides: dict, task: dict, key: str) -> dict:
+    """One row of per-step times: the task's runs alternating between the
+    sides, each side's medians and the ratio summary."""
+    runs = alternate(CHILD, sides, task, REPEATS)
+    row = {"n": task["n"], "block_states": task["n"] // 2 + 1, key: task[key],
+           "steps": task["steps"]}
+    for name, rs in runs.items():
+        row[name] = {
+            "us_per_step": statistics.median(r["us_per_step"] for r in rs),
+            "us_per_step_runs": [r["us_per_step"] for r in rs],
+            "final_fidelity": rs[0]["final_fidelity"],
+            "max_norm_error": max(r["max_norm_error"] for r in rs),
+            **memory(rs)}
+    row["ratio"] = ratio_summary(row["parent"]["us_per_step_runs"],
+                                 row["change"]["us_per_step_runs"])
+    print(json.dumps({k: row[k] for k in ("n", key)}),
+          {name: round(row[name]["us_per_step"]) for name in runs},
+          "ratio {median:.3f} [{q1:.3f}, {q3:.3f}]".format(**row["ratio"]), flush=True)
+    return row
+
+
 def step_table(sides: dict) -> list:
-    rows = []
-    for n, steps in SIZES.items():
-        for protocol in PROTOCOLS:
-            task = {"kind": "step", "n": n, "ramp": RAMP, "protocol": protocol,
-                    "steps": steps, "runs": RUNS}
-            runs = alternate(CHILD, sides, task, REPEATS)
-            row = {"n": n, "block_states": n // 2 + 1, "protocol": protocol, "steps": steps}
-            for name, rs in runs.items():
-                row[name] = {
-                    "us_per_step": statistics.median(r["us_per_step"] for r in rs),
-                    "us_per_step_runs": [r["us_per_step"] for r in rs],
-                    "final_fidelity": rs[0]["final_fidelity"],
-                    "max_norm_error": max(r["max_norm_error"] for r in rs),
-                    **memory(rs)}
-            row["ratio"] = ratio_summary(row["parent"]["us_per_step_runs"],
-                                         row["change"]["us_per_step_runs"])
-            rows.append(row)
-            print(json.dumps({k: row[k] for k in ("n", "protocol")}),
-                  {name: round(row[name]["us_per_step"]) for name in runs},
-                  "ratio {median:.3f} [{q1:.3f}, {q3:.3f}]".format(**row["ratio"]), flush=True)
-    return rows
+    return [step_row(sides, {"kind": "step", "n": n, "ramp": RAMP, "protocol": protocol,
+                             "steps": steps, "runs": RUNS}, "protocol")
+            for n, steps in SIZES.items() for protocol in PROTOCOLS]
+
+
+def shared_table(sides: dict) -> list:
+    return [step_row(sides, {"kind": "shared", "n": n, "ramp": RAMP,
+                             "protocols": SHARED_PROTOCOLS, "steps": steps, "runs": RUNS},
+                     "protocols")
+            for n, steps in SHARED_SIZES.items()]
 
 
 def fig1a_row(sides: dict) -> dict:
@@ -195,6 +235,7 @@ def main(argv=None) -> int:
         "environment": env.record(),
         "threads": {"OPENBLAS_NUM_THREADS": 1, "OMP_NUM_THREADS": 1},
         "steps": step_table(sides),
+        "shared": shared_table(sides),
         "fig1a": fig1a_row(sides),
         "gaps": gap_table(sides),
     }

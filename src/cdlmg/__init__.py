@@ -38,6 +38,7 @@ from .dynamics import (
     Trajectory,
     Truncated,
     evolve,
+    evolve_all,
     fidelity,
     parse_protocol,
 )
@@ -70,7 +71,7 @@ __all__ = [
     # band operators
     "OperatorDecomposition", "solve_first_band_beta", "decompose_band",
     # dynamics
-    "RampSchedule", "Trajectory", "evolve", "fidelity", "parse_protocol",
+    "RampSchedule", "Trajectory", "evolve", "evolve_all", "fidelity", "parse_protocol",
     "Bare", "ExactCD", "Truncated", "HPCorrection", "AnsatzDrive",
     "DecomposedDrive",
     # ansatz

@@ -115,12 +115,12 @@ class OptimizeResult:
     warnings: tuple = ()
 
 
-def _segment_infidelity(h0_segment: np.ndarray, ansatz, x: np.ndarray, dt: float,
-                        psi: np.ndarray, target: np.ndarray):
+def _segment_infidelity(h0_segment: np.ndarray, ansatz, patterns: np.ndarray,
+                        x: np.ndarray, dt: float, psi: np.ndarray, target: np.ndarray):
     """1 - |a|^2, its gradient in x and psi_end, for a = <target|psi_end> after
     the segment's steps exp(-i dt H_j), H_j = H0_j + sum_b x_b P_b, applied to
-    psi.  h0_segment stacks the H0_j as dense blocks, and ansatz(x) gives
-    sum_b x_b P_b as a band matrix, stacked for the rows of a 2-D x.
+    psi.  h0_segment stacks the H0_j as dense blocks, ansatz(x) gives
+    sum_b x_b P_b as a band matrix, and patterns stacks the dense P_b.
 
     The gradient is exact, in forward mode (as in GOAT): the stacked vector
     [d psi/dx_1; ...; d psi/dx_k; psi] is stepped by `evolve`'s loop
@@ -133,7 +133,6 @@ def _segment_infidelity(h0_segment: np.ndarray, ansatz, x: np.ndarray, dt: float
     """
     k, dim = len(x), len(psi)
     h = h0_segment + ansatz(x).dense()
-    patterns = ansatz(np.eye(k)).dense()
 
     chunk = _chunk_steps(((k + 1) * dim) ** 2 * 16)
     # one stack serves every chunk (a plan is done with it once the next
@@ -192,6 +191,7 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
     frame, times, grounds = run.frame, run.times, run.grounds
     frame.check_bands(k)
     dt = times[1] - times[0]
+    patterns = frame.ansatz_bands(np.eye(k)).dense()
 
     psi = run.start_state
     schedule = np.zeros((segments, k))
@@ -204,7 +204,8 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
         target = grounds[hi]
 
         def segment(x):
-            return _segment_infidelity(h0_segment, frame.ansatz_bands, x, dt, psi, target)
+            return _segment_infidelity(h0_segment, frame.ansatz_bands, patterns, x, dt, psi,
+                                       target)
 
         baseline = segment(np.zeros(k))[0]
         start = warm_start[s] if warm_start is not None else prev

@@ -12,8 +12,9 @@ follow from a small linear solve.
 
 ``_band_family`` gives band b's dressing family as the family's entries on
 that band, in closed form from the ladder coefficients, for
-``decompose_band``, ``solve_first_band_beta`` and ``decomposition_gate``;
-a decomposition's operator is built from its band only when asked for.
+``decompose_band``, ``solve_first_band_beta`` and ``decomposition_gate``.
+A decomposition holds each term's band column only; its ``reconstruct()``
+builds the matrix of the whole sum.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from . import __version__, output
 from .ansatz import DEFAULT_SEGMENTS, evaluate_fit, fit_harmonics, optimize
 from .band_operators import decompose_band, solve_first_band_beta
 from .counterdiabatic import band_table, exact_cd
-from .dynamics import DEFAULT_STEPS, TrackedRun, evolve, parse_protocol
+from .dynamics import DEFAULT_STEPS, evolve_all
 from .errors import (
     ConvergenceError,
     DecompositionError,
@@ -118,9 +118,7 @@ def _cmd_evolve(args) -> dict:
         params = _model(args)
         if not args.protocols:
             raise ValidationError("at least one --protocol is required")
-        protocols = [parse_protocol(spec) for spec in args.protocols]
-        run = TrackedRun(params, args.steps)  # one ground series for every protocol
-        trajectories = {p.label: evolve(params, p, run) for p in protocols}
+        trajectories = evolve_all(params, args.protocols, args.steps)
     files = []
     for label, traj in trajectories.items():
         path = outdir / f"trajectory_{_stem(label)}.csv"

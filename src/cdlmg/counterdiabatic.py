@@ -77,22 +77,22 @@ def _cd_factors(frame: SectorFrame, h: float, hdot: float):
     return vectors, w
 
 
-def sector_cd_block(frame: SectorFrame, h: float, hdot: float) -> np.ndarray:
-    """Driving-term block for one parity sector at field h, in that sector's
-    basis, from two real products."""
-    vectors, w = _cd_factors(frame, h, hdot)
+def sector_cd_block(factors) -> np.ndarray:
+    """Driving-term block of one parity sector, in that sector's basis, from
+    its `_cd_factors` (V, W) by two real products."""
+    vectors, w = factors
     out = 1j * (vectors @ w @ vectors.T)
     np.fill_diagonal(out, 0.0)  # exact zero; the product leaves O(eps) dust
     return out
 
 
-def sector_cd_bands(frame: SectorFrame, h: float, hdot: float, k: int) -> BandMatrix:
+def sector_cd_bands(factors, k: int) -> BandMatrix:
     """Bands 1..k of `sector_cd_block`, without the rest of the block: the
     entries (V W V^T)[i, i+o] of band o are row-wise dots of V W, one real
     product, with the rows of V shifted by o."""
-    vectors, w = _cd_factors(frame, h, hdot)
+    vectors, w = factors
     vw = vectors @ w
-    dim = frame.dim
+    dim = len(vectors)
     uppers = [1j * np.einsum("ij,ij->i", vw[:dim - o], vectors[o:])
               for o in range(1, min(k, dim - 1) + 1)]
     return BandMatrix.from_uppers(np.zeros(dim), uppers)
@@ -114,7 +114,8 @@ def exact_cd(params: ModelParams, h: float, hdot: float) -> np.ndarray:
     if hdot == 0.0:
         dim = params.sector.dim
         return np.zeros((dim, dim), dtype=complex)
-    return _from_parity_blocks(parity_frames(params), lambda f: sector_cd_block(f, h, hdot))
+    return _from_parity_blocks(parity_frames(params),
+                               lambda f: sector_cd_block(_cd_factors(f, h, hdot)))
 
 
 def band_table(mat: np.ndarray) -> BandTable:

@@ -6,18 +6,23 @@ The integrator steps with the midpoint propagator exp(-i H(t_mid) dt),
 applied to the state through a Chebyshev expansion summed to machine
 precision (`_StepPlan`), which needs only products of the step's block with
 a vector and no eigensolve.  One stepping loop (`_steps`) runs it for
-`evolve`, on the drive's blocks, and for the optimizer's search (`ansatz`),
-on a block upper-triangular extension of them that carries the gradient
-along.  A step's block is a `BandMatrix` (H0 with the hp, truncated or
-ansatz drive), whose products cost O(w dim); exact_cd's, whose drive fills
-the block, and the optimizer's extension stay dense.
+`evolve_all`, on the drive's blocks, and for the optimizer's search
+(`ansatz`), on a block upper-triangular extension of them that carries the
+gradient along.  `evolve_all` steps several protocols on one `TrackedRun`,
+those that read the exact CD term's eigenvectors in lockstep; `evolve` is
+its one-protocol case.  A step's block is a
+`BandMatrix` (H0 with the hp, truncated or ansatz drive), whose products
+cost O(w dim); exact_cd's, whose drive fills the block, and the
+optimizer's extension stay dense.
 
 The loop plans a run's steps a chunk at a time: the chunk's blocks are
 written into one stack, and one pass gives every step's Gershgorin
 interval, term count, Bessel coefficients and scaled block; each step then
 runs only its recurrence (`_planned_step`), with the same arithmetic as a
 step planned alone.  One rule sizes every chunk (`_chunk_steps`): at most
-CHUNK_STEPS steps and CHUNK_BYTES of blocks.  Both the bare Hamiltonian
+CHUNK_STEPS steps and CHUNK_BYTES of blocks; protocols that read the
+exact CD term's eigenvectors plan one common chunk, so that a midpoint's
+eigenproblem is solved once for all of them.  Both the bare Hamiltonian
 and every driving protocol here preserve excitation-number parity, and the
 initial state is the tracked ground state (parity-pure), so the evolution
 is carried out inside that parity block; this is an exact reduction, not
@@ -36,7 +41,7 @@ from scipy.special import jv
 
 from . import output
 from .band_operators import decomposition_gate
-from .counterdiabatic import (hp_coefficient, parity_band_table, sector_cd_bands,
+from .counterdiabatic import (_cd_factors, hp_coefficient, parity_band_table, sector_cd_bands,
                              sector_cd_block)
 from .errors import ConvergenceError, NormError, ValidationError
 from .spectrum import sector_ground_series
@@ -52,6 +57,7 @@ __all__ = [
     "Trajectory",
     "TrackedRun",
     "evolve",
+    "evolve_all",
     "fidelity",
     "parse_protocol",
 ]
@@ -177,8 +183,9 @@ def _step_operators(run: "TrackedRun", protocol: Protocol):
         return band_chunk(1), lambda lo, hi: BandMatrix(h0_stack(lo, hi, 1))
     if isinstance(protocol, ExactCD):
         def exact(lo, hi):
-            blocks = [frame.h0_bands(h).dense() + sector_cd_block(frame, h, hdot)
-                      for h, hdot in zip(h_mid[lo:hi], hd_mid[lo:hi])]
+            factors = run.cd_factors(lo, hi)
+            blocks = [frame.h0_bands(h).dense() + sector_cd_block(next(factors))
+                      for h in h_mid[lo:hi]]
             # a block planned alone is not copied into a stack: at N=300 the
             # copy made the heap fault its pages in again every step (7600
             # to 11600 page faults per 60 steps against 370) and cost 10%
@@ -188,26 +195,27 @@ def _step_operators(run: "TrackedRun", protocol: Protocol):
         k = protocol.bands
         w = min(k, frame.dim - 1)  # sector_cd_bands' width
 
-        def drive(h, hdot):
-            return sector_cd_bands(frame, h, hdot, k)
+        def drive(factors, h, hdot):
+            return sector_cd_bands(factors, k)
         if isinstance(protocol, DecomposedDrive):
             # the gate reads bands 1..k of both parity blocks; the tracked
             # block's are the drive
             check = decomposition_gate(frame.params.sector, k)
             other = SectorFrame(frame.params, 1 - frame.idx[0])
 
-            def drive(h, hdot):
-                bands = sector_cd_bands(frame, h, hdot, k)
+            def drive(factors, h, hdot):
+                bands = sector_cd_bands(factors, k)
                 blocks = [(frame, bands)]
                 if other.dim >= 2:
-                    blocks.append((other, sector_cd_bands(other, h, hdot, k)))
+                    blocks.append((other, sector_cd_bands(_cd_factors(other, h, hdot), k)))
                 check(parity_band_table(blocks))
                 return bands
 
         def truncated(lo, hi):
             data = h0_stack(lo, hi, w)
+            factors = run.cd_factors(lo, hi)
             for row, h, hdot in zip(data, h_mid[lo:hi], hd_mid[lo:hi]):
-                row += drive(h, hdot).data
+                row += drive(next(factors), h, hdot).data
             return BandMatrix(data)
         return band_chunk(w), truncated
     if isinstance(protocol, HPCorrection):
@@ -417,9 +425,9 @@ class TrackedRun:
     inside the ramp's domain, share: the tracked block, the field at the
     grid points, the field and its rate at the step midpoints, and the
     sign-aligned ground series with its first vector as the start state.
-    `evolve` takes one in place of a grid, so that several protocols are
-    stepped on one ground series, as `ansatz.optimize` steps its segments
-    on one."""
+    `evolve_all` steps its protocols on one, as `ansatz.optimize` steps its
+    segments on one.  ``factor_readers`` is the number of those protocols
+    that read `cd_factors`, all on the same windows of midpoints."""
 
     def __init__(self, params: ModelParams, grid):
         ramp = params.ramp
@@ -443,85 +451,128 @@ class TrackedRun:
         self.h_mid = np.atleast_1d(ramp.h(self.t_mid))
         self.hd_mid = np.atleast_1d(ramp.hdot(self.t_mid))
         self.start_state = self.grounds[0].astype(complex)
+        self.factor_readers = 1
+        self._factors = (None, None, 0)  # window, its factors, reads left
+
+    def cd_factors(self, lo: int, hi: int):
+        """An iterator over the (V, W) of the tracked block at midpoints
+        lo..hi-1.  A lone reader's solves each midpoint as it is read; of
+        several, the first read solves the window, which is kept for the
+        others, and the last takes its pairs out of it as it reads them."""
+        window, factors, reads = self._factors
+        if window != (lo, hi):
+            solved = (_cd_factors(self.frame, h, hdot)
+                      for h, hdot in zip(self.h_mid[lo:hi], self.hd_mid[lo:hi]))
+            if self.factor_readers == 1:
+                return solved
+            factors, reads = list(solved), self.factor_readers
+        reads -= 1
+        if reads:
+            self._factors = ((lo, hi), factors, reads)
+            return iter(factors)
+        self._factors = (None, None, 0)
+        return (factors.pop(0) for _ in range(len(factors)))
 
 
-def _propagate(run: TrackedRun, protocol: Protocol, store_states: bool,
-               t0: float) -> Trajectory:
-    """Step the protocol along the run; ``info["wall_time_s"]`` counts from t0."""
-    chunk, operators = _step_operators(run, protocol)
-    times = run.times
+def _propagate(run: TrackedRun, protocols: list, store_states: bool) -> list:
+    """Step the protocols along the run, one trajectory each: those that read
+    the CD factors in lockstep, each of the others alone."""
+    setups = [_step_operators(run, p) for p in protocols]
+    readers = [i for i, p in enumerate(protocols) if isinstance(p, (ExactCD, Truncated))]
+    if len(readers) > 1:
+        # the readers plan one chunk, their smallest, so that each window is
+        # solved once; the kept window holds at most an exact_cd chunk's
+        # bytes (V and W are real), so within CHUNK_BYTES
+        run.factor_readers = len(readers)
+        chunk = min([setups[i][0] for i in readers] + [_chunk_steps(run.frame.dim ** 2 * 16)])
+        for i in readers:
+            setups[i] = (chunk, setups[i][1])
+    # exact_cd steps last in each round: as it builds its dense chunk, the
+    # shared window shrinks by the blocks' size (`TrackedRun.cd_factors`).
+    # Stepped alone, the others hold one plan at a time, as in `evolve`.
+    groups = [sorted(readers, key=lambda i: isinstance(protocols[i], ExactCD))] if readers else []
+    groups += [[i] for i in range(len(protocols)) if i not in readers]
+    times, count = run.times, len(protocols)
     dts = np.diff(times)
     steps = len(dts)
+    labels = [getattr(p, "label", str(p)) for p in protocols]
 
-    psi = run.start_state
-    fid = np.empty(len(times))
-    fid[0] = fidelity(psi, run.grounds[0])
-    states = np.empty((len(times), run.frame.dim), dtype=complex) if store_states else None
+    fid = np.empty((count, len(times)))
+    fid[:, 0] = fidelity(run.start_state, run.grounds[0])
+    states = np.empty((count, len(times), run.frame.dim), dtype=complex) if store_states else None
     if store_states:
-        states[0] = psi
-    norm_err = 0.0
-    matvecs = 0
-    for k, (psi, terms) in enumerate(_steps(operators, dts, psi, chunk), 1):
-        matvecs += terms
-        fid[k] = fidelity(psi, run.grounds[k])
-        err = abs(np.linalg.norm(psi) - 1.0)
-        if not err <= NORM_TOL:  # a NaN norm fails too
-            raise NormError(f"state norm drifted by {err:.2e} > {NORM_TOL:.0e} "
-                            f"at step {k} of {steps}")
-        norm_err = max(norm_err, err)
-        if store_states:
-            states[k] = psi
+        states[:, 0] = run.start_state
+    norm_err, matvecs = [0.0] * count, [0] * count
+    for group in groups:
+        streams = [_steps(setups[i][1], dts, run.start_state, setups[i][0]) for i in group]
+        for k, stepped in enumerate(zip(*streams), 1):
+            for i, (psi, terms) in zip(group, stepped):
+                matvecs[i] += terms
+                fid[i, k] = fidelity(psi, run.grounds[k])
+                err = abs(np.linalg.norm(psi) - 1.0)
+                if not err <= NORM_TOL:  # a NaN norm fails too
+                    raise NormError(f"{labels[i]}: state norm drifted by {err:.2e} > "
+                                    f"{NORM_TOL:.0e} at step {k} of {steps}")
+                norm_err[i] = max(norm_err[i], err)
+                if store_states:
+                    states[i, k] = psi
 
-    info = {
-        "steps": steps,
-        "dt": float(np.max(np.abs(dts))),
-        "max_norm_error": norm_err,
-        "matvecs": matvecs,
-        "wall_time_s": _time.perf_counter() - t0,
-    }
-    return Trajectory(
+    return [Trajectory(
         times=times,
         h_values=run.h_values,
-        fidelity=fid,
-        states=run.frame.embed(states) if store_states else None,
-        protocol=getattr(protocol, "label", str(protocol)),
+        fidelity=fid[i],
+        states=run.frame.embed(states[i]) if store_states else None,
+        protocol=labels[i],
         params=run.params,
-        info=info,
-    )
+        info={"steps": steps, "dt": float(np.max(np.abs(dts))),
+              "max_norm_error": norm_err[i], "matvecs": matvecs[i]},
+    ) for i in range(count)]
+
+
+def evolve_all(params: ModelParams, protocols, grid=DEFAULT_STEPS, *,
+               store_states: bool = False) -> dict:
+    """Propagate the tracked ground state along params.ramp under each of
+    `protocols`, on one `TrackedRun`; returns {label: Trajectory}, in the
+    protocols' order.
+
+    The run's ground series is solved once.  exact_cd, truncated:k and
+    decomposed:k step in lockstep and read one eigensolve of the tracked
+    block per midpoint; the other protocols step one after another.
+    Every trajectory is bitwise the one `evolve` gives for its protocol
+    alone.  `grid` and `store_states` are as for `evolve`, and every
+    ``info["wall_time_s"]`` is the whole call's.
+    """
+    t0 = _time.perf_counter()
+    protocols = [parse_protocol(p) for p in protocols]
+    trajectories = _propagate(TrackedRun(params, grid), protocols, store_states)
+    wall = _time.perf_counter() - t0
+    for traj in trajectories:
+        traj.info["wall_time_s"] = wall
+    return {traj.protocol: traj for traj in trajectories}
 
 
 def evolve(params: ModelParams, protocol, grid=DEFAULT_STEPS, *,
            store_states: bool = False, converge: bool = False) -> Trajectory:
-    """Propagate the tracked ground state of H0(h(t_start)) along params.ramp.
+    """Propagate the tracked ground state of H0(h(t_start)) along params.ramp
+    under one protocol: `evolve_all` with that protocol alone.
 
-    `grid` is an integer step count (uniform grid), an explicit time array,
-    or a `TrackedRun` built from these params, which several protocols can
-    share; ``info["wall_time_s"]`` counts the run's set-up only when this
-    call builds the run.  With ``store_states=True`` the trajectory keeps
-    the state at every grid point (full basis).  With ``converge=True`` the
-    step count is doubled until the final fidelity changes by less than
-    CONVERGENCE_TOL, at most MAX_REFINEMENTS times, and the converged run is
-    returned; failure to converge raises ConvergenceError with a suggested
-    step size.  A state norm drifting from 1 by more than NORM_TOL raises
-    NormError.
+    `grid` is an integer step count (uniform grid) or an explicit time
+    array.  With ``store_states=True`` the trajectory keeps the state at
+    every grid point (full basis).  With ``converge=True`` the step count is
+    doubled until the final fidelity changes by less than CONVERGENCE_TOL,
+    at most MAX_REFINEMENTS times, and the converged run is returned;
+    failure to converge raises ConvergenceError with a suggested step size.
+    A state norm drifting from 1 by more than NORM_TOL raises NormError.
     """
-    protocol = parse_protocol(protocol)
     if converge and not np.isscalar(grid):
         raise ValidationError("converge=True requires an integer step count")
-    t0 = _time.perf_counter()
-    if isinstance(grid, TrackedRun):
-        if grid.params != params:
-            raise ValidationError("the tracked run was built for other model parameters")
-        run = grid
-    else:
-        run = TrackedRun(params, grid)
-    traj = _propagate(run, protocol, store_states, t0)
+    (traj,) = evolve_all(params, [protocol], grid, store_states=store_states).values()
     if not converge:
         return traj
     steps = traj.info["steps"]
     for _ in range(MAX_REFINEMENTS):
-        t0 = _time.perf_counter()
-        finer = _propagate(TrackedRun(params, 2 * steps), protocol, store_states, t0)
+        (finer,) = evolve_all(params, [protocol], 2 * steps,
+                              store_states=store_states).values()
         delta = abs(finer.final_fidelity - traj.final_fidelity)
         if delta < CONVERGENCE_TOL:
             finer.info["converged"] = True

@@ -4,9 +4,9 @@ Each preset reproduces one standard comparison: ``fig1a`` and the ``s1*``
 variants drive N=100 through (or near) the transition with the four driving
 protocols; ``fig2`` sweeps the band count of the optimized ansatz at N=80;
 ``fig3a`` sweeps system size for the single-band ansatz.  Every preset runs
-its curves one after another in the calling thread; the protocol presets
-propagate every protocol on one tracked run, whose ground series is solved
-once.
+in the calling thread; the protocol presets run their protocols on one
+ground series (`evolve_all`), stepping exact CD and the truncated drive in
+lockstep on one eigensolve of the tracked block per midpoint.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .ansatz import DEFAULT_SEGMENTS, OptimizeResult, optimize
-from .dynamics import (DEFAULT_STEPS, Bare, ExactCD, HPCorrection, TrackedRun, Trajectory,
-                       Truncated, evolve)
+from .dynamics import (DEFAULT_STEPS, Bare, ExactCD, HPCorrection, Trajectory, Truncated,
+                       evolve_all)
 from .errors import ValidationError
 from .ramps import RampSchedule
 from .spin_algebra import ModelParams
@@ -76,9 +76,7 @@ def run_figure(figure_id: str, *, steps: int = DEFAULT_STEPS,
     spec = FIGURES[figure_id]
 
     if spec.kind == "protocols":
-        params = ModelParams(spec.n, spec.gamma, spec.ramp)
-        run = TrackedRun(params, steps)
-        return {p.label: evolve(params, p, run) for p in spec.protocols}
+        return evolve_all(ModelParams(spec.n, spec.gamma, spec.ramp), spec.protocols, steps)
 
     if spec.kind == "band_sweep":
         params = ModelParams(spec.n, spec.gamma, spec.ramp)

@@ -93,8 +93,11 @@ def test_segment_gradient_matches_finite_differences(linear_ramp, k):
     dt = run.times[1] - run.times[0]
     psi, target = run.grounds[lo].astype(complex), run.grounds[hi]
 
+    ansatz_patterns = frame.ansatz_bands(np.eye(k)).dense()
+
     def segment(x):
-        return _segment_infidelity(h0_segment, frame.ansatz_bands, x, dt, psi, target)
+        return _segment_infidelity(h0_segment, frame.ansatz_bands, ansatz_patterns, x, dt, psi,
+                                   target)
 
     eps = 1e-5
     for x in (np.zeros(k), np.array([-0.9, 0.4])[:k]):
@@ -122,9 +125,10 @@ def test_segment_split_into_chunks_equals_single_steps(linear_ramp, monkeypatch)
     psi, target = run.grounds[lo].astype(complex), run.grounds[hi]
     x = np.array([-0.9, 0.4])
     assert 1 < cdlmg.dynamics._chunk_steps((3 * frame.dim) ** 2 * 16) < hi - lo
-    chunked = _segment_infidelity(h0_segment, frame.ansatz_bands, x, dt, psi, target)
+    patterns = frame.ansatz_bands(np.eye(2)).dense()
+    chunked = _segment_infidelity(h0_segment, frame.ansatz_bands, patterns, x, dt, psi, target)
     monkeypatch.setattr(cdlmg.dynamics, "CHUNK_STEPS", 1)
-    single = _segment_infidelity(h0_segment, frame.ansatz_bands, x, dt, psi, target)
+    single = _segment_infidelity(h0_segment, frame.ansatz_bands, patterns, x, dt, psi, target)
     assert chunked[0] == single[0]
     assert np.array_equal(chunked[1], single[1])
     assert np.array_equal(chunked[2], single[2])

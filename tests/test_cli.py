@@ -282,21 +282,21 @@ def test_output_files_follow_umask(tmp_path):
 def test_preset_runs_every_protocol_on_the_calling_thread(monkeypatch):
     # and on one tracked run: the ground series is solved once for the preset
     import cdlmg.dynamics
-    import cdlmg.figures
     from cdlmg.figures import FIGURES, run_figure
 
-    evolve, ground_series = cdlmg.figures.evolve, cdlmg.dynamics.sector_ground_series
+    step_operators = cdlmg.dynamics._step_operators
+    ground_series = cdlmg.dynamics.sector_ground_series
     threads, solved = [], []
 
-    def recording_evolve(*args, **kwargs):
+    def recording_step_operators(*args, **kwargs):
         threads.append(threading.get_ident())
-        return evolve(*args, **kwargs)
+        return step_operators(*args, **kwargs)
 
     def counting_ground_series(*args, **kwargs):
         solved.append(args)
         return ground_series(*args, **kwargs)
 
-    monkeypatch.setattr(cdlmg.figures, "evolve", recording_evolve)
+    monkeypatch.setattr(cdlmg.dynamics, "_step_operators", recording_step_operators)
     monkeypatch.setattr(cdlmg.dynamics, "sector_ground_series", counting_ground_series)
     curves = run_figure("fig1a", steps=20)
     assert list(curves) == [p.label for p in FIGURES["fig1a"].protocols]
@@ -330,7 +330,7 @@ def test_bug_propagates(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("injected")
 
-    monkeypatch.setattr(cdlmg.cli, "evolve", broken)
+    monkeypatch.setattr(cdlmg.cli, "evolve_all", broken)
     with pytest.raises(TypeError, match="injected"):
         run_cli(["evolve", "--n", 4, "--protocol", "bare",
                  "--ramp", "linear:0.75,0.5", "--out", tmp_path])

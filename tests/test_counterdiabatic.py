@@ -18,7 +18,8 @@ from cdlmg import (
     exact_cd,
     hp_coefficient,
 )
-from cdlmg.counterdiabatic import parity_band_table, sector_cd_bands, sector_cd_block
+from cdlmg.counterdiabatic import (_cd_factors, parity_band_table, sector_cd_bands,
+                                   sector_cd_block)
 from cdlmg.spin_algebra import SectorFrame, parity_frames, parity_indices
 from conftest import block_angle_rate_fd, even_projector
 
@@ -134,7 +135,7 @@ def test_sector_cd_block_large_sector_matches_dense_reference(h):
         frame = SectorFrame.tracked(ModelParams(n, 0.0))
         h0, hdot = _frame_h0(frame, h), 0.5
         assert np.min(np.diff(np.linalg.eigvalsh(h0))) > 0.1  # no degenerate cluster to zero
-        got = sector_cd_block(frame, h, hdot)
+        got = sector_cd_block(_cd_factors(frame, h, hdot))
         assert np.max(np.abs(got - _dense_cd_reference(frame, h0, hdot))) < 1e-12
 
 
@@ -154,7 +155,7 @@ def test_sector_cd_block_tridiagonal_path(kind, monkeypatch):
     h0, hdot = _frame_h0(frame, 1.1), 0.5
     assert np.count_nonzero(np.diagonal(h0, -1)) == {"split": dim - 2, "diagonal": 0}.get(
         kind, dim - 1)
-    got = sector_cd_block(frame, 1.1, hdot)
+    got = sector_cd_block(_cd_factors(frame, 1.1, hdot))
     assert np.max(np.abs(got - _dense_cd_reference(frame, h0, hdot))) < 1e-12
     assert len(solved) == 1 and solved[0][1] is frame.h0_off
 
@@ -164,7 +165,7 @@ def test_failed_tridiagonal_solve_raises(monkeypatch):
     monkeypatch.setattr("cdlmg.counterdiabatic.dstevd",
                         lambda d, e: (np.zeros(len(d)), np.eye(len(d)), 3))
     with pytest.raises(LinAlgError, match="LAPACK info 3"):
-        sector_cd_block(SectorFrame.tracked(ModelParams(10, 0.0)), 1.1, 0.5)
+        sector_cd_block(_cd_factors(SectorFrame.tracked(ModelParams(10, 0.0)), 1.1, 0.5))
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +216,8 @@ def test_parity_band_table_matches_exact_table(n):
     frames = [f for f in parity_frames(params) if f.dim >= 2]
     for h, hdot in ((0.8, 0.5), (1.0, -0.3), (1.3, 0.5)):
         reference = band_table(exact_cd(params, h, hdot)).bands
-        got = parity_band_table([(f, sector_cd_bands(f, h, hdot, 3)) for f in frames]).bands
+        got = parity_band_table([(f, sector_cd_bands(_cd_factors(f, h, hdot), 3))
+                                 for f in frames]).bands
         assert set(got) == set(range(1, min(3, n // 2) + 1))
         for b, x in got.items():
             assert np.max(np.abs(x - reference[b])) < 1e-14

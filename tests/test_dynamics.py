@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from cdlmg import (
+    FIGURES,
     AnsatzDrive,
     BandCoefficients,
     Bare,
@@ -24,12 +25,14 @@ from cdlmg import (
     ValidationError,
     build_h0,
     evolve,
+    evolve_all,
     exact_cd,
     fidelity,
     hp_coefficient,
     parse_protocol,
+    run_figure,
 )
-from cdlmg.counterdiabatic import sector_cd_bands, sector_cd_block
+from cdlmg.counterdiabatic import _cd_factors, sector_cd_bands, sector_cd_block
 import cdlmg.dynamics
 from cdlmg.dynamics import (CHUNK_BYTES, CHUNK_STEPS, TrackedRun, _gershgorin, _planned_step,
                             _StepPlan)
@@ -295,23 +298,66 @@ def test_evolve_matches_eigh_steps(protocol, monkeypatch):
 
 
 def test_protocols_share_one_tracked_run(monkeypatch):
-    # the same trajectories as one evolve per protocol, from one ground series
+    # evolve_all gives the trajectories of one evolve per protocol, from one
+    # ground series
     params = ModelParams(14, 0.0, RampSchedule.linear(0.75, 0.5))
     protocols = ["bare", "hp", "truncated:2", "exact_cd"]
     separate = {p: evolve(params, p, 60) for p in protocols}
-    import cdlmg.dynamics
     solved = []
     ground_series = cdlmg.dynamics.sector_ground_series
     monkeypatch.setattr(cdlmg.dynamics, "sector_ground_series",
                         lambda *a: solved.append(a) or ground_series(*a))
-    run = TrackedRun(params, 60)
-    for p in protocols:
-        assert np.array_equal(evolve(params, p, run).fidelity, separate[p].fidelity)
+    together = evolve_all(params, protocols, 60)
+    assert list(together) == [parse_protocol(p).label for p in protocols]
+    for p, traj in zip(protocols, together.values()):
+        assert np.array_equal(traj.fidelity, separate[p].fidelity)
     assert len(solved) == 1
-    with pytest.raises(ValidationError, match="other model parameters"):
-        evolve(ModelParams(14, 0.5, params.ramp), "bare", run)
+    # a tracked run is not a grid, and converging needs a step count
+    run = TrackedRun(params, 60)
+    with pytest.raises(ValidationError, match="grid must be"):
+        evolve(params, "bare", run)
     with pytest.raises(ValidationError, match="integer step count"):
-        evolve(params, "bare", run, converge=True)
+        evolve(params, "bare", run.times, converge=True)
+
+
+def test_lockstep_chunk_edges(monkeypatch):
+    # the readers of the CD factors step on one chunk, exact_cd's, while the
+    # band protocols keep theirs: runs of 1, C-1, C, C+1 and 2C+1 steps for
+    # every chunk size C in play give, protocol by protocol, the trajectories
+    # of evolve with that protocol alone
+    params = ModelParams(20, 0.0, RampSchedule.linear(0.75, 0.5))
+    dim = SectorFrame.tracked(params).dim
+    monkeypatch.setattr(cdlmg.dynamics, "CHUNK_BYTES", 7 * dim * dim * 16)
+    ansatz = AnsatzDrive(BandCoefficients(np.linspace(0, 1, 8),
+                                          np.linspace(-0.3, 0.3, 21).reshape(7, 3)))
+    protocols = ["bare", "hp", "truncated:2", "decomposed:2", "exact_cd", ansatz]
+    run = TrackedRun(params, 2)
+    chunks = {cdlmg.dynamics._step_operators(run, parse_protocol(p))[0] for p in protocols}
+    assert chunks == {7, 11, 15, 25}  # exact_cd, ansatz, truncated:2, bare and hp
+    chunks.discard(15)  # truncated:2 and decomposed:2 step on exact_cd's 7
+    for n in sorted({m for c in chunks for m in (1, c - 1, c, c + 1, 2 * c + 1)}):
+        together = evolve_all(params, protocols, n, store_states=True)
+        assert list(together) == [parse_protocol(p).label for p in protocols]
+        for p, traj in zip(protocols, together.values()):
+            alone = evolve(params, p, n, store_states=True)
+            assert np.array_equal(traj.fidelity, alone.fidelity)
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.info["matvecs"] == alone.info["matvecs"]
+
+
+def test_preset_solves_each_midpoint_once(monkeypatch):
+    # fig1a's exact_cd and truncated:1 read one eigensolve of the tracked
+    # block per midpoint
+    solved = []
+    factors = cdlmg.dynamics._cd_factors
+    monkeypatch.setattr(cdlmg.dynamics, "_cd_factors",
+                        lambda frame, h, hdot: solved.append(frame.idx) or factors(frame, h, hdot))
+    run_figure("fig1a", steps=20)
+    spec = FIGURES["fig1a"]
+    assert {ExactCD(), Truncated(1)} <= set(spec.protocols)
+    tracked = SectorFrame.tracked(ModelParams(spec.n, spec.gamma)).idx
+    assert len(solved) == 20
+    assert all(np.array_equal(idx, tracked) for idx in solved)
 
 
 @pytest.mark.parametrize("n", [20, 100])
@@ -320,9 +366,10 @@ def test_cd_bands_match_block_diagonals(n):
     params = ModelParams(n, 0.0)
     for frame in parity_frames(params):
         for h, hdot in ((0.8, 0.5), (1.0, -0.3), (1.3, 0.5)):
-            block = sector_cd_block(frame, h, hdot)
+            factors = _cd_factors(frame, h, hdot)
+            block = sector_cd_block(factors)
             for k in (1, 2, 3):
-                bands = sector_cd_bands(frame, h, hdot, k)
+                bands = sector_cd_bands(factors, k)
                 assert bands.width == k
                 assert np.array_equal(bands.data[k], np.zeros(frame.dim))
                 for o in range(-k, k + 1):
@@ -482,10 +529,26 @@ def test_exact_cd_run_holds_two_chunks_at_most():
     assert CHUNK_STEPS * 51 * 51 * 16 > CHUNK_BYTES
     tracemalloc.start()
     try:
-        evolve(params, "exact_cd", run)
+        cdlmg.dynamics._propagate(run, [ExactCD()], False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 4 * CHUNK_BYTES
+
+
+def test_shared_cd_run_holds_two_chunks_at_most():
+    # exact_cd and truncated:1 stepped in lockstep also keep the window of
+    # CD factors they share, one exact_cd chunk's bytes: at N=100 over 1000
+    # steps the run still peaks below 4 CHUNK_BYTES
+    params = ModelParams(100, 0.0, RampSchedule.linear(0.75, 0.5))
+    run = TrackedRun(params, 1000)
+    tracemalloc.start()
+    try:
+        cdlmg.dynamics._propagate(run, [ExactCD(), Truncated(1)], False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.factor_readers == 2
     assert peak < 4 * CHUNK_BYTES
 
 
