@@ -17,6 +17,14 @@ costs less than the banded products it would take.
 The optimization itself runs on a coarsened grid (a few propagation steps
 per segment); the returned trajectory re-evaluates the optimized schedule on
 the full integration grid.
+
+``scipy.optimize`` loads on the first ``optimize`` or ``fit_harmonics`` call
+(or the first read of ``ansatz.minimize`` or ``ansatz.least_squares``), not at
+import: no other command needs it, and it is most of an import's modules and
+memory.  The two names still become module attributes, bound only where
+unbound, because callers wrap them in place: the benchmark's tracer wraps the
+scipy functions it finds among this module's attributes, and tests and
+``bench/optimizer.py`` replace them to record or cap the searches.
 """
 
 from __future__ import annotations
@@ -25,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from . import output
 from .dynamics import (DEFAULT_STEPS, AnsatzDrive, TrackedRun, Trajectory, _chunk_steps,
@@ -50,6 +57,23 @@ OPT_STEPS_PER_SEGMENT = 10
 # segment's optimum: at the default, 1e-5, the search stopped up to 8e-4 away
 # from it on the benchmark's fit job (N=40, k=2).
 GRADIENT_TOL = 1e-8
+_OPTIMIZERS = ("least_squares", "minimize")
+
+
+def _bind_optimizers() -> None:
+    """Bind scipy.optimize's `least_squares` and `minimize` in this module,
+    leaving a name that is already bound (a caller's wrapper) as it is."""
+    unbound = [name for name in _OPTIMIZERS if name not in globals()]
+    if unbound:
+        import scipy.optimize
+        globals().update({name: getattr(scipy.optimize, name) for name in unbound})
+
+
+def __getattr__(name: str):
+    if name in _OPTIMIZERS:
+        _bind_optimizers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -192,6 +216,7 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
     frame.check_bands(k)
     dt = times[1] - times[0]
     patterns = frame.ansatz_bands(np.eye(k)).dense()
+    _bind_optimizers()
 
     psi = run.start_state
     schedule = np.zeros((segments, k))
@@ -311,6 +336,7 @@ def fit_harmonics(times, values, c: int) -> HarmonicFit:
         raise ValidationError("times and values must be finite")
     if times[-1] == times[0]:
         raise ValidationError("times must span a nonzero interval")
+    _bind_optimizers()
     sol = least_squares(lambda x: _harmonic_model(*x.reshape(3, c), times) - values,
                         _matching_pursuit_init(times, values, c), max_nfev=20000)
     amplitudes, omegas, phases = sol.x.reshape(3, c)

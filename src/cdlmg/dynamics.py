@@ -533,7 +533,8 @@ def evolve_all(params: ModelParams, protocols, grid=DEFAULT_STEPS, *,
                store_states: bool = False) -> dict:
     """Propagate the tracked ground state along params.ramp under each of
     `protocols`, on one `TrackedRun`; returns {label: Trajectory}, in the
-    protocols' order.
+    protocols' order.  Two protocols with one label ('exact' and
+    'exact_cd') raise ValidationError.
 
     The run's ground series is solved once.  exact_cd, truncated:k and
     decomposed:k step in lockstep and read one eigensolve of the tracked
@@ -544,6 +545,10 @@ def evolve_all(params: ModelParams, protocols, grid=DEFAULT_STEPS, *,
     """
     t0 = _time.perf_counter()
     protocols = [parse_protocol(p) for p in protocols]
+    labels = [p.label for p in protocols]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValidationError(f"protocol {label} is given more than once")
     trajectories = _propagate(TrackedRun(params, grid), protocols, store_states)
     wall = _time.perf_counter() - t0
     for traj in trajectories:

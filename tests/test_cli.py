@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +88,17 @@ def test_evolve_validation_failures(tmp_path, capsys):
     for gamma in ("nan", "inf"):
         assert run_cli(["evolve", "--n", 10, "--gamma", gamma, "--protocol", "bare",
                         "--ramp", "linear:0.75,0.5", "--steps", 10, "--out", tmp_path]) == 1
+
+
+def test_evolve_rejects_a_repeated_protocol(tmp_path, capsys):
+    out = tmp_path / "twice"
+    for repeated in (["bare", "bare"], ["exact", "exact_cd"]):
+        argv = ["evolve", "--n", 6, "--ramp", "linear:0.75,0.5", "--steps", 20, "--out", out]
+        for p in repeated:
+            argv += ["--protocol", p]
+        assert run_cli(argv) == 1
+        assert "given more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_step_and_segment_defaults_come_from_the_library():
@@ -342,3 +356,21 @@ def test_decomposition_gate_failure_exit_code(tmp_path, capsys):
                     "--protocol", "decomposed:1", "--steps", 100, "--out", tmp_path])
     assert code == 2
     assert "band-1 decomposition residual" in capsys.readouterr().err
+
+
+def test_only_the_optimizer_commands_load_scipy_optimize(tmp_path):
+    # cdlmg.ansatz binds scipy.optimize on first use: importing the package
+    # or the CLI, or running a command that neither optimizes nor fits, must
+    # not load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, cdlmg, cdlmg.cli\n"
+             "assert 'scipy.optimize' not in sys.modules, 'on import'\n"
+             "code = cdlmg.cli.main(sys.argv[1:])\n"
+             "assert code == 0, code\n"
+             "assert 'scipy.optimize' not in sys.modules, 'after spectrum'\n")
+    argv = ["spectrum", "--n", "10", "--h-min", "0.5", "--h-max", "1.5", "--h-points", "5",
+            "--out", str(tmp_path / "spec")]
+    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -320,6 +320,18 @@ def test_protocols_share_one_tracked_run(monkeypatch):
         evolve(params, "bare", run.times, converge=True)
 
 
+def test_repeated_protocol_label_rejected():
+    # evolve_all keys its result by label, so a label given twice (also as
+    # 'exact' and 'exact_cd') would be stepped twice and returned once
+    params = ModelParams(6, 0.0, RampSchedule.linear(0.75, 0.5))
+    with pytest.raises(ValidationError, match="protocol bare is given more than once"):
+        evolve_all(params, ["bare", "hp", "bare"], 20)
+    with pytest.raises(ValidationError, match="protocol exact_cd is given more than once"):
+        evolve_all(params, ["exact", ExactCD()], 20)
+    assert list(evolve_all(params, ["truncated:1", "decomposed:1"], 20)) == [
+        "truncated(1)", "decomposed(1)"]
+
+
 def test_lockstep_chunk_edges(monkeypatch):
     # the readers of the CD factors step on one chunk, exact_cd's, while the
     # band protocols keep theirs: runs of 1, C-1, C, C+1 and 2C+1 steps for
