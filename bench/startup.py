@@ -19,8 +19,9 @@ rows are:
 Each row holds, per side, every interpreter's ``wall_s`` (from before
 ``import cdlmg.cli`` until the command returns; for ``import``, the import
 alone), ``peak_rss_mb`` (``ru_maxrss`` at the end), ``modules`` (entries of
-``sys.modules``) and ``scipy_optimize`` (whether ``scipy.optimize`` was
-loaded by the end), their medians, and the ``ratio`` summary of the rounds'
+``sys.modules``), ``scipy_optimize`` and ``scipy_special`` (whether
+``scipy.optimize`` and ``scipy.special`` were loaded by the end), their
+medians, and the ``ratio`` summary of the rounds'
 change/parent wall times and peak memory.  ``environment`` holds versions,
 BLAS build and thread settings from ``perfbench/env.py``.
 """
@@ -71,7 +72,8 @@ wall = time.perf_counter() - start
 print(json.dumps({"wall_s": wall,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "modules": len(sys.modules),
-                  "scipy_optimize": "scipy.optimize" in sys.modules}))
+                  "scipy_optimize": "scipy.optimize" in sys.modules,
+                  "scipy_special": "scipy.special" in sys.modules}))
 """
 
 
@@ -83,6 +85,7 @@ def row(sides: dict, name: str) -> dict:
                      "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs),
                      "modules": statistics.median(r["modules"] for r in rs),
                      "scipy_optimize": sorted({r["scipy_optimize"] for r in rs}),
+                     "scipy_special": sorted({r["scipy_special"] for r in rs}),
                      "wall_s_runs": [r["wall_s"] for r in rs],
                      "peak_rss_mb_runs": [r["peak_rss_mb"] for r in rs]}
     out["ratio"] = {metric: ratio_summary(out["parent"][f"{metric}_runs"],

@@ -295,14 +295,28 @@ def _harmonic_model(a: np.ndarray, w: np.ndarray, p: np.ndarray,
 
 def _matching_pursuit_init(t: np.ndarray, y: np.ndarray, c: int) -> np.ndarray:
     """Greedy single-frequency scans: each pass picks the grid frequency whose
-    sine/cosine pair best explains the residual."""
+    sine/cosine pair best explains the residual, by `lstsq`'s residual sum of
+    squares.  One batched pass screens the grid first: the sum of squares
+    left after projecting the residual on every frequency's pair, through
+    the pair's singular vectors, those that `lstsq`'s default cutoff drops
+    left out.  Only frequencies whose screened sum lies within
+    1e-9 |residual|^2 of the least are then scored by `lstsq`, in grid
+    order: the screen's sums differ from `lstsq`'s by rounding alone, so the
+    scan picks what scoring every frequency would, bit for bit."""
     span = t[-1] - t[0]
     omega_grid = np.linspace(0.1 / span, 0.95 * np.pi * len(t) / span, 700)
+    arguments = np.multiply.outer(omega_grid, t)
+    bases, singular, _ = np.linalg.svd(
+        np.stack([np.sin(arguments), np.cos(arguments)], axis=-1), full_matrices=False)
+    bases *= (singular > np.finfo(float).eps * max(len(t), 2) * singular[:, :1])[:, None, :]
     resid = y.astype(float).copy()
     amps, omegas, phases = [], [], []
     for _ in range(c):
+        projected = (bases @ (resid @ bases)[..., None])[..., 0]
+        screen = np.sum((resid - projected) ** 2, axis=1)
+        near = screen <= screen.min() + 1e-9 * (resid @ resid)
         best = None
-        for w in omega_grid:
+        for w in omega_grid[near]:
             design = np.column_stack([np.sin(w * t), np.cos(w * t)])
             coef, *_ = np.linalg.lstsq(design, resid, rcond=None)
             rss = float(np.sum((resid - design @ coef) ** 2))

@@ -53,6 +53,29 @@ def parity_blocks(n: int):
     return [idx for idx in sector_idx.values() if len(idx) == 2]
 
 
+def lstsq_frequency_scan(t: np.ndarray, y: np.ndarray, c: int) -> np.ndarray:
+    """The greedy frequency scan of `ansatz._matching_pursuit_init` scored by
+    `lstsq` at every grid frequency, the oracle for its batched screen."""
+    span = t[-1] - t[0]
+    omega_grid = np.linspace(0.1 / span, 0.95 * np.pi * len(t) / span, 700)
+    resid = y.astype(float).copy()
+    amps, omegas, phases = [], [], []
+    for _ in range(c):
+        best = None
+        for w in omega_grid:
+            design = np.column_stack([np.sin(w * t), np.cos(w * t)])
+            coef, *_ = np.linalg.lstsq(design, resid, rcond=None)
+            rss = float(np.sum((resid - design @ coef) ** 2))
+            if best is None or rss < best[0]:
+                best = (rss, w, coef)
+        _, w, (sin_c, cos_c) = best
+        amps.append(float(np.hypot(sin_c, cos_c)))
+        omegas.append(float(w))
+        phases.append(float(np.arctan2(cos_c, sin_c)))
+        resid = resid - (sin_c * np.sin(w * t) + cos_c * np.cos(w * t))
+    return np.concatenate([amps, omegas, phases])
+
+
 @pytest.fixture
 def linear_ramp():
     from cdlmg import RampSchedule

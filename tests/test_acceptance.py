@@ -27,7 +27,9 @@ from cdlmg import (
     run_figure,
     solve_first_band_beta,
 )
+from cdlmg.ansatz import _matching_pursuit_init
 from cdlmg.spin_algebra import DickeSector
+from conftest import lstsq_frequency_scan
 
 RAMP = RampSchedule.linear(0.75, 0.5)
 
@@ -130,6 +132,16 @@ def test_criterion_5_harmonic_fit_discrepancies(size_sweep, n70_single_band):
         details.append(f"N={n},c={c}: {result.discrepancy:.5f}<= {tol}")
     report(5, ok, "max fidelity discrepancy of harmonic fits: "
                   + "; ".join(details))
+
+
+def test_criterion_5_frequency_scans_match_lstsq_scans(size_sweep, n70_single_band):
+    # criterion 5's fits start where scoring every grid frequency by lstsq
+    # would start them, bit for bit
+    for optimized, c in ((size_sweep["N=10"], 2), (size_sweep["N=40"], 3),
+                         (n70_single_band.trajectory, 3)):
+        times, series = optimized.info["coefficients"].band_series(1)
+        assert np.array_equal(_matching_pursuit_init(times, series, c),
+                              lstsq_frequency_scan(times, series, c))
 
 
 def test_criterion_6_spectral_degeneracy():

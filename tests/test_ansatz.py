@@ -16,9 +16,10 @@ from cdlmg import (
     fit_harmonics,
     optimize,
 )
-from cdlmg.ansatz import _segment_infidelity
+from cdlmg.ansatz import _matching_pursuit_init, _segment_infidelity
 from cdlmg.dynamics import TrackedRun
 from cdlmg.spin_algebra import SectorFrame
+from conftest import lstsq_frequency_scan
 
 
 def test_ansatz_matrix_structure():
@@ -231,6 +232,28 @@ def test_fit_two_sines():
     assert fit.residual < 1e-7
     recovered = sorted(np.abs(fit.omegas))
     assert recovered == pytest.approx([7.3, 19.0], abs=1e-4)
+
+
+def test_frequency_screen_picks_what_lstsq_at_every_frequency_picks(linear_ramp):
+    # the batched screen and its lstsq re-scoring give the scan's start
+    # bitwise: on sines, noise, a damped oscillation, a constant and an
+    # alternating series, over 12, 20 and 40 samples (at 20 the grid's top
+    # frequency puts pi between samples, where the sin/cos pair is
+    # rank-deficient), and on the band-1 series that `cdlmg fit`'s test fits
+    rng = np.random.default_rng(8)
+    cases = []
+    for n in (12, 20, 40):
+        t = np.linspace(0.0125, 0.9875, n)
+        cases += [(t, series) for series in (
+            0.8 * np.sin(7.3 * t + 0.4), np.sin(7 * t) + 0.3 * np.cos(19 * t),
+            rng.normal(size=n), np.exp(-3.0 * t) * np.cos(11.0 * t), np.full(n, 1e-3),
+            (-1.0) ** np.arange(n))]
+    fitted = optimize(ModelParams(10, 0.0, linear_ramp), k=1, segments=12, eval_steps=600)
+    cases.append(fitted.coefficients.band_series(1))
+    for t, series in cases:
+        for c in (1, 2, 3):
+            assert np.array_equal(_matching_pursuit_init(t, series, c),
+                                  lstsq_frequency_scan(t, series, c))
 
 
 def test_fit_makes_one_refinement_even_when_it_does_not_converge(monkeypatch):

@@ -361,16 +361,27 @@ def test_decomposition_gate_failure_exit_code(tmp_path, capsys):
 def test_only_the_optimizer_commands_load_scipy_optimize(tmp_path):
     # cdlmg.ansatz binds scipy.optimize on first use: importing the package
     # or the CLI, or running a command that neither optimizes nor fits, must
-    # not load it
+    # not load it.  Nor scipy.special, which nothing but scipy.optimize
+    # loads: the Chebyshev step computes its own Bessel coefficients
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = ("import sys, cdlmg, cdlmg.cli\n"
-             "assert 'scipy.optimize' not in sys.modules, 'on import'\n"
-             "code = cdlmg.cli.main(sys.argv[1:])\n"
-             "assert code == 0, code\n"
-             "assert 'scipy.optimize' not in sys.modules, 'after spectrum'\n")
-    argv = ["spectrum", "--n", "10", "--h-min", "0.5", "--h-max", "1.5", "--h-points", "5",
-            "--out", str(tmp_path / "spec")]
-    done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+    probe = ("import json, sys, cdlmg, cdlmg.cli\n"
+             "def check(when):\n"
+             "    for name in ('scipy.optimize', 'scipy.special'):\n"
+             "        assert name not in sys.modules, (name, when)\n"
+             "check('on import')\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    code = cdlmg.cli.main(argv)\n"
+             "    assert code == 0, (argv[0], code)\n"
+             "    check('after ' + argv[0])\n")
+    commands = [
+        ["spectrum", "--n", "10", "--h-min", "0.5", "--h-max", "1.5", "--h-points", "5",
+         "--out", str(tmp_path / "spec")],
+        ["evolve", "--n", "10", "--ramp", "linear:0.75,0.5", "--steps", "40",
+         "--protocol", "bare", "--protocol", "exact_cd", "--out", str(tmp_path / "evolve")],
+        ["decompose", "--n", "6", "--ramp", "linear:0.75,0.5", "--t", "0.3", "--bands", "2",
+         "--out", str(tmp_path / "dec")],
+    ]
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -34,8 +34,9 @@ from cdlmg import (
 )
 from cdlmg.counterdiabatic import _cd_factors, sector_cd_bands, sector_cd_block
 import cdlmg.dynamics
-from cdlmg.dynamics import (CHUNK_BYTES, CHUNK_STEPS, TrackedRun, _gershgorin, _planned_step,
-                            _StepPlan)
+from cdlmg.dynamics import (_MILLER_PAD, _VECTOR_STEPS, CHUNK_BYTES, CHUNK_STEPS, TrackedRun,
+                            _bessel_coefficients, _gershgorin, _planned_step, _StepPlan,
+                            _term_count)
 from cdlmg.spectrum import sector_ground_series
 from cdlmg.spin_algebra import BandMatrix, SectorFrame, parity_frames
 
@@ -203,18 +204,50 @@ def test_planned_steps_equal_single_steps(w):
     assert len(set(plan.terms)) >= 4 and 1 in plan.terms
     for j, (h, dt) in enumerate(zip(blocks, dts)):
         single = _StepPlan(BandMatrix(h.data.astype(complex)[None]), np.array([dt]))
-        end, terms = plan.ends[j], plan.terms[j]
+        terms = plan.terms[j]
         assert single.terms == [terms]
-        assert np.array_equal(plan.coeffs[end - terms:end], single.coeffs)
+        assert np.array_equal(plan.coeffs[j, :terms], single.coeffs[0, :terms])
         got, got_terms = _planned_step(plan, j, psi)
         want, want_terms = _single_step(h, dt, psi)
         assert got_terms == want_terms == terms
         assert np.array_equal(got, want)
 
 
+def test_bessel_coefficients_match_mpmath():
+    # Miller's recurrence gives every coefficient e_k (-i)^k J_k(z) of a
+    # step's own term count within 4.5e-16 of mpmath's J_k at 40 digits;
+    # z = 0 gives [1] and a NaN z NaN
+    mpmath = pytest.importorskip("mpmath")
+    for z in (0.0, 1e-300, -1e-300, 1e-8, 0.01, 0.3, 1.0, 3.0, -3.0, 10.0, 30.0, -57.3,
+              100.0, 300.0, 1000.0):
+        terms = _term_count(z)
+        with mpmath.workdps(40):
+            bessel = [float(mpmath.besselj(k, z)) for k in range(terms)]
+        want = [(1 if k == 0 else 2) * (1, -1j, -1, 1j)[k % 4] * j for k, j in enumerate(bessel)]
+        got = _bessel_coefficients(np.array([z]), [terms])[0]
+        assert np.max(np.abs(got - want)) <= 4.5e-16, z
+    assert np.array_equal(_bessel_coefficients(np.zeros(1), [_term_count(0.0)]), [[1.0]])
+    assert np.all(np.isnan(_bessel_coefficients(np.array([np.nan]), [_term_count(np.nan)])))
+
+
+def test_bessel_coefficients_of_a_chunk_equal_each_step_alone():
+    # a chunk long enough for the numpy pass of the recurrence, mixing zero,
+    # NaN, negative and wide steps, gives each step bitwise what that step
+    # gives alone, on Python floats
+    rng = np.random.default_rng(5)
+    z = np.concatenate([rng.uniform(0.3, 0.6, 40), [0.0, np.nan, -2.5, 12.0, -0.4]])
+    terms = [_term_count(x) for x in z]
+    assert sum(terms) + _MILLER_PAD * len(z) >= _VECTOR_STEPS * (max(terms) + _MILLER_PAD + 1)
+    chunk = _bessel_coefficients(z, terms)
+    assert chunk.shape == (len(z), max(terms))
+    for row, x, t in zip(chunk, z, terms):
+        alone = _bessel_coefficients(np.array([x]), [t])
+        assert np.array_equal(row[:t], alone[0], equal_nan=True)
+
+
 def test_chunk_sized_by_its_own_steps():
     # near h = 1 at N=300 one hp step takes 79 terms where its chunk's others
-    # take 16 to 40: the chunk's coefficients hold each step's own count, one
+    # take 16 to 40: the chunk holds one row of coefficients per step, one
     # term buffer serves the chunk, and every step equals the step alone
     params = ModelParams(300, 0.0, RampSchedule.linear(0.75, 0.5))
     run = TrackedRun(params, 250)
@@ -223,7 +256,7 @@ def test_chunk_sized_by_its_own_steps():
     dts = np.diff(run.times)[lo:hi]
     plan = _StepPlan(operators(lo, hi), dts)
     assert max(plan.terms) == 79 and sorted(plan.terms)[-2] <= 40
-    assert len(plan.coeffs) == sum(plan.terms)
+    assert plan.coeffs.shape == (hi - lo, 79)
     assert plan.work.shape == (79, run.frame.dim)
     blocks = operators(lo, hi).data
     psi = run.grounds[lo].astype(complex)
