@@ -18,10 +18,11 @@ rows are:
 
 Each row holds, per side, every interpreter's ``wall_s`` (from before
 ``import cdlmg.cli`` until the command returns; for ``import``, the import
-alone), ``peak_rss_mb`` (``ru_maxrss`` at the end), ``modules`` (entries of
-``sys.modules``), ``scipy_optimize`` and ``scipy_special`` (whether
-``scipy.optimize`` and ``scipy.special`` were loaded by the end), their
-medians, and the ``ratio`` summary of the rounds'
+alone), ``peak_rss_mb`` (``ru_maxrss`` at the end), ``minor_faults``
+(``ru_minflt`` at the end), ``modules`` (entries of ``sys.modules``),
+``scipy_linalg``, ``scipy_optimize`` and ``scipy_special`` (whether
+``scipy.linalg``, ``scipy.optimize`` and ``scipy.special`` were loaded by
+the end), their medians, and the ``ratio`` summary of the rounds'
 change/parent wall times and peak memory.  ``environment`` holds versions,
 BLAS build and thread settings from ``perfbench/env.py``.
 """
@@ -69,9 +70,12 @@ if argv is not None:
     if code != 0:
         raise SystemExit(f"exit code {code}")
 wall = time.perf_counter() - start
+usage = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({"wall_s": wall,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "peak_rss_mb": usage.ru_maxrss / 1024,
+                  "minor_faults": usage.ru_minflt,
                   "modules": len(sys.modules),
+                  "scipy_linalg": "scipy.linalg" in sys.modules,
                   "scipy_optimize": "scipy.optimize" in sys.modules,
                   "scipy_special": "scipy.special" in sys.modules}))
 """
@@ -83,7 +87,9 @@ def row(sides: dict, name: str) -> dict:
     for side, rs in runs.items():
         out[side] = {"wall_s": statistics.median(r["wall_s"] for r in rs),
                      "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in rs),
+                     "minor_faults": statistics.median(r["minor_faults"] for r in rs),
                      "modules": statistics.median(r["modules"] for r in rs),
+                     "scipy_linalg": sorted({r["scipy_linalg"] for r in rs}),
                      "scipy_optimize": sorted({r["scipy_optimize"] for r in rs}),
                      "scipy_special": sorted({r["scipy_special"] for r in rs}),
                      "wall_s_runs": [r["wall_s"] for r in rs],

@@ -21,7 +21,9 @@ the full integration grid.
 ``scipy.optimize`` loads on the first ``optimize`` or ``fit_harmonics`` call
 (or the first read of ``ansatz.minimize`` or ``ansatz.least_squares``), not at
 import: no other command needs it, and it is most of an import's modules and
-memory.  The two names still become module attributes, bound only where
+memory.  It also brings in the ``scipy.linalg`` package, which nothing else
+in cdlmg imports (`cdlmg._lapack` loads LAPACK's wrapper module alone).  The
+two names still become module attributes, bound only where
 unbound, because callers wrap them in place: the benchmark's tracer wraps the
 scipy functions it finds among this module's attributes, and tests and
 ``bench/optimizer.py`` replace them to record or cap the searches.

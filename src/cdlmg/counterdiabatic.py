@@ -23,8 +23,8 @@ from typing import Dict
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dstevd
 
+from ._lapack import dstevd
 from .errors import StructureError, ValidationError
 from .spin_algebra import BandMatrix, DickeSector, ModelParams, SectorFrame, parity_frames
 
@@ -65,7 +65,8 @@ class BandTable:
 def _cd_factors(frame: SectorFrame, h: float, hdot: float):
     """Eigenvectors V of the H0 block at field h and the real antisymmetric
     W with sector_cd_block = i V W V^T.  The tridiagonal block is solved by
-    LAPACK stevd, called directly, on its diagonal and ``frame.h0_off``."""
+    LAPACK stevd (from `cdlmg._lapack`), called directly, on its diagonal
+    and ``frame.h0_off``."""
     energies, vectors, info = dstevd(frame.h0_diagonals(h)[0], frame.h0_off)
     if info != 0:
         raise LinAlgError(f"tridiagonal block at h = {h} failed (LAPACK info {info})")

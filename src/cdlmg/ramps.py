@@ -39,15 +39,23 @@ class RampSchedule:
     t_end: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.params)):
+            raise ValidationError(f"{self.kind} ramp parameters must be finite, got {self.params}")
+        if not np.all(np.isfinite((self.t_start, self.t_end))):
+            raise ValidationError(
+                f"ramp domain must be finite, got [{self.t_start}, {self.t_end}]")
         if not self.t_end > self.t_start:
             raise ValidationError("ramp domain must satisfy t_end > t_start")
         ts = np.linspace(self.t_start, self.t_end, 1001)
-        hs = self.h(ts)
+        hs, hdots = self.h(ts), self.hdot(ts[1:-1])
+        for name, values in (("h", hs), ("hdot", hdots)):
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"{self.kind} ramp: {name} is not finite inside "
+                                      f"[{self.t_start}, {self.t_end}]")
         if np.any(hs <= 0):
             raise ValidationError(
                 f"{self.kind} ramp reaches h <= 0 inside [{self.t_start}, {self.t_end}]"
             )
-        hdots = self.hdot(ts[1:-1])
         mismatch = np.max(np.abs((hs[2:] - hs[:-2]) / (ts[2:] - ts[:-2]) - hdots))
         if not mismatch <= DERIVATIVE_RTOL * np.max(np.abs(hdots)):
             raise ValidationError(

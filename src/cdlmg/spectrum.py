@@ -9,9 +9,9 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dstebz, dstein
 
 from . import output
+from ._lapack import dstebz, dstein
 from .errors import ValidationError
 from .spin_algebra import ModelParams, SectorFrame, parity_frames
 
@@ -24,7 +24,8 @@ __all__ = [
 def sector_ground_series(frame: SectorFrame, h_values: np.ndarray):
     """Lowest eigenvector of the frame's block at each field value,
     sign-aligned along the sequence.  Returns (vectors, energies) with
-    vectors in block coordinates."""
+    vectors in block coordinates.  The blocks are solved by LAPACK stebz and
+    stein from `cdlmg._lapack`."""
     diagonals = frame.h0_diagonals(h_values)
     if not np.all(np.isfinite(diagonals)):
         raise ValidationError("field values must be finite")

@@ -90,6 +90,14 @@ def test_evolve_validation_failures(tmp_path, capsys):
                         "--ramp", "linear:0.75,0.5", "--steps", 10, "--out", tmp_path]) == 1
 
 
+def test_non_finite_ramp_exit_code(tmp_path, capsys):
+    for ramp in ("linear:nan,0.5", "linear:inf,0.5", "constant:nan"):
+        assert run_cli(["evolve", "--n", 4, "--protocol", "bare", "--ramp", ramp,
+                        "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert "ramp parameters must be finite" in err and "Warning" not in err
+
+
 def test_evolve_rejects_a_repeated_protocol(tmp_path, capsys):
     out = tmp_path / "twice"
     for repeated in (["bare", "bare"], ["exact", "exact_cd"]):
@@ -358,16 +366,17 @@ def test_decomposition_gate_failure_exit_code(tmp_path, capsys):
     assert "band-1 decomposition residual" in capsys.readouterr().err
 
 
-def test_only_the_optimizer_commands_load_scipy_optimize(tmp_path):
+def test_only_the_optimizer_commands_load_scipy_linalg_optimize_or_special(tmp_path):
     # cdlmg.ansatz binds scipy.optimize on first use: importing the package
     # or the CLI, or running a command that neither optimizes nor fits, must
     # not load it.  Nor scipy.special, which nothing but scipy.optimize
-    # loads: the Chebyshev step computes its own Bessel coefficients
+    # loads: the Chebyshev step computes its own Bessel coefficients.  Nor
+    # scipy.linalg: cdlmg._lapack loads LAPACK's wrapper module on its own
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import json, sys, cdlmg, cdlmg.cli\n"
              "def check(when):\n"
-             "    for name in ('scipy.optimize', 'scipy.special'):\n"
+             "    for name in ('scipy.linalg', 'scipy.optimize', 'scipy.special'):\n"
              "        assert name not in sys.modules, (name, when)\n"
              "check('on import')\n"
              "for argv in json.loads(sys.argv[1]):\n"
@@ -385,3 +394,37 @@ def test_only_the_optimizer_commands_load_scipy_optimize(tmp_path):
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("first", ["cdlmg", "scipy.linalg"])
+def test_lapack_routines_are_scipys_in_either_load_order(first):
+    # whichever of cdlmg and scipy.linalg loads first, both hold the same
+    # LAPACK function objects, and scipy.linalg and scipy.optimize still run
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (f"import {first}\n"
+             "import numpy as np\n"
+             "import cdlmg.counterdiabatic as cd, cdlmg.spectrum as sp\n"
+             "import scipy.linalg, scipy.optimize\n"
+             "from scipy.linalg import lapack\n"
+             "assert lapack.dstevd is cd.dstevd\n"
+             "assert lapack.dstebz is sp.dstebz and lapack.dstein is sp.dstein\n"
+             "w = scipy.linalg.eigh(np.diag([3.0, 1.0, 2.0]), eigvals_only=True)\n"
+             "assert np.allclose(w, [1.0, 2.0, 3.0]), w\n"
+             "fit = scipy.optimize.least_squares(lambda x: x - 2.0, [0.0])\n"
+             "assert fit.success and abs(fit.x[0] - 2.0) < 1e-8, fit\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_lapack_wrapper_is_an_import_error_naming_scipy(tmp_path):
+    # a scipy without linalg/_flapack: importing cdlmg fails at once
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(src)]))
+    done = subprocess.run([sys.executable, "-c", "import cdlmg"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode != 0
+    assert "ImportError: cdlmg needs scipy" in done.stderr

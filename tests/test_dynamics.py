@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,35 @@ def test_ramp_validation():
         RampSchedule.parse("spline:1,2")
     parsed = RampSchedule.parse("tanh:0.75,0.5,5")
     assert parsed.h(0.2) == pytest.approx(0.75 + 0.5 * np.tanh(1.0))
+
+
+NON_FINITE_RAMPS = {
+    "linear:nan,0.5": (lambda: RampSchedule.parse("linear:nan,0.5"), "parameters must be finite"),
+    "linear:inf,0.5": (lambda: RampSchedule.parse("linear:inf,0.5"), "parameters must be finite"),
+    "constant:nan": (lambda: RampSchedule.parse("constant:nan"), "parameters must be finite"),
+    "t_end=inf": (lambda: RampSchedule.custom(lambda t: 0.75 + 0.5 * t, lambda t: 0.5 + 0 * t,
+                                              t_end=np.inf), "domain must be finite"),
+    "nan hdot": (lambda: RampSchedule.custom(lambda t: 0.75 + 0.5 * t,
+                                             lambda t: np.full_like(t, np.nan)),
+                 "hdot is not finite"),
+    "inf hdot at t=0.5": (lambda: RampSchedule.custom(
+        lambda t: 0.75 + 0.5 * t, lambda t: np.where(t == 0.5, np.inf, 0.5)),
+        "hdot is not finite"),
+    "nan h at t=0.5": (lambda: RampSchedule.custom(
+        lambda t: np.where(t == 0.5, np.nan, 0.75 + 0.5 * t), lambda t: 0.5 + 0 * t),
+        "h is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_RAMPS))
+def test_non_finite_ramp_rejected_without_warnings(case):
+    # caught by their own check before the slope test, which cannot judge
+    # them (inf <= 1e-2 * inf holds), and without a numpy warning
+    make, message = NON_FINITE_RAMPS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=message):
+            make()
 
 
 def test_parse_protocol():
