@@ -97,9 +97,13 @@ class RampSchedule:
     def tanh_ramp(cls, h0: float, amp: float, rate: float,
                   t_start: float = 0.0, t_end: float = 1.0):
         """h(t) = h0 + amp * tanh(rate * t)."""
-        return cls("tanh",
-                   lambda t: h0 + amp * np.tanh(rate * t),
-                   lambda t: amp * rate / np.cosh(rate * t) ** 2,
+        def hdot(t):
+            # sech^2 x = 4e / (1 + e)^2 with e = exp(-2|x|), which cannot
+            # overflow where cosh x does
+            e = np.exp(-2.0 * np.abs(rate * t))
+            return 4.0 * amp * rate * e / (1.0 + e) ** 2
+
+        return cls("tanh", lambda t: h0 + amp * np.tanh(rate * t), hdot,
                    (h0, amp, rate), t_start, t_end)
 
     @classmethod

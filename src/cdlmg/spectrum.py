@@ -61,7 +61,10 @@ class GapTable:
     gaps: np.ndarray  # (len(h_values), len(pairs))
 
     def gap(self, pair) -> np.ndarray:
-        return self.gaps[:, self.pairs.index(tuple(pair))]
+        pair = tuple(pair)
+        if pair not in self.pairs:
+            raise ValidationError(f"no gap {pair} in the table; it has {self.pairs}")
+        return self.gaps[:, self.pairs.index(pair)]
 
     def to_csv(self, path) -> None:
         output.write_csv(path, ["h"] + [f"gap{i}{j}" for i, j in self.pairs],
@@ -75,9 +78,10 @@ def gap_series(params: ModelParams, h_grid: Sequence[float]) -> GapTable:
     """Eigenvalue differences on a sorted h grid for the level pairs of
     DEFAULT_GAP_PAIRS that fit in the spectrum.
 
-    The spectrum at each field value is the merged spectra of the two parity
-    blocks, which H0 does not couple; only the levels the pairs reach are
-    solved in each block.
+    H0 does not couple the two parity blocks, so at each field value they
+    sit side by side as one tridiagonal of the whole sector, joined by an
+    exact zero where LAPACK stebz splits it, and one bisection returns the
+    lowest levels the pairs reach, across both blocks in ascending order.
     """
     h_grid = np.asarray(h_grid, dtype=float)
     if h_grid.ndim != 1:
@@ -90,19 +94,15 @@ def gap_series(params: ModelParams, h_grid: Sequence[float]) -> GapTable:
         raise ValidationError("h grid must be sorted ascending")
     pairs = tuple(p for p in DEFAULT_GAP_PAIRS if p[1] < params.sector.dim)
     levels = max(j for _, j in pairs) + 1
-    # the lowest `levels` of each block hold the lowest `levels` overall
-    blocks = []
-    for frame in parity_frames(params):
-        count = min(levels, frame.dim)
-        off = frame.h0_off if frame.dim > 1 else np.zeros(1)  # the wrapper wants one entry
-        block = np.empty((len(h_grid), count))
-        for row, diagonal, h in zip(block, frame.h0_diagonals(h_grid), h_grid):
-            # the lowest levels by bisection, solved by index
-            _, energy, _, _, info = dstebz(diagonal, off, 2, 0.0, 0.0, 1, count, 0.0, "E")
-            if info != 0:
-                raise LinAlgError(f"tridiagonal levels at h = {h} failed (LAPACK info {info})")
-            row[:] = energy[:count]
-        blocks.append(block)
-    energies = np.sort(np.hstack(blocks), axis=1)
+    even, odd = parity_frames(params)
+    diagonals = np.hstack([even.h0_diagonals(h_grid), odd.h0_diagonals(h_grid)])
+    off = np.concatenate([even.h0_off, [0.0], odd.h0_off])
+    energies = np.empty((len(h_grid), levels))
+    for row, diagonal, h in zip(energies, diagonals, h_grid):
+        # the lowest levels by bisection, solved by index
+        _, energy, _, _, info = dstebz(diagonal, off, 2, 0.0, 0.0, 1, levels, 0.0, "E")
+        if info != 0:
+            raise LinAlgError(f"tridiagonal levels at h = {h} failed (LAPACK info {info})")
+        row[:] = energy[:levels]
     gaps = np.stack([energies[:, j] - energies[:, i] for i, j in pairs], axis=1)
     return GapTable(h_grid, pairs, gaps)

@@ -83,6 +83,19 @@ def test_ramp_validation():
     assert parsed.h(0.2) == pytest.approx(0.75 + 0.5 * np.tanh(1.0))
 
 
+def test_tanh_slope_does_not_overflow():
+    # at rate 1000 cosh(rate t) overflows on most of [0, 1]; the steep ramp
+    # fails only the slope check, with no floating-point warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="differs from the slope"):
+            RampSchedule.parse("tanh:0.75,0.5,1000")
+        ts = np.linspace(0.0, 1.0, 1001)
+        slope = RampSchedule.parse("tanh:0.75,0.5,5").hdot(ts)
+    cosh_form = 0.5 * 5.0 / np.cosh(5.0 * ts) ** 2
+    assert np.max(np.abs(slope - cosh_form) / cosh_form) <= 1e-15
+
+
 NON_FINITE_RAMPS = {
     "linear:nan,0.5": (lambda: RampSchedule.parse("linear:nan,0.5"), "parameters must be finite"),
     "linear:inf,0.5": (lambda: RampSchedule.parse("linear:inf,0.5"), "parameters must be finite"),

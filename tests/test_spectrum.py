@@ -8,7 +8,7 @@ from cdlmg import (
     build_h0,
     gap_series,
 )
-from cdlmg.spectrum import sector_ground_series
+from cdlmg.spectrum import dstebz, sector_ground_series
 from cdlmg.spin_algebra import SectorFrame
 
 
@@ -91,11 +91,13 @@ def test_gap_series_validation_and_export(tmp_path):
     assert len(lines) == 12
 
 
-@pytest.mark.parametrize("n,gamma", [(2, 0.0), (3, 0.0), (4, 0.0), (9, 0.0), (41, 0.0),
-                                     (40, 0.3)])
+@pytest.mark.parametrize("n,gamma", [(2, 0.0), (3, 0.0), (4, 0.0), (5, 0.0), (9, 0.0),
+                                     (41, 0.0), (40, 0.3), (301, 0.0)])
 def test_gap_series_matches_full_spectrum(n, gamma):
     # merged parity-block spectra against the full-basis H0, for the default
-    # level pairs that fit in the N+1 levels
+    # level pairs that fit in the N+1 levels: at N=5 every level of the two
+    # 3-state blocks, at N=301 two 151-state blocks; at h = 0.5 levels of
+    # opposite parity are degenerate to rounding
     params = ModelParams(n, gamma)
     h_grid = np.linspace(0.5, 1.5, 7)
     table = gap_series(params, h_grid)
@@ -106,3 +108,23 @@ def test_gap_series_matches_full_spectrum(n, gamma):
         energies = np.linalg.eigvalsh(build_h0(params, h))
         expected = [energies[j] - energies[i] for i, j in pairs]
         assert np.allclose(table.gaps[row], expected, rtol=0, atol=1e-10)
+
+
+def test_gap_series_one_bisection_per_field_point(monkeypatch):
+    # both parity blocks are solved together, in one stebz call per field
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dstebz(*args)
+
+    monkeypatch.setattr("cdlmg.spectrum.dstebz", counting)
+    gap_series(ModelParams(30, 0.0), np.linspace(0.5, 1.5, 9))
+    assert len(calls) == 9
+
+
+def test_gap_table_rejects_pair_it_lacks():
+    table = gap_series(ModelParams(3, 0.0), [0.5, 1.0])
+    assert table.pairs == ((0, 1), (2, 3))
+    with pytest.raises(ValidationError, match=r"\(\(0, 1\), \(2, 3\)\)"):
+        table.gap((4, 5))
