@@ -8,25 +8,26 @@ precision (`_StepPlan`), which needs only products of the step's block with
 a vector and no eigensolve.  One stepping loop (`_steps`) runs it for
 `evolve_all`, on the drive's blocks, and for the optimizer's search
 (`ansatz`), on a block upper-triangular extension of them that carries the
-gradient along.  `evolve_all` steps several protocols on one `TrackedRun`,
-those that read the exact CD term's eigenvectors in lockstep; `evolve` is
-its one-protocol case.  A step's block is a
-`BandMatrix` (H0 with the hp, truncated or ansatz drive), whose products
-cost O(w dim); exact_cd's, whose drive fills the block, and the
-optimizer's extension stay dense.
+gradient along.  A protocol has a ``label`` and ``setup(run)``, which
+returns (chunk, operators): operators(lo, hi), for hi - lo <= chunk, gives
+the blocks H0 + drive of steps lo..hi-1 at the `TrackedRun`'s midpoints, in
+a new array.  A block is a `BandMatrix` (H0 with the hp, truncated or
+ansatz drive), whose products cost O(w dim); exact_cd's, whose drive fills
+the block, and the optimizer's extension stay dense.  `evolve_all` steps
+several protocols on one run, those with ``reads_cd_factors`` (which read
+`TrackedRun.cd_factors`) in lockstep; `evolve` is its one-protocol case.
 
 The loop plans a run's steps a chunk at a time: the chunk's blocks are
 written into one stack, and one pass gives every step's Gershgorin
 interval, term count, Bessel coefficients and scaled block; each step then
 runs only its recurrence (`_planned_step`), with the same arithmetic as a
 step planned alone.  One rule sizes every chunk (`_chunk_steps`): at most
-CHUNK_STEPS steps and CHUNK_BYTES of blocks; protocols that read the
-exact CD term's eigenvectors plan one common chunk, so that a midpoint's
-eigenproblem is solved once for all of them.  Both the bare Hamiltonian
-and every driving protocol here preserve excitation-number parity, and the
-initial state is the tracked ground state (parity-pure), so the evolution
-is carried out inside that parity block; this is an exact reduction, not
-an approximation.
+CHUNK_STEPS steps and CHUNK_BYTES of blocks; the lockstep protocols plan
+one common chunk, so that a midpoint's eigenproblem is solved once for all
+of them.  Both the bare Hamiltonian and every driving protocol here
+preserve excitation-number parity, and the initial state is the tracked
+ground state (parity-pure), so the evolution is carried out inside that
+parity block; this is an exact reduction, not an approximation.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -86,21 +87,53 @@ _UNIT_POWERS = np.array([2, -2j, -2, 2j])  # e_k (-i)^k for k = 0, 1, 2, 3 mod 4
 
 
 # --------------------------------------------------------------------------
-# protocols
+# protocols (see the module docstring for what one provides)
+
+def _band_setup(run: "TrackedRun", w: int, drive):
+    """`setup` of a band protocol, whose blocks H0 + drive are a complex
+    `BandMatrix` stack (steps, 2w+1, dim): drive(data, lo, hi) adds steps
+    lo..hi-1's drive to their stack of H0's bands."""
+    frame = run.frame
+
+    def operators(lo, hi):
+        data = np.zeros((hi - lo, 2 * w + 1, frame.dim), dtype=complex)
+        data[:, w - 1:w + 2] = frame.h0_bands(run.h_mid[lo:hi]).data
+        drive(data, lo, hi)
+        return BandMatrix(data)
+    return _chunk_steps((2 * w + 1) * frame.dim * 16), operators
+
 
 @dataclass(frozen=True)
 class Bare:
-    label: str = "bare"
+    label = "bare"
+
+    def setup(self, run):
+        return _band_setup(run, 1, lambda data, lo, hi: None)
 
 
 @dataclass(frozen=True)
 class ExactCD:
-    label: str = "exact_cd"
+    label = "exact_cd"
+    reads_cd_factors = True
+
+    def setup(self, run):
+        frame = run.frame
+
+        def exact(lo, hi):
+            factors = run.cd_factors(lo, hi)
+            blocks = [frame.h0_bands(h).dense() + sector_cd_block(next(factors))
+                      for h in run.h_mid[lo:hi]]
+            # a block planned alone is not copied into a stack: at N=300 the
+            # copy made the heap fault its pages in again every step (7600
+            # to 11600 page faults per 60 steps against 370) and cost 10%
+            return np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
+        return _chunk_steps(frame.dim ** 2 * 16), exact
 
 
 @dataclass(frozen=True)
 class Truncated:
     bands: int
+    reads_cd_factors = True
 
     def __post_init__(self):
         if self.bands < 1:
@@ -110,10 +143,34 @@ class Truncated:
     def label(self) -> str:
         return f"truncated({self.bands})"
 
+    def setup(self, run):
+        drive = self._drive(run.frame)
+
+        def truncated(data, lo, hi):
+            factors = run.cd_factors(lo, hi)
+            for row, h, hdot in zip(data, run.h_mid[lo:hi], run.hd_mid[lo:hi]):
+                row += drive(next(factors), h, hdot).data
+        # sector_cd_bands' width
+        return _band_setup(run, min(self.bands, run.frame.dim - 1), truncated)
+
+    def _drive(self, frame):
+        """The drive at one midpoint, drive(factors, h, hdot), from the
+        tracked block's CD factors there."""
+        return lambda factors, h, hdot: sector_cd_bands(factors, self.bands)
+
 
 @dataclass(frozen=True)
 class HPCorrection:
-    label: str = "hp"
+    label = "hp"
+
+    def setup(self, run):
+        n, gamma = run.params.n, run.params.gamma
+
+        def hp(data, lo, hi):
+            c = [hp_coefficient(n, gamma, h, hdot)
+                 for h, hdot in zip(run.h_mid[lo:hi], run.hd_mid[lo:hi])]
+            data += np.array(c)[:, None, None] * run.frame.b0_bands.data
+        return _band_setup(run, 1, hp)
 
 
 @dataclass(frozen=True)
@@ -123,6 +180,17 @@ class AnsatzDrive:
     @property
     def label(self) -> str:
         return f"ansatz(k={self.coefficients.num_bands})"
+
+    def setup(self, run):
+        coefficients = self.coefficients
+        k = coefficients.num_bands
+        run.frame.check_bands(k)
+        w = max(k, 1)
+
+        def ansatz(data, lo, hi):
+            data[:, w - k:w + k + 1] += run.frame.ansatz_bands(
+                coefficients.values[coefficients.segment_of(run.t_mid[lo:hi])]).data
+        return _band_setup(run, w, ansatz)
 
 
 @dataclass(frozen=True)
@@ -135,16 +203,32 @@ class DecomposedDrive(Truncated):
     def label(self) -> str:
         return f"decomposed({self.bands})"
 
+    def _drive(self, frame):
+        # the gate reads bands 1..k of both parity blocks; the tracked
+        # block's are the drive
+        k = self.bands
+        check = decomposition_gate(frame.params.sector, k)
+        other = SectorFrame(frame.params, 1 - frame.idx[0])
 
-Protocol = Union[Bare, ExactCD, Truncated, HPCorrection, AnsatzDrive, DecomposedDrive]
+        def drive(factors, h, hdot):
+            bands = sector_cd_bands(factors, k)
+            blocks = [(frame, bands)]
+            if other.dim >= 2:
+                blocks.append((other, sector_cd_bands(_cd_factors(other, h, hdot), k)))
+            check(parity_band_table(blocks))
+            return bands
+        return drive
+
 
 _PROTOCOL_ALIASES = {"bare": Bare, "exact": ExactCD, "exact_cd": ExactCD, "hp": HPCorrection}
 
 
-def parse_protocol(spec) -> Protocol:
+def parse_protocol(spec):
     """Accept protocol objects or CLI strings like 'bare', 'exact_cd',
-    'truncated:2', 'decomposed:1'."""
+    'truncated:2', 'decomposed:1'; anything else raises ValidationError."""
     if not isinstance(spec, str):
+        if not hasattr(spec, "setup"):
+            raise ValidationError(f"a protocol is a name or a protocol object, got {spec!r}")
         return spec
     name, _, arg = spec.partition(":")
     if name in _PROTOCOL_ALIASES:
@@ -164,91 +248,11 @@ def parse_protocol(spec) -> Protocol:
 
 
 # --------------------------------------------------------------------------
-# drive assembly and the step kernel
+# the step kernel
 
 def _chunk_steps(block_bytes: int) -> int:
     """Steps per chunk for blocks of block_bytes each, one at least."""
     return max(1, min(CHUNK_STEPS, CHUNK_BYTES // block_bytes))
-
-
-def _step_operators(run: "TrackedRun", protocol: Protocol):
-    """Set a protocol up for one run.  Returns (chunk, operators), where
-    operators(lo, hi), for hi - lo <= chunk (`_chunk_steps`), gives the
-    Hamiltonian blocks H0 + drive of steps lo..hi-1 at their midpoints, in
-    a new array that the step planner scales in place: a complex
-    `BandMatrix` stacking them, (hi - lo, 2w+1, dim), or for exact_cd,
-    whose drive fills the block, dense blocks (hi - lo, dim, dim)."""
-    frame, t_mid, h_mid, hd_mid = run.frame, run.t_mid, run.h_mid, run.hd_mid
-
-    def h0_stack(lo, hi, w):
-        data = np.zeros((hi - lo, 2 * w + 1, frame.dim), dtype=complex)
-        data[:, w - 1:w + 2] = frame.h0_bands(h_mid[lo:hi]).data
-        return data
-
-    def band_chunk(w):
-        return _chunk_steps((2 * w + 1) * frame.dim * 16)
-
-    if isinstance(protocol, Bare):
-        return band_chunk(1), lambda lo, hi: BandMatrix(h0_stack(lo, hi, 1))
-    if isinstance(protocol, ExactCD):
-        def exact(lo, hi):
-            factors = run.cd_factors(lo, hi)
-            blocks = [frame.h0_bands(h).dense() + sector_cd_block(next(factors))
-                      for h in h_mid[lo:hi]]
-            # a block planned alone is not copied into a stack: at N=300 the
-            # copy made the heap fault its pages in again every step (7600
-            # to 11600 page faults per 60 steps against 370) and cost 10%
-            return np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
-        return _chunk_steps(frame.dim ** 2 * 16), exact
-    if isinstance(protocol, Truncated):
-        k = protocol.bands
-        w = min(k, frame.dim - 1)  # sector_cd_bands' width
-
-        def drive(factors, h, hdot):
-            return sector_cd_bands(factors, k)
-        if isinstance(protocol, DecomposedDrive):
-            # the gate reads bands 1..k of both parity blocks; the tracked
-            # block's are the drive
-            check = decomposition_gate(frame.params.sector, k)
-            other = SectorFrame(frame.params, 1 - frame.idx[0])
-
-            def drive(factors, h, hdot):
-                bands = sector_cd_bands(factors, k)
-                blocks = [(frame, bands)]
-                if other.dim >= 2:
-                    blocks.append((other, sector_cd_bands(_cd_factors(other, h, hdot), k)))
-                check(parity_band_table(blocks))
-                return bands
-
-        def truncated(lo, hi):
-            data = h0_stack(lo, hi, w)
-            factors = run.cd_factors(lo, hi)
-            for row, h, hdot in zip(data, h_mid[lo:hi], hd_mid[lo:hi]):
-                row += drive(next(factors), h, hdot).data
-            return BandMatrix(data)
-        return band_chunk(w), truncated
-    if isinstance(protocol, HPCorrection):
-        n, gamma = frame.params.n, frame.params.gamma
-
-        def hp(lo, hi):
-            c = [hp_coefficient(n, gamma, h, hdot) for h, hdot in zip(h_mid[lo:hi], hd_mid[lo:hi])]
-            data = h0_stack(lo, hi, 1)
-            data += np.array(c)[:, None, None] * frame.b0_bands.data
-            return BandMatrix(data)
-        return band_chunk(1), hp
-    if isinstance(protocol, AnsatzDrive):
-        coefficients = protocol.coefficients
-        k = coefficients.num_bands
-        frame.check_bands(k)
-        w = max(k, 1)
-
-        def ansatz(lo, hi):
-            data = h0_stack(lo, hi, w)
-            data[:, w - k:w + k + 1] += frame.ansatz_bands(
-                coefficients.values[coefficients.segment_of(t_mid[lo:hi])]).data
-            return BandMatrix(data)
-        return band_chunk(w), ansatz
-    raise ValidationError(f"unsupported protocol {protocol!r}")
 
 
 def _gershgorin(h) -> tuple:
@@ -466,8 +470,8 @@ class TrackedRun:
     grid points, the field and its rate at the step midpoints, and the
     sign-aligned ground series with its first vector as the start state.
     `evolve_all` steps its protocols on one, as `ansatz.optimize` steps its
-    segments on one.  ``factor_readers`` is the number of those protocols
-    that read `cd_factors`, all on the same windows of midpoints."""
+    segments on one.  ``factor_readers`` counts those protocols with
+    ``reads_cd_factors``: they read `cd_factors` on the same windows."""
 
     def __init__(self, params: ModelParams, grid):
         ramp = params.ramp
@@ -517,8 +521,15 @@ class TrackedRun:
 def _propagate(run: TrackedRun, protocols: list, store_states: bool) -> list:
     """Step the protocols along the run, one trajectory each: those that read
     the CD factors in lockstep, each of the others alone."""
-    setups = [_step_operators(run, p) for p in protocols]
-    readers = [i for i, p in enumerate(protocols) if isinstance(p, (ExactCD, Truncated))]
+    setups = [p.setup(run) for p in protocols]
+    # exact_cd steps last in each round: as it builds its dense chunk, the
+    # shared window shrinks by the blocks' size (`TrackedRun.cd_factors`).
+    # Its dense chunk is the smallest of the readers' own, or ties at
+    # CHUNK_STEPS where the blocks are small, so the readers step largest
+    # chunk first.  The order changes no numbers.
+    # Stepped alone, the others hold one plan at a time, as in `evolve`.
+    readers = sorted((i for i, p in enumerate(protocols) if getattr(p, "reads_cd_factors", False)),
+                     key=lambda i: -setups[i][0])
     if len(readers) > 1:
         # the readers plan one chunk, their smallest, so that each window is
         # solved once; the kept window holds at most an exact_cd chunk's
@@ -527,15 +538,12 @@ def _propagate(run: TrackedRun, protocols: list, store_states: bool) -> list:
         chunk = min([setups[i][0] for i in readers] + [_chunk_steps(run.frame.dim ** 2 * 16)])
         for i in readers:
             setups[i] = (chunk, setups[i][1])
-    # exact_cd steps last in each round: as it builds its dense chunk, the
-    # shared window shrinks by the blocks' size (`TrackedRun.cd_factors`).
-    # Stepped alone, the others hold one plan at a time, as in `evolve`.
-    groups = [sorted(readers, key=lambda i: isinstance(protocols[i], ExactCD))] if readers else []
+    groups = [readers] if readers else []
     groups += [[i] for i in range(len(protocols)) if i not in readers]
     times, count = run.times, len(protocols)
     dts = np.diff(times)
     steps = len(dts)
-    labels = [getattr(p, "label", str(p)) for p in protocols]
+    labels = [p.label for p in protocols]
 
     fid = np.empty((count, len(times)))
     fid[:, 0] = fidelity(run.start_state, run.grounds[0])
@@ -576,9 +584,10 @@ def evolve_all(params: ModelParams, protocols, grid=DEFAULT_STEPS, *,
     protocols' order.  Two protocols with one label ('exact' and
     'exact_cd') raise ValidationError.
 
-    The run's ground series is solved once.  exact_cd, truncated:k and
-    decomposed:k step in lockstep and read one eigensolve of the tracked
-    block per midpoint; the other protocols step one after another.
+    The run's ground series is solved once.  The protocols with
+    ``reads_cd_factors`` (exact_cd, truncated:k and decomposed:k) step in
+    lockstep and read one eigensolve of the tracked block per midpoint; the
+    others step one after another, each on its own `setup`'s chunk.
     Every trajectory is bitwise the one `evolve` gives for its protocol
     alone.  `grid` and `store_states` are as for `evolve`, and every
     ``info["wall_time_s"]`` is the whole call's.

@@ -306,19 +306,20 @@ def test_preset_runs_every_protocol_on_the_calling_thread(monkeypatch):
     import cdlmg.dynamics
     from cdlmg.figures import FIGURES, run_figure
 
-    step_operators = cdlmg.dynamics._step_operators
+    steps = cdlmg.dynamics._steps
     ground_series = cdlmg.dynamics.sector_ground_series
     threads, solved = [], []
 
-    def recording_step_operators(*args, **kwargs):
+    def recording_steps(*args, **kwargs):
+        # one stream per protocol, recorded on the thread that steps it
         threads.append(threading.get_ident())
-        return step_operators(*args, **kwargs)
+        yield from steps(*args, **kwargs)
 
     def counting_ground_series(*args, **kwargs):
         solved.append(args)
         return ground_series(*args, **kwargs)
 
-    monkeypatch.setattr(cdlmg.dynamics, "_step_operators", recording_step_operators)
+    monkeypatch.setattr(cdlmg.dynamics, "_steps", recording_steps)
     monkeypatch.setattr(cdlmg.dynamics, "sector_ground_series", counting_ground_series)
     curves = run_figure("fig1a", steps=20)
     assert list(curves) == [p.label for p in FIGURES["fig1a"].protocols]

@@ -25,6 +25,7 @@ from cdlmg import (
     Truncated,
     ValidationError,
     build_h0,
+    build_spin_ops,
     evolve,
     evolve_all,
     exact_cd,
@@ -137,6 +138,14 @@ def test_parse_protocol():
         parse_protocol("adiabatic")
     with pytest.raises(ValidationError):
         Truncated(0)
+    # neither a name nor a protocol object, also one that has only a label
+    labelled = type("Labelled", (), {"label": "bare"})()
+    for spec in (42, None, labelled):
+        with pytest.raises(ValidationError, match="a protocol is a name or a protocol object"):
+            parse_protocol(spec)
+    params = ModelParams(6, 0.0, RampSchedule.linear(0.75, 0.5))
+    with pytest.raises(ValidationError, match="got 42"):
+        evolve(params, 42, 10)
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +303,7 @@ def test_chunk_sized_by_its_own_steps():
     # term buffer serves the chunk, and every step equals the step alone
     params = ModelParams(300, 0.0, RampSchedule.linear(0.75, 0.5))
     run = TrackedRun(params, 250)
-    chunk, operators = cdlmg.dynamics._step_operators(run, HPCorrection())
+    chunk, operators = HPCorrection().setup(run)
     lo, hi = 96, 96 + chunk
     dts = np.diff(run.times)[lo:hi]
     plan = _StepPlan(operators(lo, hi), dts)
@@ -420,7 +429,7 @@ def test_lockstep_chunk_edges(monkeypatch):
                                           np.linspace(-0.3, 0.3, 21).reshape(7, 3)))
     protocols = ["bare", "hp", "truncated:2", "decomposed:2", "exact_cd", ansatz]
     run = TrackedRun(params, 2)
-    chunks = {cdlmg.dynamics._step_operators(run, parse_protocol(p))[0] for p in protocols}
+    chunks = {parse_protocol(p).setup(run)[0] for p in protocols}
     assert chunks == {7, 11, 15, 25}  # exact_cd, ansatz, truncated:2, bare and hp
     chunks.discard(15)  # truncated:2 and decomposed:2 step on exact_cd's 7
     for n in sorted({m for c in chunks for m in (1, c - 1, c, c + 1, 2 * c + 1)}):
@@ -505,6 +514,51 @@ def test_full_basis_reference():
 
     traj = evolve(params, "exact_cd", steps)
     assert np.max(np.abs(traj.fidelity - np.array(fids))) < 1e-10
+
+
+def _reference_drive(params, protocol, h, hdot, t):
+    """A protocol's drive at one midpoint, in the full basis, from dense
+    matrices: exact_cd, its even-offset bands up to 2k, the hp coefficient
+    times (SxSy + SySx), or the ansatz's sum_b x_b P_b."""
+    dim = params.sector.dim
+    offset = np.subtract.outer(np.arange(dim), np.arange(dim))
+    if isinstance(protocol, ExactCD):
+        return exact_cd(params, h, hdot)
+    if isinstance(protocol, Truncated):
+        keep = (np.abs(offset) <= 2 * protocol.bands) & (offset % 2 == 0)
+        return np.where(keep, exact_cd(params, h, hdot), 0.0)
+    if isinstance(protocol, HPCorrection):
+        ops = build_spin_ops(params.sector)
+        return hp_coefficient(params.n, params.gamma, h, hdot) * (ops.sx @ ops.sy + ops.sy @ ops.sx)
+    if isinstance(protocol, AnsatzDrive):
+        coefficients = protocol.coefficients
+        x = coefficients.values[np.flatnonzero(coefficients.boundaries <= t)[-1]]
+        return sum(xb * 1j * (np.eye(dim, k=2 * b) - np.eye(dim, k=-2 * b))
+                   for b, xb in enumerate(x, 1))
+    return np.zeros((dim, dim))
+
+
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("protocol", ["bare", "exact_cd", "truncated:1", "truncated:2",
+                                      "decomposed:2", "hp", "ansatz"])
+def test_step_blocks_match_full_basis(n, protocol):
+    # each protocol's step blocks, at midpoints across the ramp, are the
+    # tracked parity block of the full-basis H0 plus its drive
+    params = ModelParams(n, 0.25, RampSchedule.linear(0.75, 0.5))
+    if protocol == "ansatz":
+        protocol = AnsatzDrive(BandCoefficients(np.linspace(0, 1, 6),
+                                                np.linspace(-0.4, 0.5, 10).reshape(5, 2)))
+    protocol = parse_protocol(protocol)
+    run = TrackedRun(params, 40)
+    chunk, operators = protocol.setup(run)
+    for lo, hi in ((0, 1), (17, 23), (37, 40)):
+        assert hi - lo <= chunk
+        blocks = _dense(operators(lo, hi))
+        assert blocks.shape == (hi - lo, run.frame.dim, run.frame.dim)
+        for block, t, h, hdot in zip(blocks, run.t_mid[lo:hi], run.h_mid[lo:hi],
+                                     run.hd_mid[lo:hi]):
+            reference = build_h0(params, h) + _reference_drive(params, protocol, h, hdot, t)
+            assert np.max(np.abs(block - reference[run.frame.ix])) < 1e-12
 
 
 def test_protocol_ordering_small_system():
