@@ -23,9 +23,9 @@ OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1, in alternating rounds
   together on one tracked run (``evolve_all``, the wall time of the whole
   call over the step count; sources without it run ``evolve`` per
   protocol on one ``TrackedRun``) at each N of SHARED_SIZES, as the
-  ``steps`` rows are timed, with both final fidelities.  At N=300 the
-  dense chunk is one step, where the heap has been seen to give pages
-  back between chunks;
+  ``steps`` rows are timed, with both final fidelities.  At N=300 and
+  N=1000 the dense chunk is one step, where the heap has been seen to give
+  pages back between chunks;
 - ``fig1a``: wall time of the fig1a preset (four protocols at N=100, 51
   states per block) at FIG_STEPS steps, the fastest of FIG_RUNS runs in
   each of FIG_REPEATS interpreters per side, their median, and the same
@@ -73,7 +73,7 @@ SIZES = {100: 200, 126: 200, 300: 60, 1000: 20}
 REPEATS = 20
 RUNS = 5
 SHARED_PROTOCOLS = ("exact_cd", "truncated:1")
-SHARED_SIZES = {100: 200, 300: 60}
+SHARED_SIZES = {100: 200, 300: 60, 1000: 20}
 FIG_STEPS = 1000
 FIG_REPEATS = 10
 FIG_RUNS = 3

@@ -63,36 +63,41 @@ class BandTable:
 
 
 def _cd_factors(frame: SectorFrame, h: float, hdot: float):
-    """Eigenvectors V of the H0 block at field h and the real antisymmetric
-    W with sector_cd_block = i V W V^T.  The tridiagonal block is solved by
-    LAPACK stevd (from `cdlmg._lapack`), called directly, on its diagonal
-    and ``frame.h0_off``."""
+    """The CD factors of the H0 block at field h: its eigenvectors V and the
+    real product V W, where W_mn = <m|dH0/dt|n> / (E_n - E_m) on the
+    eigenbasis, antisymmetric, so that sector_cd_block = i (V W) V^T.
+    Nothing reads W alone, so each midpoint forms V W once for all its
+    readers.  The tridiagonal block is solved by LAPACK stevd (from
+    `cdlmg._lapack`), called directly, on its diagonal and ``frame.h0_off``."""
     energies, vectors, info = dstevd(frame.h0_diagonals(h)[0], frame.h0_off)
     if info != 0:
         raise LinAlgError(f"tridiagonal block at h = {h} failed (LAPACK info {info})")
-    m = vectors.T @ (frame.m_diag[:, None] * vectors) * (-2.0 * hdot)
+    m = vectors.T @ (frame.m_diag[:, None] * vectors)
+    m *= -2.0 * hdot
     de = energies[None, :] - energies[:, None]
-    tol = DEGENERACY_TOL_FACTOR * max(np.max(np.abs(energies)), 1.0)
-    # zero within a cluster of levels, the diagonal included
-    w = np.divide(m, de, out=np.zeros_like(m), where=np.abs(de) > tol)
-    return vectors, w
+    # the largest |E|, from the ends of the ascending spectrum
+    tol = DEGENERACY_TOL_FACTOR * max(-energies[0], energies[-1], 1.0)
+    # W = m / de, zero within a cluster of levels, the diagonal included
+    m /= np.where(np.abs(de) > tol, de, np.inf)
+    return vectors, vectors @ m
 
 
-def sector_cd_block(factors) -> np.ndarray:
+def sector_cd_block(factors, out=None) -> np.ndarray:
     """Driving-term block of one parity sector, in that sector's basis, from
-    its `_cd_factors` (V, W) by two real products."""
-    vectors, w = factors
-    out = 1j * (vectors @ w @ vectors.T)
+    its `_cd_factors` (V, V W) by one real product, (V W) V^T, times i.
+    With ``out``, a complex block, the term is written over it: its real
+    part is left zero, for the caller to add H0 to."""
+    vectors, vw = factors
+    out = np.multiply(1j, vw @ vectors.T, out=out)
     np.fill_diagonal(out, 0.0)  # exact zero; the product leaves O(eps) dust
     return out
 
 
 def sector_cd_bands(factors, k: int) -> BandMatrix:
     """Bands 1..k of `sector_cd_block`, without the rest of the block: the
-    entries (V W V^T)[i, i+o] of band o are row-wise dots of V W, one real
-    product, with the rows of V shifted by o."""
-    vectors, w = factors
-    vw = vectors @ w
+    entries ((V W) V^T)[i, i+o] of band o are row-wise dots of the factors'
+    V W with the rows of V shifted by o."""
+    vectors, vw = factors
     dim = len(vectors)
     uppers = [1j * np.einsum("ij,ij->i", vw[:dim - o], vectors[o:])
               for o in range(1, min(k, dim - 1) + 1)]

@@ -11,11 +11,15 @@ a vector and no eigensolve.  One stepping loop (`_steps`) runs it for
 gradient along.  A protocol has a ``label`` and ``setup(run)``, which
 returns (chunk, operators): operators(lo, hi), for hi - lo <= chunk, gives
 the blocks H0 + drive of steps lo..hi-1 at the `TrackedRun`'s midpoints, in
-a new array.  A block is a `BandMatrix` (H0 with the hp, truncated or
-ansatz drive), whose products cost O(w dim); exact_cd's, whose drive fills
-the block, and the optimizer's extension stay dense.  `evolve_all` steps
-several protocols on one run, those with ``reads_cd_factors`` (which read
-`TrackedRun.cd_factors`) in lockstep; `evolve` is its one-protocol case.
+an array that the stepping loop may overwrite.  A block is a `BandMatrix`
+(H0 with the hp, truncated or ansatz drive), whose products cost O(w dim);
+exact_cd's, whose drive fills the block, and the optimizer's extension stay
+dense.  exact_cd writes every chunk into one buffer per run: H0's
+tridiagonal as the real part, the CD term i (V W) V^T from the midpoint's
+CD factors (`counterdiabatic.sector_cd_block`) as the imaginary part.
+`evolve_all` steps several protocols on one run, those with
+``reads_cd_factors`` (which read `TrackedRun.cd_factors`) in lockstep;
+`evolve` is its one-protocol case.
 
 The loop plans a run's steps a chunk at a time: the chunk's blocks are
 written into one stack, and one pass gives every step's Gershgorin
@@ -117,17 +121,25 @@ class ExactCD:
     reads_cd_factors = True
 
     def setup(self, run):
-        frame = run.frame
+        frame, dim = run.frame, run.frame.dim
+        chunk = _chunk_steps(dim ** 2 * 16)
+        # one buffer per run, which each chunk's blocks overwrite once the
+        # previous chunk's plan is done with it: new blocks per chunk let the
+        # heap give their pages back and fault them in again, 578 faults
+        # against 35 over five 200-step runs at N=100 and 1632 against 235
+        # over five 60-step runs at N=300 (`bench/step_kernel.py`)
+        buffer = np.empty((chunk, dim, dim), dtype=complex)
 
         def exact(lo, hi):
+            blocks = buffer[:hi - lo]
             factors = run.cd_factors(lo, hi)
-            blocks = [frame.h0_bands(h).dense() + sector_cd_block(next(factors))
-                      for h in run.h_mid[lo:hi]]
-            # a block planned alone is not copied into a stack: at N=300 the
-            # copy made the heap fault its pages in again every step (7600
-            # to 11600 page faults per 60 steps against 370) and cost 10%
-            return np.stack(blocks) if len(blocks) > 1 else blocks[0][None]
-        return _chunk_steps(frame.dim ** 2 * 16), exact
+            for block in blocks:
+                sector_cd_block(next(factors), out=block)
+            flat = blocks.reshape(hi - lo, -1).real
+            flat[:, ::dim + 1] = frame.h0_diagonals(run.h_mid[lo:hi])
+            flat[:, 1::dim + 1] = flat[:, dim::dim + 1] = frame.h0_off
+            return blocks
+        return chunk, exact
 
 
 @dataclass(frozen=True)
@@ -419,7 +431,8 @@ def _planned_step(plan: _StepPlan, j: int, psi: np.ndarray):
 def _steps(operators, dts: np.ndarray, psi: np.ndarray, chunk: int):
     """Yield the state and the terms summed after each step exp(-i h_j dt_j)
     of psi; operators(lo, hi) writes steps lo..hi-1, `chunk` at a time, into
-    an array that their `_StepPlan` overwrites and drops at the next chunk."""
+    an array that their `_StepPlan` overwrites and that the next chunk's
+    blocks may be written over (exact_cd's buffer)."""
     # a plan is kept until the next one is built: freeing it first had the
     # allocator hand the stack back to the system between chunks
     for lo in range(0, len(dts), chunk):
@@ -499,10 +512,10 @@ class TrackedRun:
         self._factors = (None, None, 0)  # window, its factors, reads left
 
     def cd_factors(self, lo: int, hi: int):
-        """An iterator over the (V, W) of the tracked block at midpoints
-        lo..hi-1.  A lone reader's solves each midpoint as it is read; of
-        several, the first read solves the window, which is kept for the
-        others, and the last takes its pairs out of it as it reads them."""
+        """An iterator over the CD factors (V, V W) of the tracked block at
+        midpoints lo..hi-1.  A lone reader's solves each midpoint as it is
+        read; of several, the first read solves the window, which is kept for
+        the others, and the last takes its pairs out of it as it reads them."""
         window, factors, reads = self._factors
         if window != (lo, hi):
             solved = (_cd_factors(self.frame, h, hdot)
@@ -533,7 +546,7 @@ def _propagate(run: TrackedRun, protocols: list, store_states: bool) -> list:
     if len(readers) > 1:
         # the readers plan one chunk, their smallest, so that each window is
         # solved once; the kept window holds at most an exact_cd chunk's
-        # bytes (V and W are real), so within CHUNK_BYTES
+        # bytes (V and V W are real), so within CHUNK_BYTES
         run.factor_readers = len(readers)
         chunk = min([setups[i][0] for i in readers] + [_chunk_steps(run.frame.dim ** 2 * 16)])
         for i in readers:

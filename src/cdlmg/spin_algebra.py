@@ -196,7 +196,9 @@ class SectorFrame:
     1 ``h0_off``, the (SxSy+SySx) block as ``b0_bands``, and the ansatz
     drive as ``ansatz_bands(x)``, each stacked for many fields or rows of x.
     Two blocks are dense matrices instead: the exact CD block
-    (`counterdiabatic.sector_cd_block`), which fills the whole block, and the
+    (`counterdiabatic.sector_cd_block`), which fills the whole block and is
+    written, with H0's tridiagonal from ``h0_diagonals`` and ``h0_off`` as
+    its real part, straight into exact_cd's step buffer, and the
     optimizer's gradient block (`ansatz`), built from the ``dense()`` stacks
     because at its sizes one dense product costs less than the banded
     products it replaces; one loop steps both (`dynamics`).

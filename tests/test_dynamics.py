@@ -561,6 +561,39 @@ def test_step_blocks_match_full_basis(n, protocol):
             assert np.max(np.abs(block - reference[run.frame.ix])) < 1e-12
 
 
+def _assembled_exact_blocks(run, lo, hi):
+    """exact_cd's blocks at midpoints lo..hi-1 assembled from new arrays:
+    the dense H0 block plus i (V W) V^T with a zero diagonal, stacked."""
+    blocks = []
+    for h, hdot in zip(run.h_mid[lo:hi], run.hd_mid[lo:hi]):
+        vectors, vw = _cd_factors(run.frame, h, hdot)
+        term = 1j * (vw @ vectors.T)
+        np.fill_diagonal(term, 0.0)
+        blocks.append(run.frame.h0_bands(h).dense() + term)
+    return np.stack(blocks)
+
+
+@pytest.mark.parametrize("n, steps, chunk", [(10, 40, 32), (11, 40, 32), (100, 40, 6),
+                                             (300, 4, 1)])
+def test_exact_cd_blocks_written_in_place(n, steps, chunk):
+    # every chunk's blocks are written over one buffer, also after the
+    # previous chunk's plan scaled it in place, and equal the blocks
+    # assembled from new arrays entry for entry
+    run = TrackedRun(ModelParams(n, 0.0, RampSchedule.linear(0.75, 0.5)), steps)
+    planned, operators = ExactCD().setup(run)
+    assert planned == chunk
+    dts, previous = np.diff(run.times), None
+    for lo in range(0, steps, chunk):
+        hi = min(lo + chunk, steps)
+        blocks = operators(lo, hi)
+        expected = _assembled_exact_blocks(run, lo, hi)
+        assert blocks.dtype == complex and np.array_equal(blocks, expected)
+        assert previous is None or np.shares_memory(blocks, previous)
+        _StepPlan(blocks, dts[lo:hi])
+        assert not np.array_equal(blocks, expected)  # the plan scaled them
+        previous = blocks
+
+
 def test_protocol_ordering_small_system():
     ramp = RampSchedule.linear(0.75, 0.5)
     params = ModelParams(20, 0.0, ramp)

@@ -8,8 +8,10 @@ from cdlmg import (
     build_h0,
     gap_series,
 )
+import cdlmg.spectrum
+from cdlmg.counterdiabatic import _cd_factors
 from cdlmg.spectrum import dstebz, sector_ground_series
-from cdlmg.spin_algebra import SectorFrame
+from cdlmg.spin_algebra import SectorFrame, parity_frames
 
 
 def test_diagonalize_h0_degenerate_pair():
@@ -128,3 +130,21 @@ def test_gap_table_rejects_pair_it_lacks():
     assert table.pairs == ((0, 1), (2, 3))
     with pytest.raises(ValidationError, match=r"\(\(0, 1\), \(2, 3\)\)"):
         table.gap((4, 5))
+
+
+def test_solvers_leave_h0_off_unchanged(monkeypatch):
+    # frame.h0_off is the one store of H0's off-diagonal, handed to LAPACK
+    # by the CD factors, the ground series and the gap table: a wrapper that
+    # overwrites its e argument (scipy's dstemr does) would corrupt it
+    params = ModelParams(100, 0.0)
+    frames = parity_frames(params)
+    kept = [frame.h0_off.copy() for frame in frames]
+    monkeypatch.setattr(cdlmg.spectrum, "parity_frames", lambda p: frames)
+    grid = np.linspace(0.5, 1.5, 5)
+    for _ in range(2):
+        for frame in frames:
+            _cd_factors(frame, 1.1, 0.5)
+            sector_ground_series(frame, grid)
+        gap_series(params, grid)
+    for frame, off in zip(frames, kept):
+        assert frame.h0_off.tobytes() == off.tobytes()
