@@ -113,15 +113,18 @@ class BandCoefficients:
         return np.clip(np.searchsorted(self.boundaries, t, side="right") - 1,
                        0, self.segments - 1)
 
-    def band_series(self, band: int = 1):
-        """(segment midpoints, x_band values) for one band."""
+    def _column(self, band: int) -> int:
         if not 1 <= band <= self.num_bands:
             raise ValidationError(f"band {band} outside 1..{self.num_bands}")
-        return self.midpoints, self.values[:, band - 1]
+        return band - 1
+
+    def band_series(self, band: int = 1):
+        """(segment midpoints, x_band values) for one band."""
+        return self.midpoints, self.values[:, self._column(band)]
 
     def with_band_values(self, band: int, new_values: np.ndarray) -> "BandCoefficients":
         values = self.values.copy()
-        values[:, band - 1] = new_values
+        values[:, self._column(band)] = new_values
         return BandCoefficients(self.boundaries, values)
 
     def to_csv(self, path) -> None:
@@ -208,6 +211,8 @@ def optimize(params: ModelParams, k: int = 1, segments: int = DEFAULT_SEGMENTS, 
         warm_start = np.asarray(warm_start, dtype=float)
         if warm_start.ndim != 2 or warm_start.shape[0] != segments:
             raise ValidationError("warm_start must be 2-D with one row per segment")
+        if not np.all(np.isfinite(warm_start)):
+            raise ValidationError("warm_start must be finite")
         if warm_start.shape[1] < k:
             warm_start = np.hstack(
                 [warm_start, np.zeros((segments, k - warm_start.shape[1]))])

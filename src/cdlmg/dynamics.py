@@ -17,21 +17,21 @@ exact_cd's, whose drive fills the block, and the optimizer's extension stay
 dense.  exact_cd writes every chunk into one buffer per run: H0's
 tridiagonal as the real part, the CD term i (V W) V^T from the midpoint's
 CD factors (`counterdiabatic.sector_cd_block`) as the imaginary part.
-`evolve_all` steps several protocols on one run, those with
-``reads_cd_factors`` (which read `TrackedRun.cd_factors`) in lockstep;
-`evolve` is its one-protocol case.
+`evolve_all` steps several protocols on one run in lockstep; `evolve` is
+its one-protocol case.
 
 The loop plans a run's steps a chunk at a time: the chunk's blocks are
 written into one stack, and one pass gives every step's Gershgorin
 interval, term count, Bessel coefficients and scaled block; each step then
 runs only its recurrence (`_planned_step`), with the same arithmetic as a
 step planned alone.  One rule sizes every chunk (`_chunk_steps`): at most
-CHUNK_STEPS steps and CHUNK_BYTES of blocks; the lockstep protocols plan
-one common chunk, so that a midpoint's eigenproblem is solved once for all
-of them.  Both the bare Hamiltonian and every driving protocol here
-preserve excitation-number parity, and the initial state is the tracked
-ground state (parity-pure), so the evolution is carried out inside that
-parity block; this is an exact reduction, not an approximation.
+CHUNK_STEPS steps and CHUNK_BYTES of blocks; the readers of the CD factors
+plan the run's window of them (`TrackedRun.cd_chunk`), so that a midpoint's
+eigenproblem is solved once for all of them.  Both the bare Hamiltonian and
+every driving protocol here preserve excitation-number parity, and the
+initial state is the tracked ground state (parity-pure), so the evolution
+is carried out inside that parity block; this is an exact reduction, not
+an approximation.
 """
 
 from __future__ import annotations
@@ -118,11 +118,9 @@ class Bare:
 @dataclass(frozen=True)
 class ExactCD:
     label = "exact_cd"
-    reads_cd_factors = True
 
     def setup(self, run):
-        frame, dim = run.frame, run.frame.dim
-        chunk = _chunk_steps(dim ** 2 * 16)
+        frame, dim, chunk = run.frame, run.frame.dim, run.cd_chunk
         # one buffer per run, which each chunk's blocks overwrite once the
         # previous chunk's plan is done with it: new blocks per chunk let the
         # heap give their pages back and fault them in again, 578 faults
@@ -132,9 +130,8 @@ class ExactCD:
 
         def exact(lo, hi):
             blocks = buffer[:hi - lo]
-            factors = run.cd_factors(lo, hi)
-            for block in blocks:
-                sector_cd_block(next(factors), out=block)
+            for block, factors in zip(blocks, run.cd_factors(lo, hi)):
+                sector_cd_block(factors, out=block)
             flat = blocks.reshape(hi - lo, -1).real
             flat[:, ::dim + 1] = frame.h0_diagonals(run.h_mid[lo:hi])
             flat[:, 1::dim + 1] = flat[:, dim::dim + 1] = frame.h0_off
@@ -145,7 +142,6 @@ class ExactCD:
 @dataclass(frozen=True)
 class Truncated:
     bands: int
-    reads_cd_factors = True
 
     def __post_init__(self):
         if self.bands < 1:
@@ -159,11 +155,12 @@ class Truncated:
         drive = self._drive(run.frame)
 
         def truncated(data, lo, hi):
-            factors = run.cd_factors(lo, hi)
-            for row, h, hdot in zip(data, run.h_mid[lo:hi], run.hd_mid[lo:hi]):
-                row += drive(next(factors), h, hdot).data
-        # sector_cd_bands' width
-        return _band_setup(run, min(self.bands, run.frame.dim - 1), truncated)
+            for row, factors, h, hdot in zip(data, run.cd_factors(lo, hi),
+                                             run.h_mid[lo:hi], run.hd_mid[lo:hi]):
+                row += drive(factors, h, hdot).data
+        # sector_cd_bands' width; the chunk is the run's window of CD factors
+        _, operators = _band_setup(run, min(self.bands, run.frame.dim - 1), truncated)
+        return run.cd_chunk, operators
 
     def _drive(self, frame):
         """The drive at one midpoint, drive(factors, h, hdot), from the
@@ -483,8 +480,10 @@ class TrackedRun:
     grid points, the field and its rate at the step midpoints, and the
     sign-aligned ground series with its first vector as the start state.
     `evolve_all` steps its protocols on one, as `ansatz.optimize` steps its
-    segments on one.  ``factor_readers`` counts those protocols with
-    ``reads_cd_factors``: they read `cd_factors` on the same windows."""
+    segments on one.  The protocols that read `cd_factors` plan chunks of
+    ``cd_chunk`` steps, the steps whose factors (V and V W, real) take the
+    bytes of as many dense complex blocks, so that they all read the same
+    windows."""
 
     def __init__(self, params: ModelParams, grid):
         ramp = params.ramp
@@ -508,51 +507,24 @@ class TrackedRun:
         self.h_mid = np.atleast_1d(ramp.h(self.t_mid))
         self.hd_mid = np.atleast_1d(ramp.hdot(self.t_mid))
         self.start_state = self.grounds[0].astype(complex)
-        self.factor_readers = 1
-        self._factors = (None, None, 0)  # window, its factors, reads left
+        self.cd_chunk = _chunk_steps(self.frame.dim ** 2 * 16)
+        self._window = self._factors = None
 
-    def cd_factors(self, lo: int, hi: int):
-        """An iterator over the CD factors (V, V W) of the tracked block at
-        midpoints lo..hi-1.  A lone reader's solves each midpoint as it is
-        read; of several, the first read solves the window, which is kept for
-        the others, and the last takes its pairs out of it as it reads them."""
-        window, factors, reads = self._factors
-        if window != (lo, hi):
-            solved = (_cd_factors(self.frame, h, hdot)
-                      for h, hdot in zip(self.h_mid[lo:hi], self.hd_mid[lo:hi]))
-            if self.factor_readers == 1:
-                return solved
-            factors, reads = list(solved), self.factor_readers
-        reads -= 1
-        if reads:
-            self._factors = ((lo, hi), factors, reads)
-            return iter(factors)
-        self._factors = (None, None, 0)
-        return (factors.pop(0) for _ in range(len(factors)))
+    def cd_factors(self, lo: int, hi: int) -> list:
+        """The CD factors (V, V W) of the tracked block at midpoints lo..hi-1,
+        solved on the first read of that window and kept until another
+        window is read."""
+        if self._window != (lo, hi):
+            # dropped before the solve, so that the run never holds two windows
+            self._window = self._factors = None
+            self._factors = [_cd_factors(self.frame, h, hdot)
+                             for h, hdot in zip(self.h_mid[lo:hi], self.hd_mid[lo:hi])]
+            self._window = (lo, hi)
+        return self._factors
 
 
 def _propagate(run: TrackedRun, protocols: list, store_states: bool) -> list:
-    """Step the protocols along the run, one trajectory each: those that read
-    the CD factors in lockstep, each of the others alone."""
-    setups = [p.setup(run) for p in protocols]
-    # exact_cd steps last in each round: as it builds its dense chunk, the
-    # shared window shrinks by the blocks' size (`TrackedRun.cd_factors`).
-    # Its dense chunk is the smallest of the readers' own, or ties at
-    # CHUNK_STEPS where the blocks are small, so the readers step largest
-    # chunk first.  The order changes no numbers.
-    # Stepped alone, the others hold one plan at a time, as in `evolve`.
-    readers = sorted((i for i, p in enumerate(protocols) if getattr(p, "reads_cd_factors", False)),
-                     key=lambda i: -setups[i][0])
-    if len(readers) > 1:
-        # the readers plan one chunk, their smallest, so that each window is
-        # solved once; the kept window holds at most an exact_cd chunk's
-        # bytes (V and V W are real), so within CHUNK_BYTES
-        run.factor_readers = len(readers)
-        chunk = min([setups[i][0] for i in readers] + [_chunk_steps(run.frame.dim ** 2 * 16)])
-        for i in readers:
-            setups[i] = (chunk, setups[i][1])
-    groups = [readers] if readers else []
-    groups += [[i] for i in range(len(protocols)) if i not in readers]
+    """Step the protocols along the run in lockstep, one trajectory each."""
     times, count = run.times, len(protocols)
     dts = np.diff(times)
     steps = len(dts)
@@ -564,19 +536,19 @@ def _propagate(run: TrackedRun, protocols: list, store_states: bool) -> list:
     if store_states:
         states[:, 0] = run.start_state
     norm_err, matvecs = [0.0] * count, [0] * count
-    for group in groups:
-        streams = [_steps(setups[i][1], dts, run.start_state, setups[i][0]) for i in group]
-        for k, stepped in enumerate(zip(*streams), 1):
-            for i, (psi, terms) in zip(group, stepped):
-                matvecs[i] += terms
-                fid[i, k] = fidelity(psi, run.grounds[k])
-                err = abs(np.linalg.norm(psi) - 1.0)
-                if not err <= NORM_TOL:  # a NaN norm fails too
-                    raise NormError(f"{labels[i]}: state norm drifted by {err:.2e} > "
-                                    f"{NORM_TOL:.0e} at step {k} of {steps}")
-                norm_err[i] = max(norm_err[i], err)
-                if store_states:
-                    states[i, k] = psi
+    streams = [_steps(operators, dts, run.start_state, chunk)
+               for chunk, operators in (p.setup(run) for p in protocols)]
+    for k, stepped in enumerate(zip(*streams), 1):
+        for i, (psi, terms) in enumerate(stepped):
+            matvecs[i] += terms
+            fid[i, k] = fidelity(psi, run.grounds[k])
+            err = abs(np.linalg.norm(psi) - 1.0)
+            if not err <= NORM_TOL:  # a NaN norm fails too
+                raise NormError(f"{labels[i]}: state norm drifted by {err:.2e} > "
+                                f"{NORM_TOL:.0e} at step {k} of {steps}")
+            norm_err[i] = max(norm_err[i], err)
+            if store_states:
+                states[i, k] = psi
 
     return [Trajectory(
         times=times,
@@ -597,10 +569,10 @@ def evolve_all(params: ModelParams, protocols, grid=DEFAULT_STEPS, *,
     protocols' order.  Two protocols with one label ('exact' and
     'exact_cd') raise ValidationError.
 
-    The run's ground series is solved once.  The protocols with
-    ``reads_cd_factors`` (exact_cd, truncated:k and decomposed:k) step in
-    lockstep and read one eigensolve of the tracked block per midpoint; the
-    others step one after another, each on its own `setup`'s chunk.
+    The run's ground series is solved once, and the protocols step in
+    lockstep, each on its own `setup`'s chunk; those that read the CD
+    factors (exact_cd, truncated:k and decomposed:k) share one eigensolve of
+    the tracked block per midpoint (`TrackedRun.cd_factors`).
     Every trajectory is bitwise the one `evolve` gives for its protocol
     alone.  `grid` and `store_states` are as for `evolve`, and every
     ``info["wall_time_s"]`` is the whole call's.

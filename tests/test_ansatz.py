@@ -46,6 +46,14 @@ def test_band_coefficients_container():
     assert np.allclose(times, bounds[:-1] + 0.1)
     with pytest.raises(ValidationError):
         coeffs.band_series(3)
+    # with_band_values replaces one band's column, and rejects the bands
+    # band_series rejects instead of wrapping round to the last one
+    replaced = coeffs.with_band_values(1, np.full(5, -1.0))
+    assert np.array_equal(replaced.values[:, 0], np.full(5, -1.0))
+    assert np.array_equal(replaced.values[:, 1], values[:, 1])
+    for band in (0, 3):
+        with pytest.raises(ValidationError, match=f"band {band} outside 1..2"):
+            coeffs.with_band_values(band, np.zeros(5))
     with pytest.raises(ValidationError):
         BandCoefficients(bounds, values[:3])
     with pytest.raises(ValidationError):
@@ -76,6 +84,20 @@ def test_optimize_validation(linear_ramp):
         optimize(params, k=1, segments=10, warm_start=np.zeros(10))
     with pytest.raises(ValidationError):
         optimize(ModelParams(10, 0.0), k=1)  # no ramp
+
+
+def test_optimize_rejects_non_finite_warm_start(linear_ramp, monkeypatch):
+    # a NaN or infinite start is refused before any segment is propagated
+    params = ModelParams(6, 0.0, linear_ramp)
+    propagated = []
+    monkeypatch.setattr(cdlmg.ansatz, "_segment_infidelity",
+                        lambda *a: propagated.append(a))
+    for bad in (np.nan, np.inf):
+        warm = np.zeros((10, 1))
+        warm[3, 0] = bad
+        with pytest.raises(ValidationError, match="warm_start must be finite"):
+            optimize(params, k=1, segments=10, warm_start=warm)
+    assert propagated == []
 
 
 @pytest.mark.parametrize("k", [1, 2])
