@@ -26,6 +26,10 @@ OPENBLAS_NUM_THREADS = OMP_NUM_THREADS = 1, in alternating rounds
   ``steps`` rows are timed, with both final fidelities.  At N=300 and
   N=1000 the dense chunk is one step, where the heap has been seen to give
   pages back between chunks;
+- ``lockstep``: microseconds per step of bare and hp run together on one
+  tracked run (``evolve_all``, timed as the ``shared`` rows) at each N of
+  SIZES, where the two protocols plan chunks of one size and one band
+  width;
 - ``fig1a``: wall time of the fig1a preset (four protocols at N=100, 51
   states per block) at FIG_STEPS steps, the fastest of FIG_RUNS runs in
   each of FIG_REPEATS interpreters per side, their median, and the same
@@ -74,6 +78,7 @@ REPEATS = 20
 RUNS = 5
 SHARED_PROTOCOLS = ("exact_cd", "truncated:1")
 SHARED_SIZES = {100: 200, 300: 60, 1000: 20}
+LOCKSTEP_PROTOCOLS = ("bare", "hp")
 FIG_STEPS = 1000
 FIG_REPEATS = 10
 FIG_RUNS = 3
@@ -180,11 +185,11 @@ def step_table(sides: dict) -> list:
             for n, steps in SIZES.items() for protocol in PROTOCOLS]
 
 
-def shared_table(sides: dict) -> list:
+def shared_table(sides: dict, protocols: tuple, sizes: dict) -> list:
     return [step_row(sides, {"kind": "shared", "n": n, "ramp": RAMP,
-                             "protocols": SHARED_PROTOCOLS, "steps": steps, "runs": RUNS},
+                             "protocols": protocols, "steps": steps, "runs": RUNS},
                      "protocols")
-            for n, steps in SHARED_SIZES.items()]
+            for n, steps in sizes.items()]
 
 
 def fig1a_row(sides: dict) -> dict:
@@ -235,7 +240,8 @@ def main(argv=None) -> int:
         "environment": env.record(),
         "threads": {"OPENBLAS_NUM_THREADS": 1, "OMP_NUM_THREADS": 1},
         "steps": step_table(sides),
-        "shared": shared_table(sides),
+        "shared": shared_table(sides, SHARED_PROTOCOLS, SHARED_SIZES),
+        "lockstep": shared_table(sides, LOCKSTEP_PROTOCOLS, SIZES),
         "fig1a": fig1a_row(sides),
         "gaps": gap_table(sides),
     }

@@ -129,7 +129,7 @@ class BandCoefficients:
 
     def to_csv(self, path) -> None:
         output.write_csv(path, ["t"] + [f"x_{b}" for b in range(1, self.num_bands + 1)],
-                         ((t, *row) for t, row in zip(self.midpoints, self.values)))
+                         [self.midpoints, *self.values.T])
 
     def to_json_dict(self) -> dict:
         return {"boundaries": self.boundaries.tolist(),
@@ -178,7 +178,7 @@ def _segment_infidelity(h0_segment: np.ndarray, ansatz, patterns: np.ndarray,
         return blocks.reshape(hi - lo, (k + 1) * dim, (k + 1) * dim)
 
     state = np.concatenate([np.zeros(k * dim, dtype=complex), psi])
-    for state, _ in _steps(operators, np.full(len(h), dt), state, chunk):
+    for [(state, _)] in _steps([operators], np.full(len(h), dt), state, chunk):
         pass  # the loop carries the stacked state to the segment's end
     states = state.reshape(k + 1, dim)
     overlaps = states @ target.conj()

@@ -20,14 +20,18 @@ CD factors (`counterdiabatic.sector_cd_block`) as the imaginary part.
 `evolve_all` steps several protocols on one run in lockstep; `evolve` is
 its one-protocol case.
 
-The loop plans a run's steps a chunk at a time: the chunk's blocks are
-written into one stack, and one pass gives every step's Gershgorin
-interval, term count, Bessel coefficients and scaled block; each step then
-runs only its recurrence (`_planned_step`), with the same arithmetic as a
-step planned alone.  One rule sizes every chunk (`_chunk_steps`): at most
-CHUNK_STEPS steps and CHUNK_BYTES of blocks; the readers of the CD factors
-plan the run's window of them (`TrackedRun.cd_chunk`), so that a midpoint's
-eigenproblem is solved once for all of them.  Both the bare Hamiltonian and
+The loop plans a run's steps a chunk at a time, and the protocols that plan
+one chunk size step as one stream.  At each chunk, the blocks of its
+members that are band matrices of one width are written into one stack
+(steps, members, 2w+1, dim), and one pass gives every step's and member's
+Gershgorin interval, term count, Bessel coefficients and scaled block; each
+step then runs one recurrence for the whole stack (`_planned_step`), in
+which every member sees the arithmetic of its step planned alone.  A dense
+block (exact_cd's, the optimizer's) is planned as a member on its own.  One
+rule sizes every chunk (`_chunk_steps`): at most CHUNK_STEPS steps and
+CHUNK_BYTES of blocks; the readers of the CD factors plan the run's window
+of them (`TrackedRun.cd_chunk`), so that a midpoint's eigenproblem is solved
+once for all of them.  Both the bare Hamiltonian and
 every driving protocol here preserve excitation-number parity, and the
 initial state is the tracked ground state (parity-pure), so the evolution
 is carried out inside that parity block; this is an exact reduction, not
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -74,9 +79,15 @@ NORM_TOL = 1e-8
 # steps and CHUNK_BYTES of stacked blocks.  On bare and hp at 51 and 151
 # states, 32 steps ran within 10% of 64 and 128 per step, and peaked at about
 # 60% and 35% of their memory.  The byte bound caps the dense blocks of
-# exact_cd and of the optimizer's gradient.
+# exact_cd and of the optimizer's gradient, and so the run's window of CD
+# factors (`TrackedRun.cd_chunk`).  It holds CHUNK_STEPS of exact_cd's blocks
+# at the presets' 51 states (1.33 MB), so that fig1a's CD readers plan the
+# chunks of bare and hp and truncated:1 stacks with them: its 1000-step run
+# plans 32 chunks per stream where it planned 167 at 256 KiB.  2 MiB
+# measured no faster at 64 and 151 states or in the optimizer at N=80, k=4,
+# and peaked 2 MB higher there.
 CHUNK_STEPS = 32
-CHUNK_BYTES = 256 * 1024
+CHUNK_BYTES = CHUNK_STEPS * 51 * 51 * 16
 _LOG_EPS = math.log(np.finfo(float).eps)
 # Miller's recurrence (`_bessel_coefficients`) starts this many orders above
 # a step's term count.  Against mpmath at 50 digits, for z up to 1000, the
@@ -325,9 +336,10 @@ def _bessel_coefficients(z: np.ndarray, terms: list) -> np.ndarray:
 
 
 class _StepPlan:
-    """The Chebyshev steps exp(-i h_j dt_j) (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967 (1984)) of a batch of Hermitian h_j, a complex
-    `BandMatrix` stack (steps, 2w+1, dim) or dense blocks (steps, D, D).
+    """The Chebyshev steps exp(-i h_jm dt_j) (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)) of a batch of Hermitian h_jm, step j of member
+    m: a complex `BandMatrix` stack (steps, members, 2w+1, dim), or dense
+    blocks (steps, members, D, D) of one member.
 
     Gershgorin discs put the spectrum of h inside [c - r, c + r].  With
     x = (h - c)/r and z = r dt, exp(-i h dt) = exp(-i c dt) sum_k e_k
@@ -342,28 +354,35 @@ class _StepPlan:
     inequality), far slower than the bound on J_k falls, so the same
     stopping rule holds.
 
-    The plan holds each step's term count ``terms[j]`` and coefficients
-    ``coeffs[j, :terms[j]]``, all from one `_bessel_coefficients` call;
-    the scaled operators 2x_j = scale_j h_j - shift_j, written over the h_j
-    in place; and one term buffer, sized by the largest term count, with
-    ``product(two_x, src, dst)``, which writes 2x times term row src to row
-    dst.  `_planned_step` runs one step's recurrence, with the arithmetic
-    of that step planned alone, so results do not depend on the chunks."""
+    The plan holds each step's term counts ``terms[j][m]`` and coefficients
+    ``coeffs[j, m, :terms[j][m]]``, all from one `_bessel_coefficients`
+    call; the scaled operators 2x_jm = scale_jm h_jm - shift_jm, written over
+    the h_jm in place; and one term buffer ``work`` (members, terms, dim),
+    sized by the largest term count, whose rows ``rows[k]`` (members, dim)
+    hold every member's term k, with ``product(two_x, src, dst)``, which
+    writes 2x times rows[src] to rows[dst].  `_planned_step` runs one
+    step's recurrence for all members at once; each member's entries see
+    the arithmetic of that step planned alone, so results depend neither
+    on the chunks nor on the other members."""
 
     def __init__(self, h, dts: np.ndarray):
         lo, hi = _gershgorin(h)
         centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        dts = dts[:, None]
         z = half * dts
         # term counts by a scalar loop per step: for a batch of one, as
         # large dense blocks are planned, it took 2 us against 14 us for a
         # vectorized count at 51 states
-        self.terms = [_term_count(x) for x in z.tolist()]
-        most = max(self.terms)
-        self.coeffs = _bessel_coefficients(z, self.terms) * np.exp(-1j * centre * dts)[:, None]
+        self.terms = [[_term_count(x) for x in row] for row in z.tolist()]
+        counts = [t for row in self.terms for t in row]
+        most = max(counts)
+        self.coeffs = (_bessel_coefficients(z.ravel(), counts).reshape(z.shape + (-1,))
+                       * np.exp(-1j * centre * dts)[..., None])
         if most == 1:
             return
-        # a one-term step's zero half-width scales its block to inf or NaN,
-        # which no product reads
+        # a one-term step's zero or NaN half-width scales its whole block to
+        # NaN, which the recurrence its stack's other members run carries
+        # without an invalid operation, and which its own sum never reads
         with np.errstate(divide="ignore", invalid="ignore"):
             scale, shift = 2.0 / half, 2.0 * centre / half
             if isinstance(h, BandMatrix):
@@ -372,72 +391,121 @@ class _StepPlan:
                 self._dense_terms(h, scale, shift, most)
 
     def _dense_terms(self, h, scale, shift, terms):
-        count, dim = h.shape[0], h.shape[-1]
-        self.two_x = np.multiply(h, scale.astype(complex)[:, None, None], out=h)
-        self.two_x.reshape(count, -1)[:, ::dim + 1] -= shift[:, None]
-        self.work = np.empty((terms, dim), dtype=complex)
-        self.rows = rows = list(self.work)
+        steps, members, dim = h.shape[0], h.shape[1], h.shape[-1]
+        self.two_x = np.multiply(h, scale.astype(complex)[..., None, None], out=h)
+        self.two_x.reshape(steps, members, -1)[..., ::dim + 1] -= shift[..., None]
+        self.work = np.empty((members, terms, dim), dtype=complex)
+        self.rows = list(self.work.swapaxes(0, 1))
+        vectors = list(self.work[0])  # one member: its dense block's products
 
         def product(two_x, src, dst):
-            np.matmul(two_x, rows[src], out=rows[dst])
+            np.matmul(two_x[0], vectors[src], out=vectors[dst])
         self.product = product
 
     def _band_terms(self, h, scale, shift, terms):
-        """The term rows are padded by w zeros on each side, so that row src
-        seen through a sliding window of width dim holds, in window w + o,
-        the entries x[i + o] that offset o multiplies: a product is one
-        multiply of the step's stack by those windows and one sum over the
-        2w+1 offsets.  The scaled stack is complex even when real: complex
-        products measured faster than mixed real-complex ones at 51 to 501
-        states, and than real ones on split real and imaginary parts at
-        51."""
-        w, dim = h.width, h.data.shape[-1]
-        self.two_x = np.multiply(h.data, scale.astype(complex)[:, None, None], out=h.data)
-        self.two_x[:, w] -= shift[:, None]
-        padded = np.zeros((terms, dim + 2 * w), dtype=complex)
-        stride, step = padded.strides
-        windows = list(np.ndarray((terms, 2 * w + 1, dim), complex, padded, 0,
-                                  (stride, step, step)))
-        self.work = padded[:, w:w + dim]
-        self.rows = rows = list(self.work)
-        scratch = np.empty((2 * w + 1, dim), dtype=complex)
+        """Each member's term rows are padded by w zeros on each side, so
+        that row src seen through a sliding window of width dim holds, in
+        window w + o, the entries x[i + o] that offset o multiplies: a
+        product is one multiply of the step's stack by those windows and
+        one sum over the 2w+1 offsets, for all members.  The scaled stack
+        is complex even when real: complex products measured faster than
+        mixed real-complex ones at 51 to 501 states, and than real ones on
+        split real and imaginary parts at 51."""
+        w, members, dim = h.width, h.data.shape[1], h.data.shape[-1]
+        self.two_x = np.multiply(h.data, scale.astype(complex)[..., None, None], out=h.data)
+        self.two_x[:, :, w] -= shift[..., None]
+        padded = np.zeros((members, terms, dim + 2 * w), dtype=complex)
+        member, row, step = padded.strides
+        windows = list(np.ndarray((terms, members, 2 * w + 1, dim), complex, padded, 0,
+                                  (row, member, step, step)))
+        self.work = padded[..., w:w + dim]
+        self.rows = rows = list(self.work.swapaxes(0, 1))
+        scratch = np.empty((members, 2 * w + 1, dim), dtype=complex)
 
         def product(two_x, src, dst):
             np.multiply(two_x, windows[src], out=scratch)
-            np.add.reduce(scratch, axis=0, out=rows[dst])
+            np.add.reduce(scratch, axis=1, out=rows[dst])
         self.product = product
 
 
 def _planned_step(plan: _StepPlan, j: int, psi: np.ndarray):
-    """Step j of the plan applied to psi: exp(-i h_j dt_j) psi by the
-    recurrence T_k = 2x T_{k-1} - T_{k-2}, and the number of terms summed."""
-    terms = plan.terms[j]
-    coeffs = plan.coeffs[j, :terms]
-    if terms == 1:
-        return coeffs[0] * psi, terms
-    two_x, rows, product = plan.two_x[j], plan.rows, plan.product
-    rows[0][:] = psi
-    product(two_x, 0, 1)
-    rows[1] *= 0.5
-    for i in range(2, terms):
-        product(two_x, i - 1, i)
-        rows[i] -= rows[i - 2]
-    return coeffs @ plan.work[:terms], terms
+    """Step j of the plan applied to the members' states psi (members, dim):
+    exp(-i h_jm dt_j) psi_m by the recurrence T_k = 2x T_{k-1} - T_{k-2},
+    run once for all members up to the largest term count, each member
+    summing only its own terms; returns the states and each member's number
+    of terms summed."""
+    terms, coeffs = plan.terms[j], plan.coeffs[j]
+    most = max(terms)
+    if most > 1:
+        two_x, rows, product = plan.two_x[j], plan.rows, plan.product
+        rows[0][:] = psi
+        product(two_x, 0, 1)
+        rows[1] *= 0.5
+        for i in range(2, most):
+            product(two_x, i - 1, i)
+            rows[i] -= rows[i - 2]
+    out = np.empty_like(psi)
+    for m, t in enumerate(terms):
+        if t == 1:
+            np.multiply(coeffs[m, 0], psi[m], out=out[m])
+        else:
+            np.matmul(coeffs[m, :t], plan.work[m, :t], out=out[m])
+    return out, terms
 
 
-def _steps(operators, dts: np.ndarray, psi: np.ndarray, chunk: int):
-    """Yield the state and the terms summed after each step exp(-i h_j dt_j)
-    of psi; operators(lo, hi) writes steps lo..hi-1, `chunk` at a time, into
-    an array that their `_StepPlan` overwrites and that the next chunk's
-    blocks may be written over (exact_cd's buffer)."""
-    # a plan is kept until the next one is built: freeing it first had the
-    # allocator hand the stack back to the system between chunks
+def _stacks(blocks: list, chunk: int) -> list:
+    """The stacks a stream's members step in, from their first chunk's
+    blocks: (members, buffer) for each width of band stacks, whose members
+    share one plan and a buffer of `chunk` steps that each chunk's blocks
+    are copied into (none for a lone member, planned on its own blocks), and
+    ((m,), None) for each dense member."""
+    widths = {}
+    for m, h in enumerate(blocks):
+        widths.setdefault(h.width if isinstance(h, BandMatrix) else (m,), []).append(m)
+    return [(tuple(members), None if len(members) == 1 else
+             np.empty((chunk, len(members)) + blocks[members[0]].data.shape[1:], complex))
+            for members in widths.values()]
+
+
+def _stacked(blocks: list, members: tuple, buffer):
+    """The members' blocks of one chunk as one (steps, members, ...) stack."""
+    if buffer is None:
+        h = blocks[members[0]]
+        return BandMatrix(h.data[:, None]) if isinstance(h, BandMatrix) else h[:, None]
+    stack = buffer[:len(blocks[members[0]].data)]
+    for slot, m in enumerate(members):
+        stack[:, slot] = blocks[m].data
+    return BandMatrix(stack)
+
+
+def _steps(operators: list, dts: np.ndarray, psi: np.ndarray, chunk: int):
+    """Step the members, each from the state psi, in lockstep: yield after
+    each step exp(-i h_jm dt_j) the list of every member's (state, terms
+    summed), in the order of `operators`.  operators[m](lo, hi) writes
+    member m's steps lo..hi-1, `chunk` at a time, into an array that their
+    `_StepPlan` overwrites and that the next chunk's blocks may be written
+    over (exact_cd's buffer).  Members whose blocks are band stacks of one
+    width step as one stack (`_stacks`, learnt from the first chunk); a
+    dense member steps alone."""
+    stacks = None
     for lo in range(0, len(dts), chunk):
         hi = min(lo + chunk, len(dts))
-        plan = _StepPlan(operators(lo, hi), dts[lo:hi])
+        blocks = [member(lo, hi) for member in operators]
+        if stacks is None:
+            stacks = _stacks(blocks, chunk)
+            states = [np.array([psi] * len(members)) for members, _ in stacks]
+            terms = [None] * len(stacks)
+            slots = sorted((m, s, row) for s, (members, _) in enumerate(stacks)
+                           for row, m in enumerate(members))
+        # a plan is kept until the next one is built: freeing it first had
+        # the allocator hand the stack back to the system between chunks
+        plans = [_StepPlan(_stacked(blocks, members, buffer), dts[lo:hi])
+                 for members, buffer in stacks]
+        del blocks  # copied into their stacks, freed before the next chunk's
         for j in range(hi - lo):
-            psi, terms = _planned_step(plan, j, psi)
-            yield psi, terms
+            for s, plan in enumerate(plans):
+                states[s], terms[s] = _planned_step(plan, j, states[s])
+            yield [(states[s][row], terms[s][row]) for _, s, row in slots]
 
 
 # --------------------------------------------------------------------------
@@ -464,8 +532,7 @@ class Trajectory:
         return float(self.fidelity.min())
 
     def to_csv(self, path) -> None:
-        output.write_csv(path, ["t", "h", "fidelity"],
-                         zip(self.times, self.h_values, self.fidelity))
+        output.write_csv(path, ["t", "h", "fidelity"], [self.times, self.h_values, self.fidelity])
 
 
 def fidelity(state: np.ndarray, ground: np.ndarray) -> float:
@@ -524,7 +591,8 @@ class TrackedRun:
 
 
 def _propagate(run: TrackedRun, protocols: list, store_states: bool) -> list:
-    """Step the protocols along the run in lockstep, one trajectory each."""
+    """Step the protocols along the run in lockstep, one trajectory each: one
+    `_steps` stream per chunk size, its members the protocols that plan it."""
     times, count = run.times, len(protocols)
     dts = np.diff(times)
     steps = len(dts)
@@ -536,10 +604,15 @@ def _propagate(run: TrackedRun, protocols: list, store_states: bool) -> list:
     if store_states:
         states[:, 0] = run.start_state
     norm_err, matvecs = [0.0] * count, [0] * count
-    streams = [_steps(operators, dts, run.start_state, chunk)
-               for chunk, operators in (p.setup(run) for p in protocols)]
+    groups = {}  # chunk -> the protocols that plan it, and their operators
+    for i, p in enumerate(protocols):
+        chunk, operators = p.setup(run)
+        groups.setdefault(chunk, []).append((i, operators))
+    order = [i for group in groups.values() for i, _ in group]
+    streams = [_steps([operators for _, operators in group], dts, run.start_state, chunk)
+               for chunk, group in groups.items()]
     for k, stepped in enumerate(zip(*streams), 1):
-        for i, (psi, terms) in enumerate(stepped):
+        for i, (psi, terms) in zip(order, chain.from_iterable(stepped)):
             matvecs[i] += terms
             fid[i, k] = fidelity(psi, run.grounds[k])
             err = abs(np.linalg.norm(psi) - 1.0)
@@ -566,11 +639,13 @@ def evolve_all(params: ModelParams, protocols, grid=DEFAULT_STEPS, *,
                store_states: bool = False) -> dict:
     """Propagate the tracked ground state along params.ramp under each of
     `protocols`, on one `TrackedRun`; returns {label: Trajectory}, in the
-    protocols' order.  Two protocols with one label ('exact' and
-    'exact_cd') raise ValidationError.
+    protocols' order.  An empty list, a string in place of the list, and
+    two protocols with one label ('exact' and 'exact_cd') raise
+    ValidationError.
 
     The run's ground series is solved once, and the protocols step in
-    lockstep, each on its own `setup`'s chunk; those that read the CD
+    lockstep, each on its own `setup`'s chunk; those of one chunk size and
+    one band width step as one stack (`_steps`), and those that read the CD
     factors (exact_cd, truncated:k and decomposed:k) share one eigensolve of
     the tracked block per midpoint (`TrackedRun.cd_factors`).
     Every trajectory is bitwise the one `evolve` gives for its protocol
@@ -578,7 +653,12 @@ def evolve_all(params: ModelParams, protocols, grid=DEFAULT_STEPS, *,
     ``info["wall_time_s"]`` is the whole call's.
     """
     t0 = _time.perf_counter()
+    if isinstance(protocols, str):
+        raise ValidationError(f"protocols must be a list of protocols, got the string "
+                              f"{protocols!r}")
     protocols = [parse_protocol(p) for p in protocols]
+    if not protocols:
+        raise ValidationError("no protocol given")
     labels = [p.label for p in protocols]
     for label in labels:
         if labels.count(label) > 1:

@@ -16,6 +16,8 @@ import os
 import uuid
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["atomic_write", "write_csv"]
 
 
@@ -34,8 +36,10 @@ def atomic_write(path, text: str) -> None:
         raise
 
 
-def write_csv(path, header, rows) -> None:
-    """One header line, then each row's values formatted with %.15g."""
-    lines = [",".join(header)]
-    lines += [",".join(f"{v:.15g}" for v in row) for row in rows]
-    atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path, header, columns) -> None:
+    """One header line, then one line per row of the columns (1-D arrays of
+    one length), its values formatted with %.15g.  The values are formatted
+    as Python floats: numpy scalars took twice as long at 1001 rows."""
+    line = ",".join(["%.15g"] * len(header))
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    atomic_write(path, "".join([",".join(header) + "\n"] + [line % row + "\n" for row in rows]))

@@ -68,7 +68,7 @@ class GapTable:
 
     def to_csv(self, path) -> None:
         output.write_csv(path, ["h"] + [f"gap{i}{j}" for i, j in self.pairs],
-                         ((h, *gaps) for h, gaps in zip(self.h_values, self.gaps)))
+                         [self.h_values, *self.gaps.T])
 
 
 DEFAULT_GAP_PAIRS = ((0, 1), (2, 3), (4, 5))

@@ -136,9 +136,10 @@ def test_segment_gradient_matches_finite_differences(linear_ramp, k):
 
 
 def test_segment_split_into_chunks_equals_single_steps(linear_ramp, monkeypatch):
-    # at N=40, k=2 a segment's ten 63-state blocks outgrow CHUNK_BYTES, so
-    # its steps are planned in several chunks: value, gradient and end state
-    # equal bitwise those of planning one block at a time
+    # at N=40, k=2 a segment's ten 63-state blocks outgrow a CHUNK_BYTES of
+    # 256 KiB, so its steps are planned in several chunks: value, gradient
+    # and end state equal bitwise those of planning one block at a time
+    monkeypatch.setattr(cdlmg.dynamics, "CHUNK_BYTES", 256 * 1024)
     params = ModelParams(40, 0.0, linear_ramp)
     run = TrackedRun(params, 100)
     lo, hi = 45, 55

@@ -291,6 +291,18 @@ def test_segments_rejected_where_nothing_is_optimized(tmp_path, monkeypatch, cap
                     "--steps", 20, "--seed", 5, "--out", tmp_path]) == 0
 
 
+def test_csv_values_formatted_as_numpy_scalars_were(tmp_path):
+    # columns are written as Python floats, byte for byte as each float64
+    # formatted on its own with %.15g, also at the edges of the format
+    edges = np.array([-0.0, np.nan, np.inf, -np.inf, 1e-320, 1e22, 0.1, -1 / 3, 2.0 ** 60])
+    columns = [edges, edges[::-1], np.arange(len(edges), dtype=float)]
+    write_csv(tmp_path / "edges.csv", ["a", "b", "c"], columns)
+    want = "a,b,c\n" + "".join(",".join(f"{v:.15g}" for v in row) + "\n"
+                               for row in zip(*columns))
+    assert (tmp_path / "edges.csv").read_text() == want
+    assert {"-0", "nan", "inf", "-inf", "1e+22"} <= set(want.replace("\n", ",").split(","))
+
+
 def test_output_files_follow_umask(tmp_path):
     old = os.umask(0o022)
     try:
@@ -310,10 +322,11 @@ def test_preset_runs_every_protocol_on_the_calling_thread(monkeypatch):
     ground_series = cdlmg.dynamics.sector_ground_series
     threads, solved = [], []
 
-    def recording_steps(*args, **kwargs):
-        # one stream per protocol, recorded on the thread that steps it
-        threads.append(threading.get_ident())
-        yield from steps(*args, **kwargs)
+    def recording_steps(operators, *args, **kwargs):
+        # one stream per chunk size, each protocol recorded on the thread
+        # that steps its stream
+        threads.extend([threading.get_ident()] * len(operators))
+        yield from steps(operators, *args, **kwargs)
 
     def counting_ground_series(*args, **kwargs):
         solved.append(args)

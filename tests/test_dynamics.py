@@ -36,7 +36,7 @@ from cdlmg import (
 )
 from cdlmg.counterdiabatic import _cd_factors, sector_cd_bands, sector_cd_block
 import cdlmg.dynamics
-from cdlmg.dynamics import (_MILLER_PAD, _VECTOR_STEPS, CHUNK_BYTES, CHUNK_STEPS, TrackedRun,
+from cdlmg.dynamics import (_MILLER_PAD, _VECTOR_STEPS, CHUNK_STEPS, TrackedRun,
                             _bessel_coefficients, _gershgorin, _planned_step, _StepPlan,
                             _term_count)
 from cdlmg.spectrum import sector_ground_series
@@ -181,10 +181,11 @@ def _dense(h):
 
 def _single_step(h, dt, psi):
     """exp(-i h dt) psi and its term count from a plan of this one step, on a
-    complex copy of h (a `BandMatrix` or a dense matrix)."""
-    batch = (BandMatrix(h.data.astype(complex)[None]) if isinstance(h, BandMatrix)
-             else np.array(h, dtype=complex)[None])
-    return _planned_step(_StepPlan(batch, np.array([dt])), 0, psi)
+    complex copy of h (a `BandMatrix` or a dense matrix), as one member."""
+    batch = (BandMatrix(h.data.astype(complex)[None, None]) if isinstance(h, BandMatrix)
+             else np.array(h, dtype=complex)[None, None])
+    (state,), (terms,) = _planned_step(_StepPlan(batch, np.array([dt])), 0, psi[None])
+    return state, terms
 
 
 @pytest.mark.parametrize("kind", ["real", "complex", "tridiagonal", "identity", "wide",
@@ -252,17 +253,35 @@ def test_planned_steps_equal_single_steps(w):
     dts = rng.choice([0.05, -0.03, 3.0, -2.5], len(blocks))
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
-    plan = _StepPlan(BandMatrix(np.stack([h.data.astype(complex) for h in blocks])), dts)
-    assert len(set(plan.terms)) >= 4 and 1 in plan.terms
+    plan = _StepPlan(BandMatrix(np.stack([h.data.astype(complex) for h in blocks])[:, None]),
+                     dts)
+    counts = [t for (t,) in plan.terms]
+    assert len(set(counts)) >= 4 and 1 in counts
     for j, (h, dt) in enumerate(zip(blocks, dts)):
-        single = _StepPlan(BandMatrix(h.data.astype(complex)[None]), np.array([dt]))
-        terms = plan.terms[j]
-        assert single.terms == [terms]
-        assert np.array_equal(plan.coeffs[j, :terms], single.coeffs[0, :terms])
-        got, got_terms = _planned_step(plan, j, psi)
+        single = _StepPlan(BandMatrix(h.data.astype(complex)[None, None]), np.array([dt]))
+        terms = counts[j]
+        assert single.terms == [[terms]]
+        assert np.array_equal(plan.coeffs[j, 0, :terms], single.coeffs[0, 0, :terms])
+        (got,), (got_terms,) = _planned_step(plan, j, psi[None])
         want, want_terms = _single_step(h, dt, psi)
         assert got_terms == want_terms == terms
         assert np.array_equal(got, want)
+    # the same steps as one stack of two members, the second taking the
+    # blocks in reverse and from another state, so that the one-term
+    # identity shares a recurrence with a wide step: each member's step is
+    # bitwise its step alone, and no member's NaN block raises a warning
+    orders, states = (blocks, blocks[::-1]), np.array([psi, psi[::-1]])
+    stack = np.stack([[h.data.astype(complex) for h in order] for order in orders], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = _StepPlan(BandMatrix(stack), dts)
+        for j, dt in enumerate(dts):
+            got, got_terms = _planned_step(plan, j, states)
+            for m, (order, state) in enumerate(zip(orders, states)):
+                want, want_terms = _single_step(order[j], dt, state)
+                assert got_terms[m] == want_terms
+                assert np.array_equal(got[m], want)
+    assert any(min(terms) == 1 < max(terms) for terms in plan.terms)
 
 
 def test_bessel_coefficients_match_mpmath():
@@ -298,25 +317,37 @@ def test_bessel_coefficients_of_a_chunk_equal_each_step_alone():
 
 
 def test_chunk_sized_by_its_own_steps():
-    # near h = 1 at N=300 one hp step takes 79 terms where its chunk's others
-    # take 16 to 40: the chunk holds one row of coefficients per step, one
-    # term buffer serves the chunk, and every step equals the step alone
+    # near h = 1 at N=300 one hp step takes 79 terms where its chunk's others,
+    # and bare's steps, take 16 to 40: the chunk holds one row of
+    # coefficients per step and member, one term buffer serves the chunk, and
+    # every step of hp, alone or stacked with bare, equals the step alone
     params = ModelParams(300, 0.0, RampSchedule.linear(0.75, 0.5))
     run = TrackedRun(params, 250)
-    chunk, operators = HPCorrection().setup(run)
-    lo, hi = 96, 96 + chunk
+    members = [p.setup(run) for p in (HPCorrection(), Bare())]
+    assert {chunk for chunk, _ in members} == {CHUNK_STEPS}
+    lo, hi = 96, 96 + CHUNK_STEPS
     dts = np.diff(run.times)[lo:hi]
-    plan = _StepPlan(operators(lo, hi), dts)
-    assert max(plan.terms) == 79 and sorted(plan.terms)[-2] <= 40
-    assert plan.coeffs.shape == (hi - lo, 79)
-    assert plan.work.shape == (79, run.frame.dim)
-    blocks = operators(lo, hi).data
+    blocks = [operators(lo, hi).data for _, operators in members]
+    plan = _StepPlan(BandMatrix(blocks[0].copy()[:, None]), dts)
+    counts = [t for (t,) in plan.terms]
+    assert max(counts) == 79 and sorted(counts)[-2] <= 40
+    assert plan.coeffs.shape == (hi - lo, 1, 79)
+    assert plan.work.shape == (1, 79, run.frame.dim)
+    stacked = _StepPlan(BandMatrix(np.stack(blocks, axis=1)), dts)
+    assert max(t for _, t in stacked.terms) <= 40
+    assert stacked.coeffs.shape == (hi - lo, 2, 79)
+    assert stacked.work.shape == (2, 79, run.frame.dim)
     psi = run.grounds[lo].astype(complex)
-    for j, (data, dt) in enumerate(zip(blocks, dts)):
-        want = _single_step(BandMatrix(data), dt, psi)
-        got = _planned_step(plan, j, psi)
-        assert got[1] == want[1] and np.array_equal(got[0], want[0])
-        psi = want[0]
+    alone, states = psi, np.array([psi, psi])
+    for j, dt in enumerate(dts):
+        want = [_single_step(BandMatrix(data[j]), dt, state)
+                for data, state in zip(blocks, (alone, states[1]))]
+        (got,), (got_terms,) = _planned_step(plan, j, alone[None])
+        assert got_terms == want[0][1] and np.array_equal(got, want[0][0])
+        states, terms = _planned_step(stacked, j, states)
+        for m in range(2):
+            assert terms[m] == want[m][1] and np.array_equal(states[m], want[m][0])
+        alone = got
 
 
 def test_chunk_edges(monkeypatch):
@@ -355,31 +386,46 @@ def test_gershgorin_interval_of_bands():
 
 
 class _ExpmPlan:
-    """Stands in for `_StepPlan`: each step of the batch by expm of its
-    block, made dense."""
+    """Stands in for `_StepPlan`: each step of each member of the batch by
+    expm of its block, made dense."""
 
     def __init__(self, h, dts):
-        blocks = [BandMatrix(d) for d in h.data] if isinstance(h, BandMatrix) else h
-        self.steps = [expm(-1j * _dense(b) * dt) for b, dt in zip(blocks, dts)]
+        blocks = ([[BandMatrix(d) for d in step] for step in h.data]
+                  if isinstance(h, BandMatrix) else h)
+        self.steps = [[expm(-1j * _dense(b) * dt) for b in step]
+                      for step, dt in zip(blocks, dts)]
+
+
+def _expm_step(plan, j, psi):
+    return np.array([u @ state for u, state in zip(plan.steps[j], psi)]), [1] * len(psi)
 
 
 @pytest.mark.parametrize("protocol", ["bare", "hp", "truncated:1", "exact_cd",
-                                      "decomposed:1", "ansatz"])
+                                      "decomposed:1", "ansatz", "stacked"])
 def test_evolve_matches_eigh_steps(protocol, monkeypatch):
     # evolve's Chebyshev steps against the same run stepped by expm of the
-    # step's block, made dense
+    # step's block, made dense; "stacked" steps bare, hp and truncated:1 in
+    # one stack beside exact_cd
     params = ModelParams(20, 0.0, RampSchedule.linear(0.75, 0.5))
     if protocol == "ansatz":
         protocol = AnsatzDrive(BandCoefficients(np.linspace(0, 1, 11),
                                                 np.linspace(-0.3, 0.3, 20).reshape(10, 2)))
-    traj = evolve(params, protocol, 200, store_states=True)
-    assert traj.info["matvecs"] >= traj.info["steps"]
-    monkeypatch.setattr(cdlmg.dynamics, "_StepPlan", _ExpmPlan)
-    monkeypatch.setattr(cdlmg.dynamics, "_planned_step",
-                        lambda plan, j, psi: (plan.steps[j] @ psi, 1))
-    reference = evolve(params, protocol, 200, store_states=True)
-    assert np.max(np.abs(traj.states - reference.states)) < 1e-12
-    assert np.max(np.abs(traj.fidelity - reference.fidelity)) < 1e-12
+    protocols = (["bare", "hp", "truncated:1", "exact_cd"] if protocol == "stacked"
+                 else [protocol])
+    trajs = evolve_all(params, protocols, 200, store_states=True).values()
+    for traj in trajs:
+        assert traj.info["matvecs"] >= traj.info["steps"]
+    plans = []
+    monkeypatch.setattr(cdlmg.dynamics, "_StepPlan",
+                        lambda h, dts: plans.append(_ExpmPlan(h, dts)) or plans[-1])
+    monkeypatch.setattr(cdlmg.dynamics, "_planned_step", _expm_step)
+    references = evolve_all(params, protocols, 200, store_states=True).values()
+    members = {len(plan.steps[0]) for plan in plans}
+    assert members == ({3, 1} if protocol == "stacked" else {1})
+    for traj, reference in zip(trajs, references):
+        assert reference.info["matvecs"] == reference.info["steps"]
+        assert np.max(np.abs(traj.states - reference.states)) < 1e-12
+        assert np.max(np.abs(traj.fidelity - reference.fidelity)) < 1e-12
 
 
 def test_protocols_share_one_tracked_run(monkeypatch):
@@ -415,6 +461,12 @@ def test_repeated_protocol_label_rejected():
         evolve_all(params, ["exact", ExactCD()], 20)
     assert list(evolve_all(params, ["truncated:1", "decomposed:1"], 20)) == [
         "truncated(1)", "decomposed(1)"]
+    # no protocol, or one name given as the list, is rejected before the
+    # ground series is solved
+    with pytest.raises(ValidationError, match="no protocol given"):
+        evolve_all(params, [], 10)
+    with pytest.raises(ValidationError, match="got the string 'bare'"):
+        evolve_all(params, "bare", 10)
 
 
 def test_lockstep_chunk_edges(monkeypatch):
@@ -444,10 +496,10 @@ def test_lockstep_chunk_edges(monkeypatch):
 
 
 @pytest.mark.parametrize("n, protocols, cd_chunk", [
-    (100, "fig1a", 6),
-    (100, ["truncated:1"], 6),
-    (100, ["exact_cd", "truncated:1", "decomposed:1"], 6),
-    (300, ["exact_cd", "truncated:1", "decomposed:1"], 1),
+    (100, "fig1a", 32),
+    (100, ["truncated:1"], 32),
+    (100, ["exact_cd", "truncated:1", "decomposed:1"], 32),
+    (300, ["exact_cd", "truncated:1", "decomposed:1"], 3),
 ], ids=["fig1a", "truncated-alone", "three-readers-n100", "three-readers-n300"])
 def test_preset_solves_each_midpoint_once(monkeypatch, n, protocols, cd_chunk):
     # the readers of the CD factors (fig1a's exact_cd and truncated:1, or a
@@ -594,8 +646,8 @@ def _assembled_exact_blocks(run, lo, hi):
     return np.stack(blocks)
 
 
-@pytest.mark.parametrize("n, steps, chunk", [(10, 40, 32), (11, 40, 32), (100, 40, 6),
-                                             (300, 4, 1)])
+@pytest.mark.parametrize("n, steps, chunk", [(10, 40, 32), (11, 40, 32), (100, 40, 32),
+                                             (300, 4, 3)])
 def test_exact_cd_blocks_written_in_place(n, steps, chunk):
     # every chunk's blocks are written over one buffer, also after the
     # previous chunk's plan scaled it in place, and equal the blocks
@@ -610,7 +662,7 @@ def test_exact_cd_blocks_written_in_place(n, steps, chunk):
         expected = _assembled_exact_blocks(run, lo, hi)
         assert blocks.dtype == complex and np.array_equal(blocks, expected)
         assert previous is None or np.shares_memory(blocks, previous)
-        _StepPlan(blocks, dts[lo:hi])
+        _StepPlan(blocks[:, None], dts[lo:hi])
         assert not np.array_equal(blocks, expected)  # the plan scaled them
         previous = blocks
 
@@ -714,22 +766,24 @@ def test_run_holds_one_step_block_at_a_time():
     assert peak < stack_bytes / 4
 
 
-def test_exact_cd_run_holds_two_chunks_at_most():
-    # exact_cd's dense blocks are planned CHUNK_BYTES at a time: at N=100 over
-    # 1000 steps the run holds a chunk's plan while the next chunk is built,
-    # far below its (steps, 51, 51) complex stack, 41.6 MB, and below the
-    # CHUNK_STEPS blocks, 2.7 MB, that a plan and its successor would hold
-    # without the byte bound
+def test_exact_cd_run_holds_two_chunks_at_most(monkeypatch):
+    # exact_cd's dense blocks are planned CHUNK_BYTES at a time: with 256 KiB
+    # at N=100 over 1000 steps the run holds a chunk's plan while the next
+    # chunk is built, far below its (steps, 51, 51) complex stack, 41.6 MB,
+    # and below the CHUNK_STEPS blocks, 2.7 MB, that a plan and its
+    # successor would hold without the byte bound
+    budget = 256 * 1024
+    monkeypatch.setattr(cdlmg.dynamics, "CHUNK_BYTES", budget)
     params = ModelParams(100, 0.0, RampSchedule.linear(0.75, 0.5))
     run = TrackedRun(params, 1000)
-    assert CHUNK_STEPS * 51 * 51 * 16 > CHUNK_BYTES
+    assert CHUNK_STEPS * 51 * 51 * 16 > budget
     tracemalloc.start()
     try:
         cdlmg.dynamics._propagate(run, [ExactCD()], False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * CHUNK_BYTES
+    assert peak < 4 * budget
 
 
 def test_shared_cd_run_holds_two_chunks_at_most():
@@ -744,7 +798,7 @@ def test_shared_cd_run_holds_two_chunks_at_most():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * CHUNK_BYTES
+    assert peak < 4 * cdlmg.dynamics.CHUNK_BYTES
 
 
 def test_trajectory_export(tmp_path):
@@ -784,6 +838,11 @@ def test_non_finite_operator_stops_at_its_step(monkeypatch):
         np.nan if h == bad_h else coefficient(n, gamma, h, hdot)))
     with pytest.raises(NormError, match="at step 3 of 20"):
         evolve(params, "hp", 20)
+    # stacked with bare, hp's NaN block shares bare's recurrence quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormError, match="hp: .* at step 3 of 20"):
+            evolve_all(params, ["bare", "hp"], 20)
     h = SectorFrame.tracked(params).h0_bands(1.1)
     h.data[1, 1] = np.nan
     psi, terms = _single_step(h, 0.01, np.ones(h.data.shape[1], dtype=complex))
