@@ -7,12 +7,13 @@ segments fixed, each segment's coefficients maximize the fidelity with the
 tracked ground state at the segment's end time, searched with one L-BFGS-B
 run on the exact gradient of that fidelity.  The gradient is carried forward
 with the state through the segment by `evolve`'s own stepping loop
-(`dynamics._steps`), which plans the segment's steps a chunk at a time, and
-the segment's end state is carried on to the next segment.  The ansatz
-drive is a band matrix (``SectorFrame.ansatz_bands``), but the block that
-carries the gradient is built dense from it and from H0's band matrix: at
-the optimizer's sizes (21 to 41 states) one dense product of that block
-costs less than the banded products it would take.
+(`dynamics._steps`), which plans the segment's steps a chunk at a time in
+one buffer per evaluation, and the segment's end state is carried on to the
+next segment.  The ansatz drive is a band matrix
+(``SectorFrame.ansatz_bands``), but the block that carries the gradient is
+built dense from it and from H0's band matrix: at the optimizer's sizes (21
+to 41 states) one dense product of that block costs less than the banded
+products it would take.
 
 The optimization itself runs on a coarsened grid (a few propagation steps
 per segment); the returned trajectory re-evaluates the optimized schedule on
@@ -155,30 +156,24 @@ def _segment_infidelity(h0_segment: np.ndarray, ansatz, patterns: np.ndarray,
     [d psi/dx_1; ...; d psi/dx_k; psi] is stepped by `evolve`'s loop
     (`dynamics._steps`) on the block upper-triangular matrices with H_j on
     every diagonal block and P_b in the last block column of block row b,
-    written a chunk at a time into one reused stack, since the upper-right
+    written a chunk at a time into the loop's buffer, since the upper-right
     block of exp(-i dt [[H, P], [0, H]]) is the derivative of exp(-i dt H)
     along P (Van Loan, IEEE Trans. Autom. Control 23, 395 (1978)).  Then
     d|a|^2/dx_b = 2 Re(conj(a) <target|d psi_end/dx_b>).
     """
     k, dim = len(x), len(psi)
     h = h0_segment + ansatz(x).dense()
-
     chunk = _chunk_steps(((k + 1) * dim) ** 2 * 16)
-    # one stack serves every chunk (a plan is done with it once the next
-    # chunk is asked for): a new one per chunk faulted its pages in again,
-    # 150 page faults and 20% more time per evaluation at N=80, k=2
-    stack = np.empty((min(chunk, len(h)), k + 1, dim, k + 1, dim), dtype=complex)
 
-    def operators(lo, hi):
-        blocks = stack[:hi - lo]
+    def write(blocks, lo, hi):
+        blocks = blocks.reshape(hi - lo, k + 1, dim, k + 1, dim)
         blocks[:] = 0
         for b in range(k + 1):
             blocks[:, b, :, b] = h[lo:hi]
         blocks[:, :k, :, k] = patterns
-        return blocks.reshape(hi - lo, (k + 1) * dim, (k + 1) * dim)
 
     state = np.concatenate([np.zeros(k * dim, dtype=complex), psi])
-    for [(state, _)] in _steps([operators], np.full(len(h), dt), state, chunk):
+    for [(state, _)] in _steps([(None, write)], np.full(len(h), dt), state, chunk):
         pass  # the loop carries the stacked state to the segment's end
     states = state.reshape(k + 1, dim)
     overlaps = states @ target.conj()

@@ -160,21 +160,20 @@ def _cmd_optimize(args) -> dict:
         trajectories = {result.trajectory.protocol: result.trajectory}
     for label, traj in trajectories.items():
         safe = _stem(label)
-        coeffs = traj.info.get("coefficients")
-        if coeffs is not None:
-            cpath = outdir / f"schedule_{safe}.csv"
-            coeffs.to_csv(cpath)
-            files.append(cpath.name)
-            jpath = outdir / f"schedule_{safe}.json"
-            _write_json(jpath, coeffs.to_json_dict())
-            files.append(jpath.name)
+        coeffs = traj.info["coefficients"]
+        cpath = outdir / f"schedule_{safe}.csv"
+        coeffs.to_csv(cpath)
+        files.append(cpath.name)
+        jpath = outdir / f"schedule_{safe}.json"
+        _write_json(jpath, coeffs.to_json_dict())
+        files.append(jpath.name)
         tpath = outdir / f"trajectory_{safe}.csv"
         traj.to_csv(tpath)
         files.append(tpath.name)
         summary[label] = {"min_fidelity": traj.min_fidelity,
                           "final_fidelity": traj.final_fidelity,
-                          "nfev": traj.info.get("nfev"),
-                          "warnings": traj.info.get("optimizer_warnings", [])}
+                          "nfev": traj.info["nfev"],
+                          "warnings": traj.info["optimizer_warnings"]}
         print(f"{label}: min fidelity {traj.min_fidelity:.6f}")
     return {"files": files, "results": summary}
 

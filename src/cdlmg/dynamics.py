@@ -9,25 +9,23 @@ a vector and no eigensolve.  One stepping loop (`_steps`) runs it for
 `evolve_all`, on the drive's blocks, and for the optimizer's search
 (`ansatz`), on a block upper-triangular extension of them that carries the
 gradient along.  A protocol has a ``label`` and ``setup(run)``, which
-returns (chunk, operators): operators(lo, hi), for hi - lo <= chunk, gives
-the blocks H0 + drive of steps lo..hi-1 at the `TrackedRun`'s midpoints, in
-an array that the stepping loop may overwrite.  A block is a `BandMatrix`
-(H0 with the hp, truncated or ansatz drive), whose products cost O(w dim);
-exact_cd's, whose drive fills the block, and the optimizer's extension stay
-dense.  exact_cd writes every chunk into one buffer per run: H0's
-tridiagonal as the real part, the CD term i (V W) V^T from the midpoint's
-CD factors (`counterdiabatic.sector_cd_block`) as the imaginary part.
-`evolve_all` steps several protocols on one run in lockstep; `evolve` is
-its one-protocol case.
+returns (chunk, w, write): write(blocks, lo, hi), for hi - lo <= chunk,
+writes the blocks H0 + drive of steps lo..hi-1 at the `TrackedRun`'s
+midpoints into a view of the stepping loop's buffers: a `BandMatrix` stack
+(steps, 2w+1, dim) for band half-width w (H0 with the hp, truncated or
+ansatz drive), whose products cost O(w dim), or for w None dense blocks
+(steps, dim, dim), as exact_cd's (H0's tridiagonal as the real part, the
+CD term i (V W) V^T from `counterdiabatic.sector_cd_block` as the
+imaginary part) and the optimizer's extension.  `evolve_all` steps several
+protocols on one run in lockstep; `evolve` is its one-protocol case.
 
 The loop plans a run's steps a chunk at a time, and the protocols that plan
-one chunk size step as one stream.  At each chunk, the blocks of its
-members that are band matrices of one width are written into one stack
-(steps, members, 2w+1, dim), and one pass gives every step's and member's
-Gershgorin interval, term count, Bessel coefficients and scaled block; each
-step then runs one recurrence for the whole stack (`_planned_step`), in
-which every member sees the arithmetic of its step planned alone.  A dense
-block (exact_cd's, the optimizer's) is planned as a member on its own.  One
+one chunk size step as one stream.  Its members of one band width are
+written into one stack (steps, members, 2w+1, dim), and one pass gives
+every step's and member's Gershgorin interval, term count, Bessel
+coefficients and scaled block; each step then runs one recurrence for the
+whole stack (`_planned_step`), in which every member sees the arithmetic of
+its step planned alone.  A dense member is planned on its own.  One
 rule sizes every chunk (`_chunk_steps`): at most CHUNK_STEPS steps and
 CHUNK_BYTES of blocks; the readers of the CD factors plan the run's window
 of them (`TrackedRun.cd_chunk`), so that a midpoint's eigenproblem is solved
@@ -105,17 +103,16 @@ _UNIT_POWERS = np.array([2, -2j, -2, 2j])  # e_k (-i)^k for k = 0, 1, 2, 3 mod 4
 # protocols (see the module docstring for what one provides)
 
 def _band_setup(run: "TrackedRun", w: int, drive):
-    """`setup` of a band protocol, whose blocks H0 + drive are a complex
-    `BandMatrix` stack (steps, 2w+1, dim): drive(data, lo, hi) adds steps
-    lo..hi-1's drive to their stack of H0's bands."""
+    """`setup` of a band protocol of half-width w, whose write zeroes the
+    view (steps, 2w+1, dim), writes H0's bands and lets drive(data, lo, hi)
+    add steps lo..hi-1's drive."""
     frame = run.frame
 
-    def operators(lo, hi):
-        data = np.zeros((hi - lo, 2 * w + 1, frame.dim), dtype=complex)
+    def write(data, lo, hi):
+        data[:] = 0
         data[:, w - 1:w + 2] = frame.h0_bands(run.h_mid[lo:hi]).data
         drive(data, lo, hi)
-        return BandMatrix(data)
-    return _chunk_steps((2 * w + 1) * frame.dim * 16), operators
+    return _chunk_steps((2 * w + 1) * frame.dim * 16), w, write
 
 
 @dataclass(frozen=True)
@@ -131,23 +128,15 @@ class ExactCD:
     label = "exact_cd"
 
     def setup(self, run):
-        frame, dim, chunk = run.frame, run.frame.dim, run.cd_chunk
-        # one buffer per run, which each chunk's blocks overwrite once the
-        # previous chunk's plan is done with it: new blocks per chunk let the
-        # heap give their pages back and fault them in again, 578 faults
-        # against 35 over five 200-step runs at N=100 and 1632 against 235
-        # over five 60-step runs at N=300 (`bench/step_kernel.py`)
-        buffer = np.empty((chunk, dim, dim), dtype=complex)
+        frame, dim = run.frame, run.frame.dim
 
-        def exact(lo, hi):
-            blocks = buffer[:hi - lo]
+        def exact(blocks, lo, hi):
             for block, factors in zip(blocks, run.cd_factors(lo, hi)):
                 sector_cd_block(factors, out=block)
             flat = blocks.reshape(hi - lo, -1).real
             flat[:, ::dim + 1] = frame.h0_diagonals(run.h_mid[lo:hi])
             flat[:, 1::dim + 1] = flat[:, dim::dim + 1] = frame.h0_off
-            return blocks
-        return chunk, exact
+        return run.cd_chunk, None, exact
 
 
 @dataclass(frozen=True)
@@ -170,8 +159,8 @@ class Truncated:
                                              run.h_mid[lo:hi], run.hd_mid[lo:hi]):
                 row += drive(factors, h, hdot).data
         # sector_cd_bands' width; the chunk is the run's window of CD factors
-        _, operators = _band_setup(run, min(self.bands, run.frame.dim - 1), truncated)
-        return run.cd_chunk, operators
+        _, w, write = _band_setup(run, min(self.bands, run.frame.dim - 1), truncated)
+        return run.cd_chunk, w, write
 
     def _drive(self, frame):
         """The drive at one midpoint, drive(factors, h, hdot), from the
@@ -453,55 +442,39 @@ def _planned_step(plan: _StepPlan, j: int, psi: np.ndarray):
     return out, terms
 
 
-def _stacks(blocks: list, chunk: int) -> list:
-    """The stacks a stream's members step in, from their first chunk's
-    blocks: (members, buffer) for each width of band stacks, whose members
-    share one plan and a buffer of `chunk` steps that each chunk's blocks
-    are copied into (none for a lone member, planned on its own blocks), and
-    ((m,), None) for each dense member."""
-    widths = {}
-    for m, h in enumerate(blocks):
-        widths.setdefault(h.width if isinstance(h, BandMatrix) else (m,), []).append(m)
-    return [(tuple(members), None if len(members) == 1 else
-             np.empty((chunk, len(members)) + blocks[members[0]].data.shape[1:], complex))
-            for members in widths.values()]
-
-
-def _stacked(blocks: list, members: tuple, buffer):
-    """The members' blocks of one chunk as one (steps, members, ...) stack."""
-    if buffer is None:
-        h = blocks[members[0]]
-        return BandMatrix(h.data[:, None]) if isinstance(h, BandMatrix) else h[:, None]
-    stack = buffer[:len(blocks[members[0]].data)]
-    for slot, m in enumerate(members):
-        stack[:, slot] = blocks[m].data
-    return BandMatrix(stack)
-
-
-def _steps(operators: list, dts: np.ndarray, psi: np.ndarray, chunk: int):
+def _steps(members: list, dts: np.ndarray, psi: np.ndarray, chunk: int):
     """Step the members, each from the state psi, in lockstep: yield after
     each step exp(-i h_jm dt_j) the list of every member's (state, terms
-    summed), in the order of `operators`.  operators[m](lo, hi) writes
-    member m's steps lo..hi-1, `chunk` at a time, into an array that their
-    `_StepPlan` overwrites and that the next chunk's blocks may be written
-    over (exact_cd's buffer).  Members whose blocks are band stacks of one
-    width step as one stack (`_stacks`, learnt from the first chunk); a
-    dense member steps alone."""
-    stacks = None
+    summed), in the order of `members`.  Member m is a protocol's (w, write)
+    (module docstring), dim = len(psi), written `chunk` steps at a time.
+    Members of one band width step as one stack, a dense member alone.
+
+    The loop owns every block: one buffer (steps, members, ...) per stack
+    for the whole run, which each chunk overwrites once the previous chunk's
+    plan (which scaled it in place) is done.  New blocks per chunk, or a plan
+    freed before the next one is built, let the heap give pages back and
+    fault them in again: exact_cd faulted 578 pages against 35 over five
+    200-step runs at N=100 (`bench/step_kernel.py`), and an optimizer
+    evaluation 150 more at N=80, k=2, and took 20% longer."""
+    dim, steps = len(psi), min(chunk, len(dts))
+    groups = {}  # (w, -1) for band width w, (None, m) for dense member m: its members
+    for m, (w, _) in enumerate(members):
+        groups.setdefault((w, -1 if w is not None else m), []).append(m)
+    stacks = []  # (members, w, buffer)
+    for (w, _), group in groups.items():
+        shape = (dim, dim) if w is None else (2 * w + 1, dim)
+        stacks.append((group, w, np.empty((steps, len(group)) + shape, complex)))
+    states = [np.array([psi] * len(group)) for group, _, _ in stacks]
+    terms = [None] * len(stacks)
+    slots = sorted((m, s, row) for s, (group, _, _) in enumerate(stacks)
+                   for row, m in enumerate(group))
     for lo in range(0, len(dts), chunk):
         hi = min(lo + chunk, len(dts))
-        blocks = [member(lo, hi) for member in operators]
-        if stacks is None:
-            stacks = _stacks(blocks, chunk)
-            states = [np.array([psi] * len(members)) for members, _ in stacks]
-            terms = [None] * len(stacks)
-            slots = sorted((m, s, row) for s, (members, _) in enumerate(stacks)
-                           for row, m in enumerate(members))
-        # a plan is kept until the next one is built: freeing it first had
-        # the allocator hand the stack back to the system between chunks
-        plans = [_StepPlan(_stacked(blocks, members, buffer), dts[lo:hi])
-                 for members, buffer in stacks]
-        del blocks  # copied into their stacks, freed before the next chunk's
+        for group, _, buffer in stacks:
+            for slot, m in enumerate(group):
+                members[m][1](buffer[:hi - lo, slot], lo, hi)
+        plans = [_StepPlan(buffer[:hi - lo] if w is None else BandMatrix(buffer[:hi - lo]),
+                           dts[lo:hi]) for _, w, buffer in stacks]
         for j in range(hi - lo):
             for s, plan in enumerate(plans):
                 states[s], terms[s] = _planned_step(plan, j, states[s])
@@ -575,17 +548,20 @@ class TrackedRun:
         self.hd_mid = np.atleast_1d(ramp.hdot(self.t_mid))
         self.start_state = self.grounds[0].astype(complex)
         self.cd_chunk = _chunk_steps(self.frame.dim ** 2 * 16)
-        self._window = self._factors = None
+        self._window, self._factors = None, []
 
     def cd_factors(self, lo: int, hi: int) -> list:
         """The CD factors (V, V W) of the tracked block at midpoints lo..hi-1,
         solved on the first read of that window and kept until another
-        window is read."""
+        window is read, which replaces them a midpoint at a time: freed whole,
+        a window went back to the system and was faulted in again (27726
+        faults against 1411 over five 60-step truncated:1 runs at N=300)."""
         if self._window != (lo, hi):
-            # dropped before the solve, so that the run never holds two windows
-            self._window = self._factors = None
-            self._factors = [_cd_factors(self.frame, h, hdot)
-                             for h, hdot in zip(self.h_mid[lo:hi], self.hd_mid[lo:hi])]
+            self._window = None
+            del self._factors[hi - lo:]
+            for i, (h, hdot) in enumerate(zip(self.h_mid[lo:hi], self.hd_mid[lo:hi])):
+                del self._factors[i:i + 1]
+                self._factors.insert(i, _cd_factors(self.frame, h, hdot))
             self._window = (lo, hi)
         return self._factors
 
@@ -604,12 +580,12 @@ def _propagate(run: TrackedRun, protocols: list, store_states: bool) -> list:
     if store_states:
         states[:, 0] = run.start_state
     norm_err, matvecs = [0.0] * count, [0] * count
-    groups = {}  # chunk -> the protocols that plan it, and their operators
+    groups = {}  # chunk -> the protocols that plan it, and their (w, write)
     for i, p in enumerate(protocols):
-        chunk, operators = p.setup(run)
-        groups.setdefault(chunk, []).append((i, operators))
+        chunk, w, write = p.setup(run)
+        groups.setdefault(chunk, []).append((i, (w, write)))
     order = [i for group in groups.values() for i, _ in group]
-    streams = [_steps([operators for _, operators in group], dts, run.start_state, chunk)
+    streams = [_steps([member for _, member in group], dts, run.start_state, chunk)
                for chunk, group in groups.items()]
     for k, stepped in enumerate(zip(*streams), 1):
         for i, (psi, terms) in zip(order, chain.from_iterable(stepped)):

@@ -198,7 +198,7 @@ class SectorFrame:
     Two blocks are dense matrices instead: the exact CD block
     (`counterdiabatic.sector_cd_block`), which fills the whole block and is
     written, with H0's tridiagonal from ``h0_diagonals`` and ``h0_off`` as
-    its real part, straight into exact_cd's step buffer, and the
+    its real part, straight into the stepping loop's buffer, and the
     optimizer's gradient block (`ansatz`), built from the ``dense()`` stacks
     because at its sizes one dense product costs less than the banded
     products it replaces; one loop steps both (`dynamics`).

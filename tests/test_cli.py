@@ -222,12 +222,16 @@ def test_decompose_command(tmp_path):
 
 
 def _stub_figure(monkeypatch):
-    """Replace the preset runner with one fast bare trajectory."""
+    """Replace the preset runner with one fast bare trajectory, carrying the
+    schedule, nfev and warnings that `optimize` puts in every trajectory an
+    optimizer preset returns."""
     import cdlmg.cli
-    from cdlmg import ModelParams, RampSchedule, evolve
+    from cdlmg import BandCoefficients, ModelParams, RampSchedule, evolve
 
     ramp = RampSchedule.linear(0.75, 0.5)
     traj = evolve(ModelParams(6, 0.0, ramp), "bare", 50)
+    traj.info.update(coefficients=BandCoefficients(np.linspace(0, 1, 11), np.zeros((10, 1))),
+                     nfev=0, optimizer_warnings=[])
     calls = []
 
     def fake_run_figure(figure_id, **kwargs):
@@ -242,7 +246,8 @@ def test_optimize_figure_needs_no_bands(tmp_path, monkeypatch):
     calls = _stub_figure(monkeypatch)
     assert run_cli(["optimize", "--figure", "fig3a", "--out", tmp_path]) == 0
     assert calls == ["fig3a"]
-    assert (tmp_path / "trajectory_bare.csv").is_file()
+    for name in ("trajectory_bare.csv", "schedule_bare.csv", "schedule_bare.json"):
+        assert (tmp_path / name).is_file()
 
 
 def test_commands_write_identical_trajectory_csv(tmp_path, monkeypatch):
@@ -322,11 +327,11 @@ def test_preset_runs_every_protocol_on_the_calling_thread(monkeypatch):
     ground_series = cdlmg.dynamics.sector_ground_series
     threads, solved = [], []
 
-    def recording_steps(operators, *args, **kwargs):
+    def recording_steps(members, *args, **kwargs):
         # one stream per chunk size, each protocol recorded on the thread
         # that steps its stream
-        threads.extend([threading.get_ident()] * len(operators))
-        yield from steps(operators, *args, **kwargs)
+        threads.extend([threading.get_ident()] * len(members))
+        yield from steps(members, *args, **kwargs)
 
     def counting_ground_series(*args, **kwargs):
         solved.append(args)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from cdlmg import (
     parse_protocol,
     run_figure,
 )
+from cdlmg.ansatz import _segment_infidelity
 from cdlmg.counterdiabatic import _cd_factors, sector_cd_bands, sector_cd_block
 import cdlmg.dynamics
 from cdlmg.dynamics import (_MILLER_PAD, _VECTOR_STEPS, CHUNK_STEPS, TrackedRun,
@@ -324,10 +327,12 @@ def test_chunk_sized_by_its_own_steps():
     params = ModelParams(300, 0.0, RampSchedule.linear(0.75, 0.5))
     run = TrackedRun(params, 250)
     members = [p.setup(run) for p in (HPCorrection(), Bare())]
-    assert {chunk for chunk, _ in members} == {CHUNK_STEPS}
+    assert {(chunk, w) for chunk, w, _ in members} == {(CHUNK_STEPS, 1)}
     lo, hi = 96, 96 + CHUNK_STEPS
     dts = np.diff(run.times)[lo:hi]
-    blocks = [operators(lo, hi).data for _, operators in members]
+    blocks = [np.empty((hi - lo, 3, run.frame.dim), complex) for _ in members]
+    for data, (_, _, write) in zip(blocks, members):
+        write(data, lo, hi)
     plan = _StepPlan(BandMatrix(blocks[0].copy()[:, None]), dts)
     counts = [t for (t,) in plan.terms]
     assert max(counts) == 79 and sorted(counts)[-2] <= 40
@@ -451,6 +456,38 @@ def test_protocols_share_one_tracked_run(monkeypatch):
         evolve(params, "bare", run.times, converge=True)
 
 
+@dataclass(frozen=True)
+class _ConstantBand:
+    """A protocol defined outside cdlmg: H0 plus band 1 of the ansatz at one
+    constant coefficient x, written into the stepping loop's view."""
+    x: float
+    label = "constant band"
+
+    def setup(self, run):
+        frame = run.frame
+
+        def write(data, lo, hi):
+            data[:] = 0
+            data[:, 0:3] = frame.h0_bands(run.h_mid[lo:hi]).data
+            data += frame.ansatz_bands(np.full((hi - lo, 1), self.x)).data
+        return CHUNK_STEPS, 1, write
+
+
+def test_protocol_defined_outside_the_package():
+    # a new protocol is one class with a label and a setup: stepped beside
+    # the ansatz drive with the same constant coefficient, it gives bitwise
+    # the ansatz drive's trajectory
+    params = ModelParams(40, 0.0, RampSchedule.linear(0.75, 0.5))
+    ansatz = AnsatzDrive(BandCoefficients(np.linspace(0, 1, 11), np.full((10, 1), 0.3)))
+    trajs = evolve_all(params, [ansatz, _ConstantBand(0.3)], 200, store_states=True)
+    assert list(trajs) == ["ansatz(k=1)", "constant band"]
+    reference, constant = trajs.values()
+    assert np.array_equal(constant.fidelity, reference.fidelity)
+    assert np.array_equal(constant.states, reference.states)
+    assert constant.info["matvecs"] == reference.info["matvecs"]
+    assert reference.final_fidelity != evolve(params, "bare", 200).final_fidelity
+
+
 def test_repeated_protocol_label_rejected():
     # evolve_all keys its result by label, so a label given twice (also as
     # 'exact' and 'exact_cd') would be stepped twice and returned once
@@ -493,6 +530,31 @@ def test_lockstep_chunk_edges(monkeypatch):
             assert np.array_equal(traj.fidelity, alone.fidelity)
             assert np.array_equal(traj.states, alone.states)
             assert traj.info["matvecs"] == alone.info["matvecs"]
+
+
+def test_cd_window_replaced_a_midpoint_at_a_time(monkeypatch):
+    # a new window of CD factors replaces the last one a midpoint at a time:
+    # each solve runs beside the rest of the last window's factors, since a
+    # window freed whole went back to the system and was faulted in again,
+    # and the run never holds more than a window's
+    run = TrackedRun(ModelParams(20, 0.0, RampSchedule.linear(0.75, 0.5)), 10)
+    refs, alive, solve = [], [], cdlmg.dynamics._cd_factors
+
+    def counted(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        factors = solve(*args)
+        refs.append(weakref.ref(factors[0]))
+        return factors
+    monkeypatch.setattr(cdlmg.dynamics, "_cd_factors", counted)
+
+    def check(lo, hi):  # holds no factor past its return
+        factors = run.cd_factors(lo, hi)
+        assert len(factors) == hi - lo
+        for got, h, hdot in zip(factors, run.h_mid[lo:hi], run.hd_mid[lo:hi]):
+            assert all(map(np.array_equal, got, solve(run.frame, h, hdot)))
+    for lo, hi in ((0, 4), (4, 8), (4, 8), (8, 10), (0, 4)):
+        check(lo, hi)
+    assert alive == [0, 1, 2, 3, 3, 3, 3, 3, 1, 1, 1, 1, 2, 3]
 
 
 @pytest.mark.parametrize("n, protocols, cd_chunk", [
@@ -623,10 +685,16 @@ def test_step_blocks_match_full_basis(n, protocol):
                                                 np.linspace(-0.4, 0.5, 10).reshape(5, 2)))
     protocol = parse_protocol(protocol)
     run = TrackedRun(params, 40)
-    chunk, operators = protocol.setup(run)
+    dim = run.frame.dim
+    chunk, w, write = protocol.setup(run)
     for lo, hi in ((0, 1), (17, 23), (37, 40)):
         assert hi - lo <= chunk
-        blocks = _dense(operators(lo, hi))
+        # a band member is written through a slot of its stack; every entry
+        # of the view is written over
+        view = (np.full((hi - lo, dim, dim), np.nan, complex) if w is None
+                else np.full((hi - lo, 2, 2 * w + 1, dim), np.nan, complex)[:, 1])
+        write(view, lo, hi)
+        blocks = _dense(view if w is None else BandMatrix(view))
         assert blocks.shape == (hi - lo, run.frame.dim, run.frame.dim)
         for block, t, h, hdot in zip(blocks, run.t_mid[lo:hi], run.h_mid[lo:hi],
                                      run.hd_mid[lo:hi]):
@@ -646,25 +714,69 @@ def _assembled_exact_blocks(run, lo, hi):
     return np.stack(blocks)
 
 
-@pytest.mark.parametrize("n, steps, chunk", [(10, 40, 32), (11, 40, 32), (100, 40, 32),
-                                             (300, 4, 3)])
-def test_exact_cd_blocks_written_in_place(n, steps, chunk):
-    # every chunk's blocks are written over one buffer, also after the
-    # previous chunk's plan scaled it in place, and equal the blocks
-    # assembled from new arrays entry for entry
-    run = TrackedRun(ModelParams(n, 0.0, RampSchedule.linear(0.75, 0.5)), steps)
-    planned, operators = ExactCD().setup(run)
-    assert planned == chunk
-    dts, previous = np.diff(run.times), None
-    for lo in range(0, steps, chunk):
-        hi = min(lo + chunk, steps)
-        blocks = operators(lo, hi)
-        expected = _assembled_exact_blocks(run, lo, hi)
-        assert blocks.dtype == complex and np.array_equal(blocks, expected)
-        assert previous is None or np.shares_memory(blocks, previous)
-        _StepPlan(blocks[:, None], dts[lo:hi])
-        assert not np.array_equal(blocks, expected)  # the plan scaled them
-        previous = blocks
+def _spied_plans(monkeypatch) -> dict:
+    """Spies on `_StepPlan`: for each stack, told apart by its shape past
+    the step axis, the list of (blocks, copy) of every chunk planned on it,
+    the blocks as the loop hands them, the copy taken before the plan."""
+    plans, step_plan = {}, cdlmg.dynamics._StepPlan
+
+    def spy(h, dts):
+        blocks = h.data if isinstance(h, BandMatrix) else h
+        copy = blocks.copy()
+        plan = step_plan(h, dts)
+        assert not np.array_equal(blocks, copy)  # the plan scaled them in place
+        plans.setdefault(blocks.shape[1:], []).append((blocks, copy))
+        return plan
+    monkeypatch.setattr(cdlmg.dynamics, "_StepPlan", spy)
+    return plans
+
+
+@pytest.mark.parametrize("n, protocols, steps, stacks", [
+    (10, ["exact_cd"], 40, 1), (11, ["exact_cd"], 40, 1), (100, "fig1a", 70, 2),
+    (300, "fig1a", 40, 3), (40, "segment", 100, 1)],
+    ids=["exact_cd-10", "exact_cd-11", "fig1a-100", "fig1a-300", "segment-40"])
+def test_step_blocks_written_in_place(n, protocols, steps, stacks, monkeypatch):
+    # the stepping loop writes every chunk of a stack over one buffer, also
+    # after the previous chunk's plan scaled it in place: fig1a at N=100 is
+    # one stream (exact_cd alone, the band protocols stacked), at N=300 two
+    # (exact_cd and truncated:1 on 3-step windows, bare and hp on 32 steps),
+    # and an optimizer segment at N=40, k=2 plans 4, 4 and 2 steps; exact_cd's
+    # blocks equal those assembled from new arrays entry for entry
+    params = ModelParams(n, 0.0, RampSchedule.linear(0.75, 0.5))
+    run = TrackedRun(params, steps)
+    plans = _spied_plans(monkeypatch)
+    segment = protocols == "segment"
+    if segment:
+        monkeypatch.setattr(cdlmg.dynamics, "CHUNK_BYTES", 256 * 1024)
+        frame, lo, hi = run.frame, 45, 55
+        h0_segment = np.array([frame.h0_bands(h).dense() for h in run.h_mid[lo:hi]])
+        patterns = frame.ansatz_bands(np.eye(2)).dense()
+        x = np.array([-0.9, 0.4])
+        _segment_infidelity(h0_segment, frame.ansatz_bands, patterns, x,
+                            run.times[1] - run.times[0], run.grounds[lo].astype(complex),
+                            run.grounds[hi])
+        (chunks,) = plans.values()
+        assert [len(blocks) for blocks, _ in chunks] == [4, 4, 2]
+        h = h0_segment + frame.ansatz_bands(x).dense()
+        zero = np.zeros_like(h[0])
+        for j, block in enumerate(chunks[0][1][:, 0]):
+            assert np.array_equal(block, np.block([[h[j], zero, patterns[0]],
+                                                   [zero, h[j], patterns[1]],
+                                                   [zero, zero, h[j]]]))
+    else:
+        protocols = FIGURES["fig1a"].protocols if protocols == "fig1a" else protocols
+        evolve_all(params, protocols, steps)
+    assert len(plans) == stacks
+    for chunks in plans.values():
+        assert len(chunks) > 1
+        for (blocks, _), (previous, _) in zip(chunks[1:], chunks):
+            assert np.shares_memory(blocks, previous)
+    if not segment:
+        dim, chunk = run.frame.dim, run.cd_chunk
+        for c, (_, copy) in enumerate(plans[(1, dim, dim)]):
+            lo = c * chunk
+            expected = _assembled_exact_blocks(run, lo, min(lo + chunk, steps))
+            assert copy.dtype == complex and np.array_equal(copy[:, 0], expected)
 
 
 def test_protocol_ordering_small_system():
@@ -859,8 +971,12 @@ def test_norm_preserved_over_full_ramp():
 
 
 def test_fidelities_independent_of_blas_threads():
-    # the four protocols' fidelities at N=300, and the optimizer's schedule at
-    # N=130 (66 states per block, stepped with the gradient on 132)
+    # the four protocols' 60-step fidelities at N=300, and the optimizer's
+    # schedule at N=130 (66 states per block, stepped with the gradient on
+    # 132), are bitwise equal at one and two BLAS threads.  The states of
+    # truncated:1 and exact_cd are not: V W in `_cd_factors` differs in its
+    # last bits between the two at N=300, so byte-identical CD outputs hold
+    # at a fixed thread count only
     code = (
         "from cdlmg import ModelParams, RampSchedule, evolve, optimize\n"
         "ramp = RampSchedule.linear(0.75, 0.5)\n"
